@@ -2,9 +2,11 @@
 """Measure how much headroom the candidate filter actually leaves.
 
 For each m and policy the guarantee only promises one surviving candidate
-per step; this sweep reports the observed minimum candidate count, the worst
-gap between the leaf pool and its floor 2m - 3k^2 + 6k - 1, and the worst
-pool-versus-eliminations margin, over permuted round-robin instances.
+per step; this sweep reports the observed minimum candidate count and the
+worst gap between the leaf pool and its floor 2m - 3k^2 + 6k - 1 (both from
+``rainbowtrees.slack``), over permuted round-robin instances. The filter
+only ever eliminates pool vertices, so the pool-versus-eliminations margin
+always equals the minimum candidate count and is not reported separately.
 
 Usage: python scripts/sweep_slack.py [--m-from 5] [--m-to 40] [--seeds 3]
 """
@@ -18,6 +20,7 @@ from rainbowtrees import (
     omega,
     permuted_round_robin,
     random_policy,
+    slack,
     verify_all,
 )
 
@@ -25,32 +28,21 @@ POLICIES = [("min", MIN_INDEX), ("max", MAX_INDEX), ("rand", random_policy(2718)
 
 
 def run(m_from: int, m_to: int, seeds: int) -> None:
-    print(f"{'m':>3} {'omega':>5} {'policy':>6} {'min_cands':>9} "
-          f"{'pool_gap':>8} {'elim_gap':>8} {'verified':>8}")
+    print(f"{'m':>3} {'omega':>5} {'policy':>6} {'min_cands':>9} {'pool_gap':>8} {'verified':>8}")
     for m in range(m_from, m_to + 1):
         for name, policy in POLICIES:
-            min_cands = None
-            pool_gap = None
-            elim_gap = None
+            worst = None
             verified = True
             for seed in range(seeds):
                 coloring = permuted_round_robin(m, seed)
                 forest, trace = build_forest(coloring, policy=policy)
                 verified &= verify_all(coloring, forest, trace).verdict
-                for rt in trace.rounds:
-                    k = rt.k
-                    gap = len(rt.leaves) - (2 * m - 3 * k * k + 6 * k - 1)
-                    pool_gap = gap if pool_gap is None else min(pool_gap, gap)
-                    for st in rt.steps:
-                        eliminated = set().union(*(set(v) for v in st.eliminated.values()))
-                        cands = len(set(st.candidates_before) - eliminated)
-                        min_cands = cands if min_cands is None else min(min_cands, cands)
-                        margin = st.bound_lhs - len(eliminated)
-                        elim_gap = margin if elim_gap is None else min(elim_gap, margin)
-            if min_cands is None:
-                min_cands = pool_gap = elim_gap = "-"
+                run_slack = slack(trace)
+                if run_slack is not None:
+                    worst = run_slack if worst is None else tuple(map(min, worst, run_slack))
+            min_cands, pool_gap = worst if worst is not None else ("-", "-")
             print(f"{m:>3} {omega(m):>5} {name:>6} {min_cands!s:>9} "
-                  f"{pool_gap!s:>8} {elim_gap!s:>8} {str(verified):>8}")
+                  f"{pool_gap!s:>8} {str(verified):>8}")
 
 
 def main() -> None:

@@ -29,6 +29,7 @@ from .constructor import (
     build_forest,
     omega,
     random_policy,
+    slack,
     trace_from_jsonl,
     trace_to_jsonl,
 )
@@ -159,15 +160,11 @@ def cmd_bench(args) -> int:
             if best_micros is None or micros < best_micros:
                 best_micros = micros
         report = verify_all(coloring, forest, trace)
-        slacks = [
-            len(set(st.candidates_before) - set().union(*map(set, st.eliminated.values()))) - 1
-            for rt in trace.rounds
-            for st in rt.steps
-        ]
-        slack = str(min(slacks)) if slacks else ""
+        run_slack = slack(trace)
+        min_slack = "" if run_slack is None else str(run_slack[0] - 1)
         rows.append(
             f"{m},{omega(m)},{len(forest.trees)},{best_micros},"
-            f"{'true' if report.verdict else 'false'},{slack}"
+            f"{'true' if report.verdict else 'false'},{min_slack}"
         )
     payload = ("\n".join(rows) + "\n").encode("utf-8")
     _write(args.csv, payload)

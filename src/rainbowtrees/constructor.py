@@ -21,6 +21,11 @@ vertices, while leaf-count arithmetic keeps the pool larger than that for
 every k <= omega(m), so a candidate always survives. Violations of any of
 these guarantees raise InternalInvariantError subclasses: they can only mean
 an implementation bug, never bad input, and are never absorbed.
+
+Each round is recorded once, as a :class:`Round` holding one :class:`Step`
+per rewired tree; the construction reads its own history from that record,
+and the trace is the list of these records. :func:`slack` summarizes how
+close a recorded run came to failing.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .coloring import EdgeColoring
 from .errors import (
@@ -114,45 +120,36 @@ class _Chooser:
 
 
 @dataclass
-class RoundRecord:
-    """Vertices fixed during one round: anchors plus per-tree exchange data.
+class Step:
+    """Step i of round k: the filter's pool and per-rule eliminations, then
+    the exchange vertices fixed by the choice of v_i (-1 until fixed).
 
-    For tree i the exchange detaches r_k and v_i and attaches (r_k, w_i) and
-    (v_i, v'_i), where color(r_k, w_i) = color(r_i, v_i) and
-    color(v_i, v'_i) = color(r_i, r_k). The star assembly records w'_i with
-    color(w_i, w'_i) = color(r_k, w_k) for i = 1 and color(r_k, w_{i-1})
-    afterwards, and finally w'_k with color(w_k, w'_k) = color(r_k, w_{k-1}).
+    The exchange on tree i detaches r_k and v_i (``chosen``) and attaches
+    (r_k, w_i) and (v_i, v'_i), where color(r_k, w_i) = color(r_i, v_i) and
+    color(v_i, v'_i) = color(r_i, r_k). The assembly then re-hangs w_i under
+    w'_i with color(w_i, w'_i) = color(r_k, w_k) for i = 1 and
+    color(r_k, w_{i-1}) afterwards.
     """
-
-    k: int
-    r_k: int
-    w_k: int
-    vs: list[int] = field(default_factory=list)
-    ws: list[int] = field(default_factory=list)
-    v_primes: list[int] = field(default_factory=list)
-    w_primes: list[int] = field(default_factory=list)
-    w_k_prime: int = -1
-
-
-@dataclass
-class StepTrace:
-    """Filter diagnostics for the choice of v_i in round k."""
 
     k: int
     i: int
     candidates_before: list[int]
     eliminated: dict[str, list[int]]
-    chosen: int
     bound_lhs: int
     bound_rhs: int
-    w_i: int
-    v_prime: int
-    w_prime: int
+    chosen: int = -1
+    w_i: int = -1
+    v_prime: int = -1
+    w_prime: int = -1
 
 
 @dataclass
-class RoundTrace:
-    """Everything needed to re-derive one round independently."""
+class Round:
+    """One round of the induction: everything needed to re-derive it.
+
+    The final exchange re-hangs w_k under w'_k with
+    color(w_k, w'_k) = color(r_k, w_{k-1}).
+    """
 
     k: int
     roots: list[int]
@@ -160,7 +157,7 @@ class RoundTrace:
     w_k: int
     leaves: list[int]
     trees_before: list[list[tuple[int, int, int]]]
-    steps: list[StepTrace] = field(default_factory=list)
+    steps: list[Step] = field(default_factory=list)
     w_k_prime: int = -1
     leaves_after: list[int] = field(default_factory=list)
 
@@ -168,66 +165,32 @@ class RoundTrace:
 @dataclass
 class ConstructionTrace:
     m: int
-    rounds: list[RoundTrace] = field(default_factory=list)
+    rounds: list[Round] = field(default_factory=list)
 
 
-class _PartialTree:
-    """The k-th tree while it is being assembled from the star at r_k.
-
-    Intermediate stages are spanning and acyclic but deliberately not
-    rainbow: the color of edge (r_k, w_k) stays duplicated until the final
-    exchange resolves the chain of color hand-offs.
-    """
-
-    __slots__ = ("root", "n", "adj", "edge_colors", "root_leaves")
-
-    def __init__(self, star: RainbowTree):
-        self.root = star.root
-        self.n = star.n
-        self.adj = {x: set(nbrs) for x, nbrs in star.adjacency.items()}
-        self.edge_colors = {(u, v): c for u, v, c in star.edges}
-        self.root_leaves = set(star.root_leaves)
-
-    def swap_star_edge(self, leaf: int, new_neighbor: int, color: int) -> None:
-        """Replace pendant edge (root, leaf) by (leaf, new_neighbor).
-
-        The detached vertex is momentarily isolated, so the replacement edge
-        cannot close a cycle; connectivity is still re-checked afterwards.
-        """
-        if leaf not in self.root_leaves:
-            raise CycleDetected(
-                f"vertex {leaf} is not a pendant neighbor of the new root {self.root}"
-            )
-        key = (leaf, new_neighbor) if leaf < new_neighbor else (new_neighbor, leaf)
-        if key in self.edge_colors:
-            raise CycleDetected(f"replacement edge {key} already present in the assembly")
-        old = (self.root, leaf) if self.root < leaf else (leaf, self.root)
-        del self.edge_colors[old]
-        self.adj[self.root].discard(leaf)
-        self.adj[leaf].discard(self.root)
-        self.edge_colors[key] = color
-        self.adj[leaf].add(new_neighbor)
-        self.adj[new_neighbor].add(leaf)
-        self.root_leaves.discard(leaf)
-        self.root_leaves.discard(new_neighbor)
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            x = stack.pop()
-            for y in self.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != self.n:
-            raise CycleDetected("assembly stage is no longer spanning-connected")
-
-    def to_tree(self, coloring: EdgeColoring) -> RainbowTree:
-        edges = [(u, v, c) for (u, v), c in self.edge_colors.items()]
-        return RainbowTree.from_edges(self.root, edges, self.n, coloring)
+def slack(trace: ConstructionTrace) -> tuple[int, int] | None:
+    """How close a run came to failing: (fewest surviving candidates at any
+    step, smallest gap between a round's leaf pool and its floor
+    2m - 3k^2 + 6k - 1), or None when no step ran (m <= 4)."""
+    m = trace.m
+    cands = [
+        len(set(st.candidates_before).difference(*st.eliminated.values()))
+        for rnd in trace.rounds
+        for st in rnd.steps
+    ]
+    if not cands:
+        return None
+    gaps = [len(rnd.leaves) - (2 * m - 3 * rnd.k**2 + 6 * rnd.k - 1) for rnd in trace.rounds]
+    return min(cands), min(gaps)
 
 
 class ConstructionState:
-    """Mutable working state of one construction run; confined to that run."""
+    """Mutable working state of one construction run; confined to that run.
+
+    Tree k under assembly is not materialized until ``finalize_kth``: the
+    state keeps only its root-adjacent leaves, which is all the O(1)
+    acyclicity checks of the star assembly need.
+    """
 
     __slots__ = (
         "coloring",
@@ -235,12 +198,11 @@ class ConstructionState:
         "trees",
         "roots",
         "common_leaves",
-        "partial",
-        "record",
+        "round",
+        "assembly_leaves",
         "trace",
         "chooser",
         "lstar",
-        "_pending_filter",
     )
 
     def __init__(self, coloring, trees, roots, common_leaves, chooser, trace):
@@ -251,10 +213,9 @@ class ConstructionState:
         self.k = len(trees) + 1
         self.chooser = chooser
         self.trace = trace
-        self.partial = None
-        self.record = None
+        self.round: Round | None = None
+        self.assembly_leaves: set[int] = set()
         self.lstar: frozenset[int] = frozenset()
-        self._pending_filter = None
 
 
 def start_construction(
@@ -280,6 +241,8 @@ def select_anchors(state: ConstructionState) -> tuple[int, int]:
 
 
 def begin_round(state: ConstructionState) -> None:
+    """Fix the anchors and open the round's record (appended to the trace
+    when one is kept); tree k starts as the spanning star at r_k."""
     k, m = state.k, state.coloring.m
     # the structural floors of the previous round guarantee this much pool
     pool_floor = 2 * m - 3 * k * k + 6 * k - 1
@@ -289,20 +252,18 @@ def begin_round(state: ConstructionState) -> None:
             f" below the floor {pool_floor}"
         )
     r_k, w_k = select_anchors(state)
-    state.record = RoundRecord(k=k, r_k=r_k, w_k=w_k)
+    state.round = Round(
+        k=k,
+        roots=list(state.roots),
+        r_k=r_k,
+        w_k=w_k,
+        leaves=sorted(state.common_leaves),
+        trees_before=[list(t.edges) for t in state.trees],
+    )
     state.lstar = frozenset(state.common_leaves - {r_k, w_k})
-    state.partial = _PartialTree(base_star(state.coloring, r_k))
+    state.assembly_leaves = set(range(state.coloring.n)) - {r_k}
     if state.trace is not None:
-        state.trace.rounds.append(
-            RoundTrace(
-                k=k,
-                roots=list(state.roots),
-                r_k=r_k,
-                w_k=w_k,
-                leaves=sorted(state.common_leaves),
-                trees_before=[list(t.edges) for t in state.trees],
-            )
-        )
+        state.trace.rounds.append(state.round)
 
 
 _RULES = tuple(f"R{j}" for j in range(2, 12))
@@ -317,14 +278,17 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
     partner table turns each forbidden color directly into the vertex it
     eliminates. Trees 1..i-1 have already been rewired this round, trees
     i..k-1 have not, which is exactly the mix the lookups in R8/R9 need.
-    Per-rule eliminations are kept for the trace.
+    The pool and the per-rule eliminations are written to round.steps[i-1],
+    replacing any earlier attempt at this i.
     """
-    col, k, rec = state.coloring, state.k, state.record
-    if rec is None:
+    col, k, rnd = state.coloring, state.k, state.round
+    if rnd is None:
         raise ValueError("no round in progress")
     if not 1 <= i <= k - 1:
         raise ValueError(f"tree index {i} out of range for round {k}")
-    rk, wk = rec.r_k, rec.w_k
+    if i > 1 and (len(rnd.steps) < i - 1 or rnd.steps[i - 2].w_prime < 0):
+        raise ValueError(f"round {k}: step {i - 1} has not finished")
+    rk, wk, steps = rnd.r_k, rnd.w_k, rnd.steps
     roots = state.roots
     ri = roots[i - 1]
     lstar = state.lstar
@@ -341,16 +305,16 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
         if c != i:
             forbid_at("R2", c_anchor, roots[c - 1])
     for a in range(1, i):  # R3: color(v, r_i) must avoid every earlier color(r_a, v_a)
-        forbid_at("R3", col.color_of(roots[a - 1], rec.vs[a - 1]), ri)
+        forbid_at("R3", col.color_of(roots[a - 1], steps[a - 1].chosen), ri)
     for b in range(i + 1, k):  # R4: ... and color(r_k, r_b) of trees not yet rewired
         forbid_at("R4", col.color_of(rk, roots[b - 1]), ri)
     forbid_at("R5", col.color_of(rk, wk), ri)  # R5: ... and color(r_k, w_k)
     for a in range(1, i):  # R6: ... and color(r_k, w'_a)
-        forbid_at("R6", col.color_of(rk, rec.w_primes[a - 1]), ri)
+        forbid_at("R6", col.color_of(rk, steps[a - 1].w_prime), ri)
     if i >= 2:
         # R7: ... and color(r_k, alpha) for the alpha matching w_k through the
         # color the assembly is about to hand off
-        alpha = col.partner(col.color_of(rk, rec.ws[i - 2]), wk)
+        alpha = col.partner(col.color_of(rk, steps[i - 2].w_i), wk)
         if alpha != rk:
             forbid_at("R7", col.color_of(rk, alpha), ri)
     if i == 1:
@@ -364,7 +328,7 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
     else:
         # R9: both endpoints of the edge colored like (r_k, w_{i-1}) in every
         # tree, rewired or not
-        target = col.color_of(rk, rec.ws[i - 2])
+        target = col.color_of(rk, steps[i - 2].w_i)
         for t in state.trees:
             u, v, _ = tree_edge_of_color(t, target)
             for alpha in (u, v):
@@ -375,16 +339,14 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
         for d in range(1, k - 1):  # R11: last rewiring only: color(v, r_i) vs color(w_k, r_d)
             forbid_at("R11", col.color_of(wk, roots[d - 1]), ri)
 
+    pool = sorted(lstar)
+    del steps[i - 1 :]
+    steps.append(Step(k, i, pool, {r: sorted(vs) for r, vs in elim.items()}, len(pool), 6 * k - 7))
     knocked_out = set().union(*elim.values())
     if i == k - 1 and len(knocked_out) > 6 * k - 7:
         raise InternalInvariantError(
             f"round {k} step {i}: {len(knocked_out)} eliminations exceed the cap {6 * k - 7}"
         )
-    state._pending_filter = (
-        i,
-        sorted(lstar),
-        {rule: sorted(vs) for rule, vs in elim.items()},
-    )
     allowed = set(lstar) - knocked_out
     if not allowed:
         raise EmptyCandidateSet(f"round {k} step {i}: the filter left no candidate")
@@ -394,51 +356,70 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
 def revise_tree(state: ConstructionState, i: int, v_i: int) -> RainbowTree:
     """Rewire tree i around its root, then trade the matching star edge of
     the tree under assembly."""
-    col, rec = state.coloring, state.record
-    rk = rec.r_k
+    col, rnd = state.coloring, state.round
+    rk = rnd.r_k
     ri = state.roots[i - 1]
     w_i = col.partner(col.color_of(ri, v_i), rk)
     v_prime = col.partner(col.color_of(ri, rk), v_i)
     new_tree = apply_swap(state.trees[i - 1], ri, rk, v_i, w_i, v_prime)
     state.trees[i - 1] = new_tree
-    rec.vs.append(v_i)
-    rec.ws.append(w_i)
-    rec.v_primes.append(v_prime)
+    st = rnd.steps[i - 1]
+    st.chosen, st.w_i, st.v_prime = v_i, w_i, v_prime
     extend_kth_partial(state, i)
     return new_tree
 
 
-def extend_kth_partial(state: ConstructionState, i: int) -> _PartialTree:
-    """Swap star edge (r_k, w_i) for (w_i, w'_i) in the assembly.
+def _rehang(state: ConstructionState, leaf: int, new_neighbor: int) -> None:
+    """Trade the assembly's pendant edge (r_k, leaf) for (leaf, new_neighbor).
+
+    Detaching a pendant leaf leaves a spanning tree on the other n-1
+    vertices, so re-hanging it under any vertex other than itself and r_k
+    gives a spanning tree again: these two O(1) checks are exact.
+    """
+    rk = state.round.r_k
+    if leaf not in state.assembly_leaves:
+        raise CycleDetected(f"vertex {leaf} is not a pendant neighbor of the new root {rk}")
+    if new_neighbor in (leaf, rk):
+        raise CycleDetected(f"re-hanging {leaf} under {new_neighbor} would not keep a tree")
+    state.assembly_leaves.discard(leaf)
+    state.assembly_leaves.discard(new_neighbor)
+
+
+def extend_kth_partial(state: ConstructionState, i: int) -> int:
+    """Swap star edge (r_k, w_i) for (w_i, w'_i) in the assembly; returns w'_i.
 
     The replacement edge carries color(r_k, w_k) at the first step and the
     color released by the previous step afterwards; the temporary color
     imbalance resolves at finalize.
     """
-    col, rec = state.coloring, state.record
-    rk, wk = rec.r_k, rec.w_k
-    w_i = rec.ws[i - 1]
-    handoff = col.color_of(rk, wk) if i == 1 else col.color_of(rk, rec.ws[i - 2])
-    w_prime = col.partner(handoff, w_i)
-    rec.w_primes.append(w_prime)
-    state.partial.swap_star_edge(w_i, w_prime, handoff)
-    return state.partial
+    col, rnd = state.coloring, state.round
+    rk, wk = rnd.r_k, rnd.w_k
+    st = rnd.steps[i - 1]
+    handoff = col.color_of(rk, wk) if i == 1 else col.color_of(rk, rnd.steps[i - 2].w_i)
+    w_prime = col.partner(handoff, st.w_i)
+    _rehang(state, st.w_i, w_prime)
+    st.w_prime = w_prime
+    return w_prime
 
 
 def finalize_kth(state: ConstructionState) -> RainbowTree:
-    """Detach w_k from the assembly and close the chain with edge (w_k, w'_k).
+    """Detach w_k from the assembly, close the chain with edge (w_k, w'_k)
+    and build tree k: the star at r_k minus the detached leaves, plus the
+    re-hung edges.
 
     The result must be a rainbow spanning tree whose root degree is exactly
     (2m-1) - k with at least (2m-1) - 2k root-adjacent leaves.
     """
-    col, rec, k = state.coloring, state.record, state.k
-    rk, wk = rec.r_k, rec.w_k
-    handoff = col.color_of(rk, rec.ws[-1])
-    w_prime = col.partner(handoff, wk)
-    rec.w_k_prime = w_prime
-    state.partial.swap_star_edge(wk, w_prime, handoff)
-    tree = state.partial.to_tree(col)
-    n = col.n
+    col, rnd, k = state.coloring, state.round, state.k
+    rk, wk, n = rnd.r_k, rnd.w_k, col.n
+    w_prime = col.partner(col.color_of(rk, rnd.steps[-1].w_i), wk)
+    _rehang(state, wk, w_prime)
+    rnd.w_k_prime = w_prime
+    hung = [(st.w_i, st.w_prime) for st in rnd.steps] + [(wk, w_prime)]
+    detached = {leaf for leaf, _ in hung}
+    edges = [(rk, x, col.color_of(rk, x)) for x in range(n) if x != rk and x not in detached]
+    edges += [(leaf, up, col.color_of(leaf, up)) for leaf, up in hung]
+    tree = RainbowTree.from_edges(rk, edges, n, col)
     if len(tree.edges) != n - 1:
         raise CycleDetected(f"assembled tree has {len(tree.edges)} edges, expected {n - 1}")
     colors = [c for _, _, c in tree.edges]
@@ -485,14 +466,12 @@ def _check_structure(state: ConstructionState) -> None:
 
 
 def _close_round(state: ConstructionState) -> None:
-    rec, k = state.record, state.k
+    rnd, k = state.round, state.k
     # every vertex that lost common-leaf status this round, by construction:
     # the anchors, each detached v_i, and each endpoint of a fresh edge
-    dropped = {rec.r_k, rec.w_k, rec.w_k_prime}
-    dropped.update(rec.vs)
-    dropped.update(rec.ws)
-    dropped.update(rec.v_primes)
-    dropped.update(rec.w_primes)
+    dropped = {rnd.r_k, rnd.w_k, rnd.w_k_prime}
+    for st in rnd.steps:
+        dropped.update((st.chosen, st.w_i, st.v_prime, st.w_prime))
     incremental = state.common_leaves - dropped
     scratch = set(state.trees[0].root_leaves)
     for t in state.trees[1:]:
@@ -503,41 +482,18 @@ def _close_round(state: ConstructionState) -> None:
         )
     state.common_leaves = scratch
     _check_structure(state)
-    if state.trace is not None:
-        rt = state.trace.rounds[-1]
-        rt.w_k_prime = rec.w_k_prime
-        rt.leaves_after = sorted(scratch)
-    state.record = None
-    state.partial = None
+    rnd.leaves_after = sorted(scratch)
+    state.round = None
+    state.assembly_leaves = set()
     state.lstar = frozenset()
-    state._pending_filter = None
 
 
 def step(state: ConstructionState) -> ConstructionState:
     """Run one full round: k-1 leaf exchanges plus assembly of the k-th tree."""
-    k = state.k
     begin_round(state)
-    rec = state.record
-    for i in range(1, k):
+    for i in range(1, state.k):
         cands = admissible_candidates(state, i)
-        v_i = state.chooser.candidate(sorted(cands))
-        revise_tree(state, i, v_i)
-        if state.trace is not None:
-            _, before, elim = state._pending_filter
-            state.trace.rounds[-1].steps.append(
-                StepTrace(
-                    k=k,
-                    i=i,
-                    candidates_before=before,
-                    eliminated=elim,
-                    chosen=v_i,
-                    bound_lhs=len(before),
-                    bound_rhs=6 * k - 7,
-                    w_i=rec.ws[-1],
-                    v_prime=rec.v_primes[-1],
-                    w_prime=rec.w_primes[-1],
-                )
-            )
+        revise_tree(state, i, state.chooser.candidate(sorted(cands)))
     finalize_kth(state)
     _close_round(state)
     state.k += 1
@@ -555,7 +511,8 @@ def build_forest(
     never attempts rounds beyond omega(m) even when candidates remain; the
     guarantees only cover k <= omega(m). Returns (forest, trace); the trace
     is None when trace_on is false. Guarantee violations surface as
-    InternalInvariantError or SwapError with the partial trace attached.
+    InternalInvariantError or SwapError with the partial trace attached; it
+    ends with the round and step in flight, whose unfixed fields hold -1.
     """
     state = start_construction(coloring, policy, trace_on)
     target = omega(coloring.m)
@@ -572,112 +529,101 @@ def build_forest(
 
 
 def trace_to_jsonl(trace: ConstructionTrace) -> bytes:
-    """One JSON record per (k, i); the i = 1 record of each round also carries
-    the round context needed to re-derive everything."""
+    """One JSON record per (k, i), keyed by the Step fields; the i = 1 record
+    of each round also carries the Round fields needed to re-derive
+    everything, under "round"."""
     lines = []
-    for rt in trace.rounds:
-        for st in rt.steps:
-            rec = {
-                "k": st.k,
-                "i": st.i,
-                "candidates_before": st.candidates_before,
-                "eliminated": st.eliminated,
-                "chosen": st.chosen,
-                "bound_lhs": st.bound_lhs,
-                "bound_rhs": st.bound_rhs,
-                "w_i": st.w_i,
-                "v_prime": st.v_prime,
-                "w_prime": st.w_prime,
-            }
+    for rnd in trace.rounds:
+        for st in rnd.steps:
+            rec = dict(vars(st))
             if st.i == 1:
-                rec["round"] = {
-                    "roots": rt.roots,
-                    "r_k": rt.r_k,
-                    "w_k": rt.w_k,
-                    "leaves": rt.leaves,
-                    "leaves_after": rt.leaves_after,
-                    "w_k_prime": rt.w_k_prime,
-                    "trees_before": [
-                        [list(e) for e in edges] for edges in rt.trees_before
-                    ],
-                }
+                rec["round"] = {f: v for f, v in vars(rnd).items() if f not in ("k", "steps")}
             lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
     return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+
+
+_STEP_INTS = ("k", "i", "chosen", "bound_lhs", "bound_rhs", "w_i", "v_prime", "w_prime")
+_ROUND_LISTS = ("roots", "leaves", "leaves_after")
+
+
+def _int(obj: dict, key: str, where: str) -> int:
+    value = obj.get(key)
+    if type(value) is not int:  # bool is not accepted
+        raise SchemaError(f"{where}: {key!r} is missing or not an integer")
+    return value
+
+
+def _only(values, kind: type) -> bool:
+    # type(x) is kind at C speed; traces hold a few hundred thousand integers
+    return set(map(type, values)) <= {kind}
+
+
+def _ints(value, what: str) -> list[int]:
+    if not isinstance(value, list) or not _only(value, int):
+        raise SchemaError(f"{what} is not a list of integers")
+    return value
+
+
+def _snapshots(value, where: str) -> list[list[tuple[int, int, int]]]:
+    if not isinstance(value, list) or not all(
+        isinstance(t, list)
+        and _only(t, list)
+        and set(map(len, t)) <= {3}
+        and _only(chain.from_iterable(t), int)
+        for t in value
+    ):
+        raise SchemaError(f"{where}: 'trees_before' is not a list of lists of integer triples")
+    return [list(map(tuple, t)) for t in value]
 
 
 def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
     """Rebuild a ConstructionTrace from its JSONL form.
 
-    An empty file is a legal trace for runs with a single tree; m must then
-    be supplied by the caller.
+    Every type and shape is checked here and violations raise SchemaError;
+    what the values mean is left to the verifier. An empty file is a legal
+    trace for runs with a single tree; m must then be supplied by the caller.
     """
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    rounds: list[RoundTrace] = []
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"trace is not UTF-8: {exc}") from exc
+    rounds: list[Round] = []
     for line_no, line in enumerate(data.splitlines(), start=1):
         if not line.strip():
             continue
         rec = json.loads(line)
+        where = f"trace line {line_no}"
         if not isinstance(rec, dict):
-            raise SchemaError(f"trace line {line_no} is not an object")
-        required = (
-            "k",
-            "i",
-            "candidates_before",
-            "eliminated",
-            "chosen",
-            "bound_lhs",
-            "bound_rhs",
-            "w_i",
-            "v_prime",
-            "w_prime",
-        )
-        for key in required:
-            if key not in rec:
-                raise SchemaError(f"trace line {line_no} is missing {key!r}")
-        if rec["i"] == 1:
+            raise SchemaError(f"{where} is not an object")
+        ints = {key: _int(rec, key, where) for key in _STEP_INTS}
+        if not isinstance(rec.get("eliminated"), dict):
+            raise SchemaError(f"{where}: 'eliminated' is missing or not an object")
+        if ints["i"] == 1:
             ctx = rec.get("round")
             if not isinstance(ctx, dict):
-                raise SchemaError(f"trace line {line_no} lacks the round context object")
-            trees_before = []
-            for edges in ctx["trees_before"]:
-                triples = []
-                for e in edges:
-                    if not isinstance(e, list) or len(e) != 3:
-                        raise SchemaError(
-                            f"trace line {line_no}: tree snapshot edge {e!r} is not a triple"
-                        )
-                    triples.append(tuple(e))
-                trees_before.append(triples)
+                raise SchemaError(f"{where} lacks the round context object")
             rounds.append(
-                RoundTrace(
-                    k=rec["k"],
-                    roots=list(ctx["roots"]),
-                    r_k=ctx["r_k"],
-                    w_k=ctx["w_k"],
-                    leaves=list(ctx["leaves"]),
-                    trees_before=trees_before,
-                    w_k_prime=ctx["w_k_prime"],
-                    leaves_after=list(ctx["leaves_after"]),
+                Round(
+                    k=ints["k"],
+                    trees_before=_snapshots(ctx.get("trees_before"), where),
+                    **{f: _int(ctx, f, where) for f in ("r_k", "w_k", "w_k_prime")},
+                    **{f: _ints(ctx.get(f), f"{where}: {f!r}") for f in _ROUND_LISTS},
                 )
             )
-        if not rounds or rounds[-1].k != rec["k"]:
-            raise SchemaError(f"trace line {line_no} does not follow its round header")
+        if not rounds or rounds[-1].k != ints["k"]:
+            raise SchemaError(f"{where} does not follow its round header")
+        elim = rec["eliminated"]
         rounds[-1].steps.append(
-            StepTrace(
-                k=rec["k"],
-                i=rec["i"],
-                candidates_before=list(rec["candidates_before"]),
-                eliminated={r: list(v) for r, v in rec["eliminated"].items()},
-                chosen=rec["chosen"],
-                bound_lhs=rec["bound_lhs"],
-                bound_rhs=rec["bound_rhs"],
-                w_i=rec["w_i"],
-                v_prime=rec["v_prime"],
-                w_prime=rec["w_prime"],
+            Step(
+                **ints,
+                candidates_before=_ints(rec.get("candidates_before"), f"{where}: pool"),
+                eliminated={r: _ints(vs, f"{where}: eliminated {r!r}") for r, vs in elim.items()},
             )
         )
     if rounds:
+        if not rounds[0].trees_before:
+            raise SchemaError("the first round holds no tree snapshot to infer m from")
         inferred = (len(rounds[0].trees_before[0]) + 1) // 2
         if m is not None and m != inferred:
             raise SchemaError(f"trace is for m={inferred}, expected m={m}")

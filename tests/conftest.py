@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import rainbowtrees.constructor as ctor
 from rainbowtrees import Forest, RainbowTree
 
 
@@ -38,3 +39,20 @@ def mutate_forest(forest, coloring, rng):
         trees[t_idx] = RainbowTree.from_edges(tree.root, edges, n)
     mutant = Forest(m=forest.m, trees=tuple(trees), coloring_digest=forest.coloring_digest)
     return mutant, kind
+
+
+def corrupt_assembly_step(monkeypatch, k, i, pick_w_i):
+    """Make the assembly step (k, i) re-hang a vertex of our choosing.
+
+    ``pick_w_i(round)`` names the vertex recorded as w_i just before the
+    assembly trades its star edge, so the star-assembly checks see a w_i the
+    leaf exchange did not produce.
+    """
+    original = ctor.extend_kth_partial
+
+    def corrupted(state, step_i):
+        if state.k == k and step_i == i:
+            state.round.steps[i - 1].w_i = pick_w_i(state.round)
+        return original(state, step_i)
+
+    monkeypatch.setattr(ctor, "extend_kth_partial", corrupted)

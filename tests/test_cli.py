@@ -2,6 +2,9 @@ import json
 import subprocess
 import sys
 
+import pytest
+
+from conftest import corrupt_assembly_step
 from rainbowtrees.cli import main
 
 
@@ -174,3 +177,73 @@ def test_python_dash_m_entry(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(col.read_text())["n"] == 6
+
+
+def _built_trace(tmp_path):
+    col = tmp_path / "c.json"
+    forest = tmp_path / "f.json"
+    trace = tmp_path / "t.jsonl"
+    assert run_cli(["gen", "--m", "5", "-o", str(col)]) == 0
+    assert run_cli(["build", "-i", str(col), "-o", str(forest), "--trace", str(trace)]) == 0
+    return col, forest, trace
+
+
+def _drop_roots(rec):
+    del rec["round"]["roots"]
+
+
+def _list_eliminated(rec):
+    rec["eliminated"] = list(rec["eliminated"].values())
+
+
+def _string_k(rec):
+    rec["k"] = "2"
+
+
+def _int_trees_before(rec):
+    rec["round"]["trees_before"] = 7
+
+
+def _string_chosen(rec):
+    rec["chosen"] = str(rec["chosen"])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_roots, _list_eliminated, _string_k, _int_trees_before, _string_chosen],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_malformed_trace_is_input_error(tmp_path, capsys, corrupt):
+    col, forest, trace = _built_trace(tmp_path)
+    rec = json.loads(trace.read_text().splitlines()[0])
+    corrupt(rec)
+    trace.write_text(json.dumps(rec) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 1") and err.count("\n") == 1
+
+
+def test_out_of_range_trace_vertex_is_verification_failure(tmp_path, capsys):
+    col, forest, trace = _built_trace(tmp_path)
+    rec = json.loads(trace.read_text().splitlines()[0])
+    rec["chosen"] = 10**6
+    trace.write_text(json.dumps(rec) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+
+
+def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, capsys):
+    col = tmp_path / "c.json"
+    run_cli(["gen", "--m", "5", "-o", str(col)])
+    corrupt_assembly_step(monkeypatch, 2, 1, lambda rnd: rnd.w_k)
+    dump = tmp_path / "dump.jsonl"
+    code = run_cli(["build", "-i", str(col), "-o", str(tmp_path / "f.json"), "--trace", str(dump)])
+    assert code == 3
+    assert "internal invariant violated" in capsys.readouterr().err
+    last = json.loads(dump.read_text().splitlines()[-1])
+    assert (last["k"], last["i"]) == (2, 1)
+    assert last["candidates_before"] and set(last["eliminated"]) == {f"R{j}" for j in range(2, 12)}
+    assert last["chosen"] in last["candidates_before"]
+    assert last["w_prime"] == -1 and last["round"]["w_k_prime"] == -1

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import corrupt_assembly_step
+
 from rainbowtrees import (
     MAX_INDEX,
     MIN_INDEX,
@@ -13,6 +15,7 @@ from rainbowtrees import (
     permuted_round_robin,
     random_policy,
     round_robin,
+    slack,
     trace_from_jsonl,
     trace_to_jsonl,
     verify_all,
@@ -23,6 +26,7 @@ from rainbowtrees.constructor import (
     select_anchors,
     start_construction,
 )
+from rainbowtrees.errors import CycleDetected
 
 
 # ---------------------------------------------------------------- omega
@@ -77,12 +81,25 @@ def test_admissible_candidates_m5_k2_golden():
     state = start_construction(round_robin(5))
     begin_round(state)
     assert sorted(admissible_candidates(state, 1)) == [5, 6, 7, 9]
-    _, _, elim = state._pending_filter
+    elim = state.round.steps[0].eliminated
     assert elim["R5"] == [3]
     assert elim["R8"] == [4]
     assert elim["R10"] == [8]
     for vacuous in ("R2", "R3", "R4", "R6", "R7", "R11"):
         assert elim[vacuous] == []
+
+
+def test_admissible_candidates_needs_the_previous_step_finished():
+    # step 2 reads v_1, w_1 and w'_1 from the round record; before revise_tree
+    # has fixed them they hold -1, which must not be used as a vertex
+    from rainbowtrees.constructor import step
+
+    state = start_construction(round_robin(12))
+    step(state)
+    begin_round(state)
+    admissible_candidates(state, 1)
+    with pytest.raises(ValueError):
+        admissible_candidates(state, 2)
 
 
 # -------------------------------------------- literal filter as an oracle
@@ -377,3 +394,51 @@ def test_isqrt_matches_omega_thresholds():
     assert firsts == {1: 1, 2: 5, 3: 12, 4: 23, 5: 36}
     assert math.isqrt(6 * 12 + 9) ** 2 == 6 * 12 + 9  # thresholds sit on perfect squares
     assert math.isqrt(6 * 36 + 9) ** 2 == 6 * 36 + 9
+
+
+# ------------------------------------------------------------------ slack
+
+
+@pytest.mark.parametrize(
+    "m, policy",
+    [(4, MIN_INDEX), (5, MIN_INDEX), (12, MAX_INDEX), (23, random_policy(5)), (36, MIN_INDEX)],
+)
+def test_slack_agrees_with_recomputation(m, policy):
+    _, trace = build_forest(permuted_round_robin(m, 9), policy=policy)
+    cands = []
+    gaps = []
+    for rt in trace.rounds:
+        gaps.append(len(rt.leaves) - (2 * m - 3 * rt.k**2 + 6 * rt.k - 1))
+        for st_rec in rt.steps:
+            eliminated = set().union(*(set(v) for v in st_rec.eliminated.values()))
+            cands.append(len(set(st_rec.candidates_before) - eliminated))
+    expected = (min(cands), min(gaps)) if cands else None
+    assert slack(trace) == expected
+    assert (expected is None) == (m <= 4)
+
+
+# ------------------------------------------------------ fault injection
+
+
+FAULTS = {
+    # w_1 := w_k makes w'_1 = partner(color(r_k, w_k), w_k) = r_k itself
+    "rehang-under-root": (5, 2, 1, lambda rnd: rnd.w_k),
+    # w_2 := w_1 names a vertex the first step already detached from r_k
+    "non-pendant-leaf": (12, 3, 2, lambda rnd: rnd.steps[0].w_i),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_assembly_fault_raises_cycle_detected_with_trace(monkeypatch, fault):
+    m, k, i, pick = FAULTS[fault]
+    corrupt_assembly_step(monkeypatch, k, i, pick)
+    with pytest.raises(CycleDetected) as info:
+        build_forest(round_robin(m))
+    trace = info.value.trace
+    assert trace is not None and trace.m == m
+    last = trace.rounds[-1]
+    assert last.k == k and last.w_k_prime == -1 and last.leaves_after == []
+    in_flight = last.steps[-1]
+    assert (in_flight.k, in_flight.i) == (k, i)
+    assert in_flight.candidates_before and in_flight.chosen in in_flight.candidates_before
+    assert in_flight.w_prime == -1
