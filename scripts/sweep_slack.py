@@ -2,9 +2,10 @@
 """Measure how much headroom the candidate filter actually leaves.
 
 For each m and policy the guarantee only promises one surviving candidate
-per step; this sweep reports the observed minimum candidate count and the
-worst gap between the leaf pool and its floor 2m - 3k^2 + 6k - 1 (both from
-``rainbowtrees.slack``), over permuted round-robin instances. The filter
+per step; this sweep reports the observed minimum candidate count and, for
+each round k = 2, 3, ..., the worst gap between the leaf pool and its floor
+2m - 3k^2 + 6k - 1 (both from ``rainbowtrees.slack``), over permuted
+round-robin instances. Round 2's gap is always 0. The filter
 only ever eliminates pool vertices, so the pool-versus-eliminations margin
 always equals the minimum candidate count and is not reported separately.
 
@@ -28,7 +29,7 @@ POLICIES = [("min", MIN_INDEX), ("max", MAX_INDEX), ("rand", random_policy(2718)
 
 
 def run(m_from: int, m_to: int, seeds: int) -> None:
-    print(f"{'m':>3} {'omega':>5} {'policy':>6} {'min_cands':>9} {'pool_gap':>8} {'verified':>8}")
+    print(f"{'m':>3} {'omega':>5} {'policy':>6} {'min_cands':>9} {'verified':>8} pool_gaps")
     for m in range(m_from, m_to + 1):
         for name, policy in POLICIES:
             worst = None
@@ -39,10 +40,13 @@ def run(m_from: int, m_to: int, seeds: int) -> None:
                 verified &= verify_all(coloring, forest, trace).verdict
                 run_slack = slack(trace)
                 if run_slack is not None:
-                    worst = run_slack if worst is None else tuple(map(min, worst, run_slack))
-            min_cands, pool_gap = worst if worst is not None else ("-", "-")
-            print(f"{m:>3} {omega(m):>5} {name:>6} {min_cands!s:>9} "
-                  f"{pool_gap!s:>8} {str(verified):>8}")
+                    cands, gaps = run_slack
+                    if worst is not None:
+                        cands, gaps = min(cands, worst[0]), tuple(map(min, gaps, worst[1]))
+                    worst = cands, gaps
+            min_cands, gaps = worst if worst is not None else ("-", ())
+            pool_gaps = ",".join(map(str, gaps)) or "-"
+            print(f"{m:>3} {omega(m):>5} {name:>6} {min_cands!s:>9} {str(verified):>8} {pool_gaps}")
 
 
 def main() -> None:

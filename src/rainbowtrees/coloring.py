@@ -183,7 +183,10 @@ def parse_coloring(data) -> EdgeColoring:
     SchemaError; coloring problems raise the validate_proper errors.
     """
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"coloring is not UTF-8: {exc}") from exc
     doc = json.loads(data)
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")

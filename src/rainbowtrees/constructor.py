@@ -24,8 +24,11 @@ an implementation bug, never bad input, and are never absorbed.
 
 Each round is recorded once, as a :class:`Round` holding one :class:`Step`
 per rewired tree; the construction reads its own history from that record,
-and the trace is the list of these records. :func:`slack` summarizes how
-close a recorded run came to failing.
+and the trace is the list of these records. The records keep only what
+fixes a round (the roots, the anchors, the chosen v_i and the vertices the
+color equations derive from them) plus the leaf pools and eliminations, so a
+trace replays its forest from the star at the first root. :func:`slack`
+summarizes how close a recorded run came to failing.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import chain
 
 from .coloring import EdgeColoring
 from .errors import (
@@ -121,8 +123,9 @@ class _Chooser:
 
 @dataclass
 class Step:
-    """Step i of round k: the filter's pool and per-rule eliminations, then
-    the exchange vertices fixed by the choice of v_i (-1 until fixed).
+    """Step i of round k: the filter's per-rule eliminations from the pool
+    (the round's leaves minus its anchors), then the exchange vertices fixed
+    by the choice of v_i (-1 until fixed).
 
     The exchange on tree i detaches r_k and v_i (``chosen``) and attaches
     (r_k, w_i) and (v_i, v'_i), where color(r_k, w_i) = color(r_i, v_i) and
@@ -133,10 +136,7 @@ class Step:
 
     k: int
     i: int
-    candidates_before: list[int]
     eliminated: dict[str, list[int]]
-    bound_lhs: int
-    bound_rhs: int
     chosen: int = -1
     w_i: int = -1
     v_prime: int = -1
@@ -145,7 +145,8 @@ class Step:
 
 @dataclass
 class Round:
-    """One round of the induction: everything needed to re-derive it.
+    """One round of the induction: everything needed to re-derive it from
+    the trees the previous round left (-1 until fixed).
 
     The final exchange re-hangs w_k under w'_k with
     color(w_k, w'_k) = color(r_k, w_{k-1}).
@@ -153,10 +154,9 @@ class Round:
 
     k: int
     roots: list[int]
-    r_k: int
-    w_k: int
     leaves: list[int]
-    trees_before: list[list[tuple[int, int, int]]]
+    r_k: int = -1
+    w_k: int = -1
     steps: list[Step] = field(default_factory=list)
     w_k_prime: int = -1
     leaves_after: list[int] = field(default_factory=list)
@@ -168,20 +168,21 @@ class ConstructionTrace:
     rounds: list[Round] = field(default_factory=list)
 
 
-def slack(trace: ConstructionTrace) -> tuple[int, int] | None:
+def slack(trace: ConstructionTrace) -> tuple[int, tuple[int, ...]] | None:
     """How close a run came to failing: (fewest surviving candidates at any
-    step, smallest gap between a round's leaf pool and its floor
-    2m - 3k^2 + 6k - 1), or None when no step ran (m <= 4)."""
+    step, the gap between each round's leaf pool and its floor
+    2m - 3k^2 + 6k - 1 for k = 2, 3, ...), or None when no step ran (m <= 4).
+    Round 2's gap is always 0: it enters with the 2m - 1 leaves of the star."""
     m = trace.m
     cands = [
-        len(set(st.candidates_before).difference(*st.eliminated.values()))
+        len(set(rnd.leaves).difference((rnd.r_k, rnd.w_k), *st.eliminated.values()))
         for rnd in trace.rounds
         for st in rnd.steps
     ]
     if not cands:
         return None
-    gaps = [len(rnd.leaves) - (2 * m - 3 * rnd.k**2 + 6 * rnd.k - 1) for rnd in trace.rounds]
-    return min(cands), min(gaps)
+    gaps = tuple(len(rnd.leaves) - (2 * m - 3 * rnd.k**2 + 6 * rnd.k - 1) for rnd in trace.rounds)
+    return min(cands), gaps
 
 
 class ConstructionState:
@@ -241,29 +242,22 @@ def select_anchors(state: ConstructionState) -> tuple[int, int]:
 
 
 def begin_round(state: ConstructionState) -> None:
-    """Fix the anchors and open the round's record (appended to the trace
-    when one is kept); tree k starts as the spanning star at r_k."""
+    """Open the round's record (appended to the trace when one is kept), then
+    fix the anchors; tree k starts as the spanning star at r_k."""
     k, m = state.k, state.coloring.m
+    rnd = state.round = Round(k=k, roots=list(state.roots), leaves=sorted(state.common_leaves))
+    if state.trace is not None:
+        state.trace.rounds.append(rnd)
+    rnd.r_k, rnd.w_k = select_anchors(state)
     # the structural floors of the previous round guarantee this much pool
     pool_floor = 2 * m - 3 * k * k + 6 * k - 1
-    if len(state.common_leaves) < pool_floor:
+    if len(rnd.leaves) < pool_floor:
         raise InternalInvariantError(
-            f"round {k}: common leaf pool has {len(state.common_leaves)} vertices,"
+            f"round {k}: common leaf pool has {len(rnd.leaves)} vertices,"
             f" below the floor {pool_floor}"
         )
-    r_k, w_k = select_anchors(state)
-    state.round = Round(
-        k=k,
-        roots=list(state.roots),
-        r_k=r_k,
-        w_k=w_k,
-        leaves=sorted(state.common_leaves),
-        trees_before=[list(t.edges) for t in state.trees],
-    )
-    state.lstar = frozenset(state.common_leaves - {r_k, w_k})
-    state.assembly_leaves = set(range(state.coloring.n)) - {r_k}
-    if state.trace is not None:
-        state.trace.rounds.append(state.round)
+    state.lstar = frozenset(state.common_leaves - {rnd.r_k, rnd.w_k})
+    state.assembly_leaves = set(range(state.coloring.n)) - {rnd.r_k}
 
 
 _RULES = tuple(f"R{j}" for j in range(2, 12))
@@ -278,8 +272,8 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
     partner table turns each forbidden color directly into the vertex it
     eliminates. Trees 1..i-1 have already been rewired this round, trees
     i..k-1 have not, which is exactly the mix the lookups in R8/R9 need.
-    The pool and the per-rule eliminations are written to round.steps[i-1],
-    replacing any earlier attempt at this i.
+    The per-rule eliminations are written to round.steps[i-1], replacing any
+    earlier attempt at this i.
     """
     col, k, rnd = state.coloring, state.k, state.round
     if rnd is None:
@@ -339,9 +333,8 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
         for d in range(1, k - 1):  # R11: last rewiring only: color(v, r_i) vs color(w_k, r_d)
             forbid_at("R11", col.color_of(wk, roots[d - 1]), ri)
 
-    pool = sorted(lstar)
     del steps[i - 1 :]
-    steps.append(Step(k, i, pool, {r: sorted(vs) for r, vs in elim.items()}, len(pool), 6 * k - 7))
+    steps.append(Step(k, i, {r: sorted(vs) for r, vs in elim.items()}))
     knocked_out = set().union(*elim.values())
     if i == k - 1 and len(knocked_out) > 6 * k - 7:
         raise InternalInvariantError(
@@ -528,21 +521,25 @@ def build_forest(
     return forest, state.trace
 
 
+TRACE_VERSION = 2
+
+
 def trace_to_jsonl(trace: ConstructionTrace) -> bytes:
-    """One JSON record per (k, i), keyed by the Step fields; the i = 1 record
-    of each round also carries the Round fields needed to re-derive
-    everything, under "round"."""
-    lines = []
+    """The header {"m": m, "trace_version": 2}, then one JSON record per
+    (k, i), keyed by the Step fields; the i = 1 record of each round also
+    carries the other Round fields under "round"."""
+    records = [{"m": trace.m, "trace_version": TRACE_VERSION}]
     for rnd in trace.rounds:
         for st in rnd.steps:
             rec = dict(vars(st))
             if st.i == 1:
                 rec["round"] = {f: v for f, v in vars(rnd).items() if f not in ("k", "steps")}
-            lines.append(json.dumps(rec, sort_keys=True, separators=(",", ":")))
-    return ("\n".join(lines) + ("\n" if lines else "")).encode("utf-8")
+            records.append(rec)
+    lines = (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    return "".join(lines).encode("utf-8")
 
 
-_STEP_INTS = ("k", "i", "chosen", "bound_lhs", "bound_rhs", "w_i", "v_prime", "w_prime")
+_STEP_INTS = ("k", "i", "chosen", "w_i", "v_prime", "w_prime")
 _ROUND_LISTS = ("roots", "leaves", "leaves_after")
 
 
@@ -553,43 +550,36 @@ def _int(obj: dict, key: str, where: str) -> int:
     return value
 
 
-def _only(values, kind: type) -> bool:
-    # type(x) is kind at C speed; traces hold a few hundred thousand integers
-    return set(map(type, values)) <= {kind}
-
-
 def _ints(value, what: str) -> list[int]:
-    if not isinstance(value, list) or not _only(value, int):
+    # type(x) is int at C speed; traces hold tens of thousands of integers
+    if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise SchemaError(f"{what} is not a list of integers")
     return value
-
-
-def _snapshots(value, where: str) -> list[list[tuple[int, int, int]]]:
-    if not isinstance(value, list) or not all(
-        isinstance(t, list)
-        and _only(t, list)
-        and set(map(len, t)) <= {3}
-        and _only(chain.from_iterable(t), int)
-        for t in value
-    ):
-        raise SchemaError(f"{where}: 'trees_before' is not a list of lists of integer triples")
-    return [list(map(tuple, t)) for t in value]
 
 
 def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
     """Rebuild a ConstructionTrace from its JSONL form.
 
-    Every type and shape is checked here and violations raise SchemaError;
-    what the values mean is left to the verifier. An empty file is a legal
-    trace for runs with a single tree; m must then be supplied by the caller.
+    The first line must be the version-2 header; m, when given, must match
+    it. Every type and shape is checked here and violations raise
+    SchemaError; what the values mean is left to the verifier.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
             data = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise SchemaError(f"trace is not UTF-8: {exc}") from exc
+    lines = data.splitlines()
+    header = json.loads(lines[0]) if lines else None
+    if not isinstance(header, dict) or header.get("trace_version") != TRACE_VERSION:
+        raise SchemaError(
+            f'trace line 1 is not the header {{"m": m, "trace_version": {TRACE_VERSION}}}'
+        )
+    trace_m = _int(header, "m", "trace line 1")
+    if m is not None and m != trace_m:
+        raise SchemaError(f"trace is for m={trace_m}, expected m={m}")
     rounds: list[Round] = []
-    for line_no, line in enumerate(data.splitlines(), start=1):
+    for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         rec = json.loads(line)
@@ -606,7 +596,6 @@ def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
             rounds.append(
                 Round(
                     k=ints["k"],
-                    trees_before=_snapshots(ctx.get("trees_before"), where),
                     **{f: _int(ctx, f, where) for f in ("r_k", "w_k", "w_k_prime")},
                     **{f: _ints(ctx.get(f), f"{where}: {f!r}") for f in _ROUND_LISTS},
                 )
@@ -617,17 +606,7 @@ def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
         rounds[-1].steps.append(
             Step(
                 **ints,
-                candidates_before=_ints(rec.get("candidates_before"), f"{where}: pool"),
                 eliminated={r: _ints(vs, f"{where}: eliminated {r!r}") for r, vs in elim.items()},
             )
         )
-    if rounds:
-        if not rounds[0].trees_before:
-            raise SchemaError("the first round holds no tree snapshot to infer m from")
-        inferred = (len(rounds[0].trees_before[0]) + 1) // 2
-        if m is not None and m != inferred:
-            raise SchemaError(f"trace is for m={inferred}, expected m={m}")
-        m = inferred
-    elif m is None:
-        raise SchemaError("empty trace needs an explicit m")
-    return ConstructionTrace(m=m, rounds=rounds)
+    return ConstructionTrace(m=trace_m, rounds=rounds)

@@ -191,7 +191,10 @@ def parse_forest(data) -> Forest:
     verifier's job, so corrupt forests stay representable.
     """
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"forest is not UTF-8: {exc}") from exc
     doc = json.loads(data)
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")

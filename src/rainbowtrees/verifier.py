@@ -168,69 +168,69 @@ def verify_structure_f(forest: Forest, psi: int, m: int) -> CheckResult:
     return _result(failures)
 
 
-def verify_trace_bounds(trace: ConstructionTrace, m: int) -> CheckResult:
-    """Re-derive each recorded round by plain set arithmetic.
+def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult:
+    """Replay the recorded rounds by plain set arithmetic, from the star at
+    the forest's first root to exactly the forest's trees.
 
-    Checks, per round k: the common leaf pool meets its floor
+    Checks, per round k (k = 2, 3, ... in order, with the replayed roots):
+    the common leaf pool is the replayed trees' one, meets its floor
     2m - 3k^2 + 6k - 1 and exceeds 6k - 7 after removing the anchors; every
     candidate set is nonempty and contains the chosen vertex; no fresh edge
     of any rewired tree occurs in any other tree of the round (the disjointness
     suite P1-P11); every assembly stage is acyclic (P12, P13); and the
-    recorded post-round leaf pool matches recomputation.
+    recorded post-round leaf pool matches recomputation. The replay must end
+    at the forest's roots and edge pairs, tree by tree.
     """
     failures: list[str] = []
-    n = 2 * m
-    prev_final: list[set[tuple[int, int]]] | None = None
-    prev_leaves_after: list[int] | None = None
+    m, n = forest.m, 2 * forest.m
+    if trace.m != m or not forest.trees:
+        return _result(
+            [f"trace for m={trace.m} cannot replay a forest of {len(forest.trees)} trees for m={m}"]
+        )
+    roots = [forest.trees[0].root]
+    trees = [{_pair(roots[0], x) for x in range(n) if x != roots[0]}]
+    entry_pool = set(range(n)) - {roots[0]}
     for rt in trace.rounds:
-        k = rt.k
+        k = len(roots) + 1
         tag = f"round {k}"
-        if (
-            len(rt.trees_before) != k - 1
-            or len(rt.roots) != k - 1
-            or [st.i for st in rt.steps] != list(range(1, k))
-        ):
-            failures.append(f"{tag}: record holds the wrong number of trees or steps")
-            continue
-        mentioned = [rt.r_k, rt.w_k, rt.w_k_prime, *rt.roots, *rt.leaves, *rt.leaves_after]
+        if rt.k != k or rt.roots != roots:
+            failures.append(
+                f"{tag}: recorded as round {rt.k} with roots {rt.roots}, expected {roots}"
+            )
+            break
+        if [st.i for st in rt.steps] != list(range(1, k)):
+            failures.append(f"{tag}: record holds the wrong number of steps")
+            break
+        mentioned = [rt.r_k, rt.w_k, rt.w_k_prime, *rt.leaves, *rt.leaves_after]
         for st in rt.steps:
             mentioned += [st.chosen, st.w_i, st.v_prime, st.w_prime]
-        for edges in rt.trees_before:
-            mentioned += [x for u, v, _ in edges for x in (u, v)]
         if any(not isinstance(x, int) or not 0 <= x < n for x in mentioned):
             failures.append(f"{tag}: record mentions a vertex outside [0, {n - 1}]")
-            continue
+            break
         pool_floor = 2 * m - 3 * k * k + 6 * k - 1
         if len(rt.leaves) < pool_floor:
             failures.append(f"{tag}: leaf pool {len(rt.leaves)} below floor {pool_floor}")
         if rt.r_k not in rt.leaves or rt.w_k not in rt.leaves or rt.r_k == rt.w_k:
             failures.append(f"{tag}: anchors are not two distinct recorded leaves")
-        lstar = sorted(set(rt.leaves) - {rt.r_k, rt.w_k})
+        lstar = set(rt.leaves) - {rt.r_k, rt.w_k}
         if not len(lstar) > 6 * k - 7:
             failures.append(f"{tag}: pool minus anchors has {len(lstar)} <= {6 * k - 7} vertices")
-        if prev_leaves_after is not None and rt.leaves != prev_leaves_after:
-            failures.append(f"{tag}: entry leaf pool differs from the previous round's exit pool")
-        e_before = [{_pair(u, v) for u, v, _ in edges} for edges in rt.trees_before]
-        if prev_final is not None and e_before != prev_final:
-            failures.append(f"{tag}: entry trees differ from the previous round's exit trees")
-        e_curr = [set(s) for s in e_before]
+        if rt.leaves != sorted(entry_pool):
+            failures.append(f"{tag}: entry leaf pool differs from the replayed common leaves")
+        e_before, e_curr = trees, list(trees)  # rewiring replaces sets, never mutates them
         partial = {_pair(rt.r_k, x) for x in range(n) if x != rt.r_k}
         ok_so_far = True
         for st in rt.steps:
             i = st.i
             step_tag = f"(k={k}, i={i})"
-            if st.candidates_before != lstar:
-                failures.append(f"{step_tag}: recorded pool differs from leaves minus anchors")
             eliminated = set().union(*(set(vs) for vs in st.eliminated.values()))
-            allowed = set(st.candidates_before) - eliminated
+            allowed = lstar - eliminated
             if not allowed:
                 failures.append(f"{step_tag}: candidate set is empty")
                 ok_so_far = False
                 break
             if st.chosen not in allowed:
                 failures.append(f"{step_tag}: chosen vertex {st.chosen} was eliminated")
-            if st.bound_lhs != len(lstar) or st.bound_rhs != 6 * k - 7:
-                failures.append(f"{step_tag}: recorded bounds are inconsistent")
             ri = rt.roots[i - 1]
             removed = {_pair(ri, rt.r_k), _pair(ri, st.chosen)}
             fresh = {_pair(rt.r_k, st.w_i), _pair(st.chosen, st.v_prime)}
@@ -275,16 +275,12 @@ def verify_trace_bounds(trace: ConstructionTrace, m: int) -> CheckResult:
             if not _acyclic(n, partial):
                 failures.append(f"{step_tag}: assembly stage contains a cycle")
         if not ok_so_far:
-            prev_final = None
-            prev_leaves_after = None
-            continue
+            break
         final_tag = f"round {k} finish"
         anchor_edge = _pair(rt.r_k, rt.w_k)
         if anchor_edge not in partial:
             failures.append(f"{final_tag}: edge to w_k was already gone from the assembly")
-            prev_final = None
-            prev_leaves_after = None
-            continue
+            break
         closing = _pair(rt.w_k, rt.w_k_prime)
         tkk = (partial - {anchor_edge}) | {closing}
         if len(tkk) != n - 1:
@@ -302,8 +298,15 @@ def verify_trace_bounds(trace: ConstructionTrace, m: int) -> CheckResult:
             pool = leaves if pool is None else pool & leaves
         if sorted(pool) != rt.leaves_after:
             failures.append(f"{final_tag}: recorded exit leaf pool differs from recomputation")
-        prev_final = e_curr + [tkk]
-        prev_leaves_after = rt.leaves_after
+        trees, roots, entry_pool = e_curr + [tkk], roots + [rt.r_k], pool
+    else:  # the replay ran to its end
+        replayed = list(zip(roots, trees))
+        claimed = [(t.root, {_pair(u, v) for u, v, _ in t.edges}) for t in forest.trees]
+        if len(replayed) != len(claimed):
+            failures.append(f"trace replays {len(replayed)} trees, the forest holds {len(claimed)}")
+        for idx, (got, want) in enumerate(zip(replayed, claimed), start=1):
+            if got != want:
+                failures.append(f"tree {idx}: the replay ends at a different root or edge set")
     return _result(failures)
 
 
@@ -416,7 +419,7 @@ def verify_all(
     structure = verify_structure_f(forest, len(forest.trees), forest.m)
     trace_check: CheckResult | None = None
     if trace is not None:
-        trace_check = verify_trace_bounds(trace, forest.m)
+        trace_check = verify_trace_bounds(trace, forest)
         extra = _verify_trace_definitions(coloring, trace)
         if extra:
             trace_check = CheckResult(False, trace_check.failures + extra)

@@ -56,3 +56,29 @@ def corrupt_assembly_step(monkeypatch, k, i, pick_w_i):
         return original(state, step_i)
 
     monkeypatch.setattr(ctor, "extend_kth_partial", corrupted)
+
+
+def starve_leaf_pool(monkeypatch, k, keep):
+    """Shrink the common leaf pool to its ``keep`` smallest vertices just
+    before round k opens."""
+    original = ctor.begin_round
+
+    def starved(state):
+        if state.k == k:
+            state.common_leaves = set(sorted(state.common_leaves)[:keep])
+        return original(state)
+
+    monkeypatch.setattr(ctor, "begin_round", starved)
+
+
+def duplicate_root(monkeypatch, k):
+    """Record the first tree's root as the root of tree k once it is built."""
+    original = ctor.finalize_kth
+
+    def duplicated(state):
+        tree = original(state)
+        if state.k == k:
+            state.roots[-1] = state.roots[0]
+        return tree
+
+    monkeypatch.setattr(ctor, "finalize_kth", duplicated)

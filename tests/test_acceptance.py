@@ -130,7 +130,7 @@ def test_criterion_4_trace_bounds(sweeps):
                 ok = False
             for st in rt.steps:
                 eliminated = set().union(*(set(v) for v in st.eliminated.values()))
-                if not set(st.candidates_before) - eliminated:
+                if not set(rt.leaves) - {rt.r_k, rt.w_k} - eliminated:
                     ok = False
     announce(4, "leaf-pool floors and nonempty candidate sets", ok)
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import corrupt_assembly_step
+from conftest import corrupt_assembly_step, duplicate_root, starve_leaf_pool
 from rainbowtrees.cli import main
 
 
@@ -200,8 +200,8 @@ def _string_k(rec):
     rec["k"] = "2"
 
 
-def _int_trees_before(rec):
-    rec["round"]["trees_before"] = 7
+def _string_in_leaves(rec):
+    rec["round"]["leaves"][0] = str(rec["round"]["leaves"][0])
 
 
 def _string_chosen(rec):
@@ -210,25 +210,93 @@ def _string_chosen(rec):
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_roots, _list_eliminated, _string_k, _int_trees_before, _string_chosen],
+    [_drop_roots, _list_eliminated, _string_k, _string_in_leaves, _string_chosen],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_malformed_trace_is_input_error(tmp_path, capsys, corrupt):
     col, forest, trace = _built_trace(tmp_path)
-    rec = json.loads(trace.read_text().splitlines()[0])
+    header, first_step = trace.read_text().splitlines()[:2]
+    rec = json.loads(first_step)
     corrupt(rec)
-    trace.write_text(json.dumps(rec) + "\n")
+    trace.write_text(header + "\n" + json.dumps(rec) + "\n")
     capsys.readouterr()
     assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: trace line 1") and err.count("\n") == 1
+    assert err.startswith("error: trace line 2") and err.count("\n") == 1
+
+
+def _drop_header(lines):
+    return lines[1:]
+
+
+def _version_1_header(lines):
+    return ['{"m":5,"trace_version":1}'] + lines[1:]
+
+
+def _other_m_header(lines):
+    return ['{"m":6,"trace_version":2}'] + lines[1:]
+
+
+def _bool_m_header(lines):
+    return ['{"m":true,"trace_version":2}'] + lines[1:]
+
+
+def _list_header(lines):
+    return ["[]"] + lines[1:]
+
+
+def _no_lines(lines):
+    return []
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [_drop_header, _version_1_header, _other_m_header, _bool_m_header, _list_header, _no_lines],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_trace_without_its_v2_header_is_input_error(tmp_path, capsys, corrupt):
+    col, forest, trace = _built_trace(tmp_path)
+    lines = corrupt(trace.read_text().splitlines())
+    trace.write_text("".join(line + "\n" for line in lines))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace ") and err.count("\n") == 1
+
+
+def test_trace_of_another_run_is_verification_failure(tmp_path, capsys):
+    col, forest, trace = tmp_path / "c.json", tmp_path / "f.json", tmp_path / "t.jsonl"
+    assert run_cli(["gen", "--m", "30", "--permute-seed", "1", "-o", str(col)]) == 0
+    assert run_cli(["build", "-i", str(col), "-o", str(forest)]) == 0
+    assert run_cli(["build", "-i", str(col), "--policy", "max", "--trace", str(trace),
+                    "-o", str(tmp_path / "other.json")]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "fail" and not report["trace_bounds"]["passed"]
+
+
+@pytest.mark.parametrize("command", ["build", "verify"])
+def test_non_utf8_input_file_is_input_error(tmp_path, capsys, command):
+    col, forest, _ = _built_trace(tmp_path)
+    junk = tmp_path / "junk.json"
+    junk.write_bytes(b"\xff\xfe")
+    if command == "build":
+        argv = ["build", "-i", str(junk), "-o", str(tmp_path / "out.json")]
+    else:
+        argv = ["verify", "-i", str(col), "-f", str(junk)]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not UTF-8" in err and err.count("\n") == 1
 
 
 def test_out_of_range_trace_vertex_is_verification_failure(tmp_path, capsys):
     col, forest, trace = _built_trace(tmp_path)
-    rec = json.loads(trace.read_text().splitlines()[0])
+    header, first_step = trace.read_text().splitlines()[:2]
+    rec = json.loads(first_step)
     rec["chosen"] = 10**6
-    trace.write_text(json.dumps(rec) + "\n")
+    trace.write_text(header + "\n" + json.dumps(rec) + "\n")
     capsys.readouterr()
     assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
@@ -244,6 +312,30 @@ def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, c
     assert "internal invariant violated" in capsys.readouterr().err
     last = json.loads(dump.read_text().splitlines()[-1])
     assert (last["k"], last["i"]) == (2, 1)
-    assert last["candidates_before"] and set(last["eliminated"]) == {f"R{j}" for j in range(2, 12)}
-    assert last["chosen"] in last["candidates_before"]
-    assert last["w_prime"] == -1 and last["round"]["w_k_prime"] == -1
+    assert set(last["eliminated"]) == {f"R{j}" for j in range(2, 12)}
+    rnd = last["round"]
+    assert last["chosen"] in set(rnd["leaves"]) - {rnd["r_k"], rnd["w_k"]}
+    assert last["w_prime"] == -1 and rnd["w_k_prime"] == -1
+
+
+@pytest.mark.parametrize(
+    "fault, last_k",
+    [
+        # round 3 finds one common leaf: the dump ends with round 2, the last one with steps
+        (lambda mp: starve_leaf_pool(mp, 3, keep=1), 2),
+        # tree 3 repeats the first root: the dump ends with the whole of round 3
+        (lambda mp: duplicate_root(mp, 3), 3),
+    ],
+    ids=["leaf-set-exhausted", "f-validation-failed"],
+)
+def test_invariant_faults_exit_three_with_a_v2_dump(tmp_path, monkeypatch, capsys, fault, last_k):
+    col = tmp_path / "c.json"
+    run_cli(["gen", "--m", "12", "-o", str(col)])
+    fault(monkeypatch)
+    dump = tmp_path / "dump.jsonl"
+    code = run_cli(["build", "-i", str(col), "-o", str(tmp_path / "f.json"), "--trace", str(dump)])
+    assert code == 3
+    assert "internal invariant violated" in capsys.readouterr().err
+    lines = dump.read_text().splitlines()
+    assert lines[0] == '{"m":12,"trace_version":2}'
+    assert json.loads(lines[-1])["k"] == last_k

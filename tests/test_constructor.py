@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corrupt_assembly_step
+from conftest import corrupt_assembly_step, duplicate_root, starve_leaf_pool
 
 from rainbowtrees import (
     MAX_INDEX,
@@ -26,7 +26,7 @@ from rainbowtrees.constructor import (
     select_anchors,
     start_construction,
 )
-from rainbowtrees.errors import CycleDetected
+from rainbowtrees.errors import CycleDetected, FValidationFailed, LeafSetExhausted, SchemaError
 
 
 # ---------------------------------------------------------------- omega
@@ -167,11 +167,17 @@ def brute_admissible(coloring, roots, trees, r_k, w_k, leaves, history, i):
     return out
 
 
+def _star_edges(coloring, r, detached=()):
+    leaves = [x for x in range(coloring.n) if x != r and x not in detached]
+    return [(r, x, coloring.color_of(r, x)) for x in leaves]
+
+
 def replay_filter_against_brute(coloring, trace):
-    """Walk a recorded construction and re-derive every candidate set."""
+    """Replay a recorded construction from the star at the first root and
+    re-derive every candidate set."""
     checked = 0
+    trees = [_star_edges(coloring, trace.rounds[0].roots[0])] if trace.rounds else []
     for rt in trace.rounds:
-        trees = [list(edges) for edges in rt.trees_before]
         vs, ws, w_primes = [], [], []
         for st_rec in rt.steps:
             got = brute_admissible(
@@ -185,7 +191,7 @@ def replay_filter_against_brute(coloring, trace):
                 st_rec.i,
             )
             eliminated = set().union(*(set(x) for x in st_rec.eliminated.values()))
-            expected = set(st_rec.candidates_before) - eliminated
+            expected = set(rt.leaves) - {rt.r_k, rt.w_k} - eliminated
             assert got == expected, (rt.k, st_rec.i)
             checked += 1
             # rewire tree i by the defining edge replacement
@@ -200,6 +206,12 @@ def replay_filter_against_brute(coloring, trace):
             vs.append(st_rec.chosen)
             ws.append(st_rec.w_i)
             w_primes.append(st_rec.w_prime)
+        # tree k: the star at r_k with each w_i and w_k re-hung under its partner
+        hung = list(zip(ws, w_primes)) + [(rt.w_k, rt.w_k_prime)]
+        trees.append(
+            _star_edges(coloring, rt.r_k, detached=ws + [rt.w_k])
+            + [(a, b, coloring.color_of(a, b)) for a, b in hung]
+        )
     return checked
 
 
@@ -282,7 +294,8 @@ def test_new_edges_per_revision_are_exactly_the_replacements():
     c = round_robin(5)
     forest, trace = build_forest(c)
     (rt,) = trace.rounds
-    before = {frozenset(e[:2]) for e in rt.trees_before[0]}
+    # round 2 rewires the star at the first root
+    before = {frozenset((rt.roots[0], x)) for x in range(c.n) if x != rt.roots[0]}
     after = {frozenset((u, v)) for u, v, _ in forest.trees[0].edges}
     st_rec = rt.steps[0]
     assert after - before == {
@@ -327,11 +340,14 @@ def test_trace_jsonl_roundtrip():
     assert trace_to_jsonl(back) == data
 
 
-def test_trace_jsonl_empty_needs_m():
+def test_trace_jsonl_header_only():
     _, trace = build_forest(round_robin(2))
     data = trace_to_jsonl(trace)
-    assert data == b""
+    assert data == b'{"m":2,"trace_version":2}\n'
+    assert trace_from_jsonl(data) == trace
     assert trace_from_jsonl(data, m=2) == trace
+    with pytest.raises(SchemaError, match="m=2, expected m=3"):
+        trace_from_jsonl(data, m=3)
 
 
 # ------------------------------------------------------------- policies
@@ -411,10 +427,13 @@ def test_slack_agrees_with_recomputation(m, policy):
         gaps.append(len(rt.leaves) - (2 * m - 3 * rt.k**2 + 6 * rt.k - 1))
         for st_rec in rt.steps:
             eliminated = set().union(*(set(v) for v in st_rec.eliminated.values()))
-            cands.append(len(set(st_rec.candidates_before) - eliminated))
-    expected = (min(cands), min(gaps)) if cands else None
+            cands.append(len(set(rt.leaves) - {rt.r_k, rt.w_k} - eliminated))
+    expected = (min(cands), tuple(gaps)) if cands else None
     assert slack(trace) == expected
     assert (expected is None) == (m <= 4)
+    if expected is not None:
+        # one gap per round k = 2, 3, ...; round 2 enters with exactly its floor 2m - 1
+        assert len(expected[1]) == omega(m) - 1 and expected[1][0] == 0
 
 
 # ------------------------------------------------------ fault injection
@@ -440,5 +459,29 @@ def test_assembly_fault_raises_cycle_detected_with_trace(monkeypatch, fault):
     assert last.k == k and last.w_k_prime == -1 and last.leaves_after == []
     in_flight = last.steps[-1]
     assert (in_flight.k, in_flight.i) == (k, i)
-    assert in_flight.candidates_before and in_flight.chosen in in_flight.candidates_before
+    assert in_flight.chosen in set(last.leaves) - {last.r_k, last.w_k}
     assert in_flight.w_prime == -1
+
+
+def test_starved_leaf_pool_raises_leaf_set_exhausted_with_trace(monkeypatch):
+    # round 3 of m=12 finds a single common leaf: no two anchors to pick
+    starve_leaf_pool(monkeypatch, 3, keep=1)
+    with pytest.raises(LeafSetExhausted) as info:
+        build_forest(round_robin(12))
+    trace = info.value.trace
+    assert [rt.k for rt in trace.rounds] == [2, 3]
+    in_flight = trace.rounds[-1]
+    assert len(in_flight.leaves) == 1
+    assert (in_flight.r_k, in_flight.w_k, in_flight.steps) == (-1, -1, [])
+
+
+def test_duplicated_root_raises_f_validation_failed_with_trace(monkeypatch):
+    # tree 3 of m=12 reports the first tree's root: the roots are no longer distinct
+    duplicate_root(monkeypatch, 3)
+    with pytest.raises(FValidationFailed, match="distinct") as info:
+        build_forest(round_robin(12))
+    trace = info.value.trace
+    assert [rt.k for rt in trace.rounds] == [2, 3]
+    in_flight = trace.rounds[-1]
+    assert [st.i for st in in_flight.steps] == [1, 2]
+    assert in_flight.w_k_prime >= 0 and in_flight.leaves_after == []

@@ -4,10 +4,13 @@ import random
 import pytest
 
 from rainbowtrees import (
+    MAX_INDEX,
+    ConstructionTrace,
     Forest,
     RainbowTree,
     base_star,
     build_forest,
+    permuted_round_robin,
     round_robin,
     verify_all,
     verify_edge_disjoint,
@@ -118,8 +121,8 @@ def test_swapped_tree_order_m12_fails_structure():
 
 def test_trace_bounds_m5_pass_and_arithmetic():
     c = round_robin(5)
-    _, trace = build_forest(c)
-    assert verify_trace_bounds(trace, 5).passed
+    forest, trace = build_forest(c)
+    assert verify_trace_bounds(trace, forest).passed
     (rt,) = trace.rounds
     # the k=2 floor: 2m - 3k^2 + 6k - 1 = 10 - 12 + 12 - 1 = 9
     assert len(rt.leaves) == 9 >= 9
@@ -128,30 +131,31 @@ def test_trace_bounds_m5_pass_and_arithmetic():
 @pytest.mark.parametrize("m", list(range(5, 41, 5)))
 def test_trace_bounds_across_sizes(m):
     c = round_robin(m)
-    _, trace = build_forest(c)
-    assert verify_trace_bounds(trace, m).passed
+    forest, trace = build_forest(c)
+    assert verify_trace_bounds(trace, forest).passed
 
 
 def test_corrupted_trace_with_empty_candidate_claim_fails():
     c = round_robin(5)
-    _, trace = build_forest(c)
+    forest, trace = build_forest(c)
     bad = copy.deepcopy(trace)
-    step = bad.rounds[0].steps[0]
-    step.eliminated["R5"] = list(step.candidates_before)  # claim everything was knocked out
-    res = verify_trace_bounds(bad, 5)
+    rnd = bad.rounds[0]
+    # claim the whole pool, the leaves minus the anchors, was knocked out
+    rnd.steps[0].eliminated["R5"] = sorted(set(rnd.leaves) - {rnd.r_k, rnd.w_k})
+    res = verify_trace_bounds(bad, forest)
     assert not res.passed
     assert any("empty" in f for f in res.failures)
 
 
 def test_corrupted_trace_edge_collision_fails():
     c = round_robin(12)
-    _, trace = build_forest(c)
+    forest, trace = build_forest(c)
     bad = copy.deepcopy(trace)
     # claim step 2 hands the star edge of step 1 over again: the fresh edge
     # (r_k, w_1) already sits in the rewired tree 1 and left the assembly
     last_round = bad.rounds[-1]
     last_round.steps[1].w_i = last_round.steps[0].w_i
-    res = verify_trace_bounds(bad, 12)
+    res = verify_trace_bounds(bad, forest)
     assert not res.passed
 
 
@@ -173,10 +177,48 @@ def test_malformed_trace_fails_cleanly():
     forest, trace = build_forest(c)
     bad = copy.deepcopy(trace)
     bad.rounds[-1].steps[0].i = 9
-    res = verify_trace_bounds(bad, 12)
+    res = verify_trace_bounds(bad, forest)
     assert not res.passed
     assert any("wrong number" in f for f in res.failures)
     assert not verify_all(c, forest, bad).verdict
+
+
+def _other_runs_trace(forest, trace):
+    # the max-policy trace of the same coloring: it replays another forest
+    return build_forest(permuted_round_robin(30, 1), policy=MAX_INDEX)[1]
+
+
+def _round_2_deleted(forest, trace):
+    bad = copy.deepcopy(trace)
+    del bad.rounds[0]
+    return bad
+
+
+def _no_rounds(forest, trace):
+    return ConstructionTrace(m=trace.m)
+
+
+@pytest.mark.parametrize(
+    "mismatch",
+    [_other_runs_trace, _round_2_deleted, _no_rounds],
+    ids=lambda f: f.__name__.lstrip("_"),
+)
+def test_trace_must_replay_to_the_forest_it_accompanies(mismatch):
+    # each of these traces re-derives cleanly on its own; only the replay
+    # from the star at the forest's first root ties it to this 4-tree forest
+    c = permuted_round_robin(30, 1)
+    forest, trace = build_forest(c)
+    assert len(forest.trees) == 4
+    report = verify_all(c, forest, mismatch(forest, trace))
+    assert report.as_dict()["verdict"] == "fail"
+    assert not report.trace_bounds.passed
+
+
+def test_trace_cannot_replay_an_empty_forest_or_another_m():
+    c = round_robin(5)
+    forest, trace = build_forest(c)
+    assert not verify_trace_bounds(trace, Forest(m=5, trees=())).passed
+    assert not verify_trace_bounds(ConstructionTrace(m=6), forest).passed
 
 
 def test_verify_all_pipeline_and_deleted_edge():
