@@ -2,9 +2,10 @@
 
 K_{2m} admits proper edge colorings with 2m-1 colors, and in every such
 coloring each color appears at every vertex exactly once, so each color class
-is a perfect matching. That matching structure is what the rest of the
-package leans on: the (color, vertex) -> partner table is precomputed at
-validation time because the tree construction performs many partner lookups.
+is a perfect matching. Equivalently, each row of the n x n color table (with
+-1 on the diagonal) is a permutation of -1..n-2; that one row check is what
+every EdgeColoring passes, and each row's inverse is the (vertex, color) ->
+partner table the tree construction looks up.
 """
 
 from __future__ import annotations
@@ -12,11 +13,15 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from collections import deque
+from itertools import chain, repeat
+from operator import lt, setitem
 from typing import Iterator, Mapping
 
 from .errors import (
     AdjacentClash,
     ColorOutOfRange,
+    InputError,
     MissingPair,
     NotAPermutation,
     SchemaError,
@@ -35,13 +40,15 @@ def canonical_json_bytes(obj) -> bytes:
 class EdgeColoring:
     """A validated proper (2m-1)-edge-coloring of K_{2m}.
 
-    Instances are immutable after validation and safe to share across
-    threads. Obtain them from :func:`validate_proper`, :func:`round_robin`,
-    :func:`permuted_round_robin`, or :func:`parse_coloring` rather than
-    calling the constructor directly.
+    Holds the n x n color table (-1 on the diagonal) and, per vertex, the
+    inverse of its row (color -> partner). Instances are immutable after
+    validation and safe to share across threads, which is why the digest is
+    computed once and cached. Obtain them from :func:`validate_proper`,
+    :func:`round_robin`, :func:`permuted_round_robin`, or
+    :func:`parse_coloring` rather than calling the constructor directly.
     """
 
-    __slots__ = ("m", "n", "n_colors", "_color", "_partner")
+    __slots__ = ("m", "n", "n_colors", "_color", "_partner", "_digest")
 
     def __init__(self, m: int, color_table, partner_table):
         self.m = m
@@ -49,6 +56,7 @@ class EdgeColoring:
         self.n_colors = 2 * m - 1
         self._color = color_table
         self._partner = partner_table
+        self._digest = None
 
     def color_of(self, u: Vertex, v: Vertex) -> Color:
         """Color of edge {u, v}; symmetric in its arguments."""
@@ -58,7 +66,7 @@ class EdgeColoring:
 
     def partner(self, c: Color, v: Vertex) -> Vertex:
         """The unique vertex joined to v by the edge of color c at v."""
-        return self._partner[c][v]
+        return self._partner[v][c]
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All colored edges as (u, v, color) with u < v, in lexicographic order."""
@@ -68,8 +76,10 @@ class EdgeColoring:
                 yield u, v, row[v]
 
     def digest(self) -> str:
-        """Content hash of the canonical serialization."""
-        return hashlib.sha256(serialize_coloring(self)).hexdigest()
+        """Content hash of the canonical serialization, computed on first use."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(serialize_coloring(self)).hexdigest()
+        return self._digest
 
     def __eq__(self, other):
         return (
@@ -80,6 +90,71 @@ class EdgeColoring:
 
     def __repr__(self):
         return f"EdgeColoring(m={self.m}, n={self.n})"
+
+
+# runs an iterator of side effects (a C-speed scatter through setitem); it
+# keeps nothing, so one is shared
+_drain = deque(maxlen=0).extend
+
+
+# fill markers for validate_proper: no color given, or two different ones
+_MISSING = object()
+_CONFLICT = object()
+
+
+def _checked(m: int, color: list[list]) -> EdgeColoring:
+    """The row check every EdgeColoring passes.
+
+    ``color`` holds n symmetric rows with -1 on the diagonal. The coloring is
+    proper iff every row is a permutation of -1..n-2 over ints: one type
+    check over the table, then one set comparison per row, which is both the
+    range check and the distinctness check. The partner table is then each
+    row's inverse. Only when the check fails does :func:`_raise_first_fault`
+    scan pair by pair.
+    """
+    n = 2 * m
+    row_set = set(range(-1, n - 1))
+    if set(map(type, chain.from_iterable(color))) != {int} or not all(
+        map(row_set.__eq__, map(set, color))
+    ):
+        _raise_first_fault(m, color)
+        # no fault after all: the colors are of an int subclass (IntEnum)
+        color = [list(map(int, row)) for row in color]
+    vertices = range(n)
+    partner = []
+    for row in color:
+        inverse = [0] * n
+        _drain(map(setitem, repeat(inverse), row, vertices))
+        inverse.pop()  # the slot of -1, the diagonal
+        partner.append(inverse)
+    return EdgeColoring(m, color, partner)
+
+
+def _raise_first_fault(m: int, color: list[list]) -> None:
+    """Raise the first violation: per pair u < v, in order, a conflicting or
+    missing pair or a color outside [0, 2m-2]; then per vertex, in order,
+    the first color met twice (AdjacentClash)."""
+    n_colors = 2 * m - 1
+    for u, row in enumerate(color):
+        for v in range(u + 1, len(row)):
+            c = row[v]
+            if c is _CONFLICT:
+                raise SchemaError(f"pair ({u},{v}) is assigned two different colors")
+            if c is _MISSING:
+                raise MissingPair(f"pair ({u},{v}) has no color")
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n_colors:
+                raise _out_of_range(c, u, v, n_colors)
+    for v, row in enumerate(color):
+        seen = set()
+        for u, c in enumerate(row):
+            if u != v:
+                if c in seen:
+                    raise AdjacentClash(v, c)
+                seen.add(c)
+
+
+def _out_of_range(c, u: int, v: int, n_colors: int) -> ColorOutOfRange:
+    return ColorOutOfRange(f"color {c!r} on pair ({u},{v}) is outside [0, {n_colors - 1}]")
 
 
 def validate_proper(raw_table: Mapping[tuple[int, int], int], m: int) -> EdgeColoring:
@@ -93,34 +168,21 @@ def validate_proper(raw_table: Mapping[tuple[int, int], int], m: int) -> EdgeCol
     if m < 1:
         raise ValueError("m must be a positive integer")
     n = 2 * m
-    n_colors = n - 1
+    get = raw_table.get
     color = [[-1] * n for _ in range(n)]
     for u in range(n):
+        row = color[u]
         for v in range(u + 1, n):
-            if (u, v) in raw_table:
-                c = raw_table[(u, v)]
-                if (v, u) in raw_table and raw_table[(v, u)] != c:
-                    raise SchemaError(f"pair ({u},{v}) is assigned two different colors")
-            elif (v, u) in raw_table:
-                c = raw_table[(v, u)]
-            else:
-                raise MissingPair(f"pair ({u},{v}) has no color")
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n_colors:
-                raise ColorOutOfRange(
-                    f"color {c!r} on pair ({u},{v}) is outside [0, {n_colors - 1}]"
-                )
-            color[u][v] = color[v][u] = c
-    partner = [[-1] * n for _ in range(n_colors)]
-    for v in range(n):
-        for u in range(n):
-            if u == v:
-                continue
-            c = color[v][u]
-            if partner[c][v] != -1:
-                raise AdjacentClash(v, c)
-            partner[c][v] = u
-    # n-1 incident edges, n-1 colors, no clash: every (color, vertex) slot is filled
-    return EdgeColoring(m, color, partner)
+            c = get((u, v), _MISSING)
+            other = get((v, u), _MISSING)
+            if c is _MISSING:
+                c = other
+            elif other is not _MISSING and other != c:
+                c = _CONFLICT
+            row[v] = color[v][u] = c
+            if c is _MISSING or c is _CONFLICT:
+                _raise_first_fault(m, color)  # stops here at the latest
+    return _checked(m, color)
 
 
 def round_robin(m: int) -> EdgeColoring:
@@ -128,20 +190,21 @@ def round_robin(m: int) -> EdgeColoring:
 
     Vertices 0..2m-2 sit on a cycle with vertex 2m-1 as the hub; color c
     consists of the spoke {2m-1, c} plus the cycle pairs {c+i, c-i} mod 2m-1
-    for i = 1..m-1.
+    for i = 1..m-1. So a cycle pair {u, v} has color (u+v)*m mod 2m-1, m
+    being the inverse of 2, and row u is row 0 rotated by u.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    n = 2 * m
-    cyc = n - 1
-    table: dict[tuple[int, int], int] = {}
-    for c in range(cyc):
-        table[(c, n - 1)] = c
-        for i in range(1, m):
-            u = (c + i) % cyc
-            v = (c - i) % cyc
-            table[(u, v) if u < v else (v, u)] = c
-    return validate_proper(table, m)
+    cyc = 2 * m - 1
+    row0 = [v * m % cyc for v in range(cyc)]
+    color = []
+    for u in range(cyc):
+        row = row0[u:] + row0[:u]
+        row.append(u)
+        row[u] = -1
+        color.append(row)
+    color.append(list(range(cyc)) + [-1])
+    return _checked(m, color)
 
 
 def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeColoring:
@@ -153,11 +216,12 @@ def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeCol
         raise NotAPermutation(f"vertex_perm is not a permutation of 0..{n - 1}")
     if sorted(cp) != list(range(n_colors)):
         raise NotAPermutation(f"color_perm is not a permutation of 0..{n_colors - 1}")
-    table: dict[tuple[int, int], int] = {}
-    for u, v, c in coloring.edges():
-        a, b = vp[u], vp[v]
-        table[(a, b) if a < b else (b, a)] = cp[c]
-    return validate_proper(table, coloring.m)
+    inv = [0] * n
+    _drain(map(setitem, repeat(inv), vp, range(n)))
+    recolor = cp + [-1]  # so the diagonal's -1 stays -1 rather than cp[-1]
+    old = coloring._color
+    color = [list(map(recolor.__getitem__, map(old[u].__getitem__, inv))) for u in inv]
+    return _checked(coloring.m, color)
 
 
 def permuted_round_robin(m: int, seed: int) -> EdgeColoring:
@@ -171,16 +235,59 @@ def permuted_round_robin(m: int, seed: int) -> EdgeColoring:
 
 
 def serialize_coloring(coloring: EdgeColoring) -> bytes:
-    """Canonical document {"n": 2m, "edges": [[u, v, c], ...]} sorted by (u, v)."""
-    doc = {"n": coloring.n, "edges": [[u, v, c] for u, v, c in coloring.edges()]}
-    return canonical_json_bytes(doc)
+    """Canonical document {"n": 2m, "edges": [[u, v, c], ...]} sorted by (u, v).
+
+    The bytes are those of canonical_json_bytes on that document, joined row
+    by row from the table.
+    """
+    n = coloring.n
+    text = [str(x) for x in range(n)]
+    cell_end = [f",{x}]" for x in text].__getitem__  # color c closes "[u,v" with ",c]"
+    rows = (
+        ",".join(map("".join, zip(repeat(f"[{u},"), text[u + 1:], map(cell_end, row[u + 1:]))))
+        for u, row in enumerate(coloring._color[:-1])
+    )
+    return f'{{"edges":[{",".join(rows)}],"n":{n}}}\n'.encode("utf-8")
+
+
+def _first_bad_entry(edges: list, n: int) -> None:
+    """Raise SchemaError for the first edge entry that is not an integer
+    triple [u, v, c] with 0 <= u < v < n or repeats a pair."""
+    seen = set()
+    for entry in edges:
+        if (
+            not isinstance(entry, list)
+            or len(entry) != 3
+            or any(not isinstance(x, int) or isinstance(x, bool) for x in entry)
+        ):
+            raise SchemaError(f"edge entry {entry!r} is not an integer triple [u, v, c]")
+        u, v, _ = entry
+        if not 0 <= u < v < n:
+            raise SchemaError(f"edge ({u},{v}) must satisfy 0 <= u < v < n")
+        if (u, v) in seen:
+            raise SchemaError(f"pair ({u},{v}) appears more than once")
+        seen.add((u, v))
+
+
+def _short_of_pairs(edges: list, n: int) -> InputError:
+    """The error validation reports first for distinct, well-formed entries
+    that miss some pair, found without the n x n table: the first missing
+    pair in (u, v) order, unless a color on an earlier pair is out of range."""
+    keys = (u * n + v for u in range(n) for v in range(u + 1, n))
+    present = chain(sorted(u * n + v for u, v, _ in edges), [-1])
+    gap = next(key for key, have in zip(keys, present) if key != have)
+    bad = [(u * n + v, c, u, v) for u, v, c in edges if not 0 <= c < n - 1 and u * n + v < gap]
+    if bad:
+        return _out_of_range(*min(bad)[1:], n - 1)
+    return MissingPair(f"pair ({gap // n},{gap % n}) has no color")
 
 
 def parse_coloring(data) -> EdgeColoring:
     """Read a coloring document and validate it.
 
     Malformed JSON propagates json.JSONDecodeError; structural problems raise
-    SchemaError; coloring problems raise the validate_proper errors.
+    SchemaError; coloring problems raise the validate_proper errors. The
+    edge count is checked before the n x n table is allocated.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -198,18 +305,29 @@ def parse_coloring(data) -> EdgeColoring:
         raise SchemaError(f'"n" must be even, got {n}')
     if not isinstance(edges, list):
         raise SchemaError('"edges" must be a list')
-    table: dict[tuple[int, int], int] = {}
-    for entry in edges:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 3
-            or any(not isinstance(x, int) or isinstance(x, bool) for x in entry)
-        ):
-            raise SchemaError(f"edge entry {entry!r} is not an integer triple [u, v, c]")
-        u, v, c = entry
-        if not 0 <= u < v < n:
-            raise SchemaError(f"edge ({u},{v}) must satisfy 0 <= u < v < n")
-        if (u, v) in table:
-            raise SchemaError(f"pair ({u},{v}) appears more than once")
-        table[(u, v)] = c
-    return validate_proper(table, n // 2)
+    if len(edges) != n * (n - 1) // 2:
+        # more entries than pairs repeat one, which _first_bad_entry reports
+        _first_bad_entry(edges, n)
+        raise _short_of_pairs(edges, n)
+    # C-speed screening; _first_bad_entry names the entry when one fails
+    if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {3}:
+        _first_bad_entry(edges, n)
+    flat = list(chain.from_iterable(edges))
+    us, vs, cs = flat[0::3], flat[1::3], flat[2::3]
+    if (
+        not set(map(type, flat)) <= {int}
+        or min(us) < 0
+        or max(vs) >= n
+        or not all(map(lt, us, vs))
+    ):
+        _first_bad_entry(edges, n)
+    color = [[-1] * n for _ in range(n)]
+    _drain(map(setitem, map(color.__getitem__, us), vs, cs))
+    _drain(map(setitem, map(color.__getitem__, vs), us, cs))
+    try:
+        return _checked(n // 2, color)
+    except InputError:
+        # a repeated pair leaves another one at -1; the repeat is a schema
+        # error and outranks what the table shows
+        _first_bad_entry(edges, n)
+        raise

@@ -527,13 +527,18 @@ TRACE_VERSION = 2
 def trace_to_jsonl(trace: ConstructionTrace) -> bytes:
     """The header {"m": m, "trace_version": 2}, then one JSON record per
     (k, i), keyed by the Step fields; the i = 1 record of each round also
-    carries the other Round fields under "round"."""
+    carries the other Round fields under "round". A round that failed before
+    its first step (the last one of an exit-3 dump) is the record
+    {"k": k, "round": {...}} alone."""
     records = [{"m": trace.m, "trace_version": TRACE_VERSION}]
     for rnd in trace.rounds:
+        context = {f: v for f, v in vars(rnd).items() if f not in ("k", "steps")}
+        if not rnd.steps:
+            records.append({"k": rnd.k, "round": context})
         for st in rnd.steps:
             rec = dict(vars(st))
             if st.i == 1:
-                rec["round"] = {f: v for f, v in vars(rnd).items() if f not in ("k", "steps")}
+                rec["round"] = context
             records.append(rec)
     lines = (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
     return "".join(lines).encode("utf-8")
@@ -555,6 +560,18 @@ def _ints(value, what: str) -> list[int]:
     if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise SchemaError(f"{what} is not a list of integers")
     return value
+
+
+def _round(rec: dict, k: int, where: str) -> Round:
+    """The Round (without steps) held in a record's "round" context."""
+    ctx = rec.get("round")
+    if not isinstance(ctx, dict):
+        raise SchemaError(f"{where} lacks the round context object")
+    return Round(
+        k=k,
+        **{f: _int(ctx, f, where) for f in ("r_k", "w_k", "w_k_prime")},
+        **{f: _ints(ctx.get(f), f"{where}: {f!r}") for f in _ROUND_LISTS},
+    )
 
 
 def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
@@ -579,27 +596,22 @@ def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
     if m is not None and m != trace_m:
         raise SchemaError(f"trace is for m={trace_m}, expected m={m}")
     rounds: list[Round] = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
+    records = [(no, line) for no, line in enumerate(lines[1:], start=2) if line.strip()]
+    for line_no, line in records:
         rec = json.loads(line)
         where = f"trace line {line_no}"
         if not isinstance(rec, dict):
             raise SchemaError(f"{where} is not an object")
+        if rec.keys() == {"k", "round"}:  # a round that failed before its first step
+            if line_no != records[-1][0]:
+                raise SchemaError(f"{where}: only the last record may be a round without steps")
+            rounds.append(_round(rec, _int(rec, "k", where), where))
+            continue
         ints = {key: _int(rec, key, where) for key in _STEP_INTS}
         if not isinstance(rec.get("eliminated"), dict):
             raise SchemaError(f"{where}: 'eliminated' is missing or not an object")
         if ints["i"] == 1:
-            ctx = rec.get("round")
-            if not isinstance(ctx, dict):
-                raise SchemaError(f"{where} lacks the round context object")
-            rounds.append(
-                Round(
-                    k=ints["k"],
-                    **{f: _int(ctx, f, where) for f in ("r_k", "w_k", "w_k_prime")},
-                    **{f: _ints(ctx.get(f), f"{where}: {f!r}") for f in _ROUND_LISTS},
-                )
-            )
+            rounds.append(_round(rec, ints["k"], where))
         if not rounds or rounds[-1].k != ints["k"]:
             raise SchemaError(f"{where} does not follow its round header")
         elim = rec["eliminated"]

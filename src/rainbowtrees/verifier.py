@@ -139,10 +139,13 @@ def verify_structure_f(forest: Forest, psi: int, m: int) -> CheckResult:
     (2m-1) - 4(psi-1) root-adjacent leaves; tree i (i >= 2) must have root
     degree (2m-1) - i - 2(psi-i) with at least (2m-1) - 2i - 4(psi-i).
     Degrees are equalities, leaf counts are floors clamped at zero, and the
-    checks are positional in the forest's tree order.
+    checks are positional in the forest's tree order. A forest with no trees
+    fails: the construction always yields at least the base star.
     """
     failures: list[str] = []
     n = 2 * m
+    if not forest.trees:
+        return _result(["forest has no trees"])
     if len(forest.trees) != psi:
         failures.append(f"forest has {len(forest.trees)} trees, expected {psi}")
         return _result(failures)

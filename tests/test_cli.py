@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from conftest import corrupt_assembly_step, duplicate_root, starve_leaf_pool
+from rainbowtrees import trace_from_jsonl
 from rainbowtrees.cli import main
 
 
@@ -56,6 +57,25 @@ def test_malformed_coloring_is_input_error(tmp_path):
     improper = tmp_path / "improper.json"
     improper.write_text(json.dumps({"n": 5, "edges": []}))
     assert run_cli(["build", "-i", str(improper), "-o", str(tmp_path / "f.json")]) == 2
+
+
+def test_coloring_edge_count_is_checked_before_the_table(tmp_path, capsys):
+    # n = 200000 would need a table of 4e10 cells; the missing edges are found first
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"n": 200000, "edges": []}))
+    assert run_cli(["build", "-i", str(huge), "-o", str(tmp_path / "f.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "has no color" in err and err.count("\n") == 1
+
+
+def test_verify_empty_forest_exits_one(tmp_path, capsys):
+    col = tmp_path / "c.json"
+    forest = tmp_path / "f.json"
+    run_cli(["gen", "--m", "5", "-o", str(col)])
+    forest.write_text(json.dumps({"m": 5, "trees": []}))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest)]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
 
 
 def test_verify_corrupted_forest_exits_one(tmp_path, capsys):
@@ -321,8 +341,8 @@ def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, c
 @pytest.mark.parametrize(
     "fault, last_k",
     [
-        # round 3 finds one common leaf: the dump ends with round 2, the last one with steps
-        (lambda mp: starve_leaf_pool(mp, 3, keep=1), 2),
+        # round 3 finds one common leaf: the dump ends with round 3, which has no steps
+        (lambda mp: starve_leaf_pool(mp, 3, keep=1), 3),
         # tree 3 repeats the first root: the dump ends with the whole of round 3
         (lambda mp: duplicate_root(mp, 3), 3),
     ],
@@ -339,3 +359,4 @@ def test_invariant_faults_exit_three_with_a_v2_dump(tmp_path, monkeypatch, capsy
     lines = dump.read_text().splitlines()
     assert lines[0] == '{"m":12,"trace_version":2}'
     assert json.loads(lines[-1])["k"] == last_k
+    assert trace_from_jsonl(dump.read_bytes()).rounds[-1].k == last_k

@@ -1,12 +1,13 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rainbowtrees import (
     AdjacentClash,
     ColorOutOfRange,
+    InputError,
     MissingPair,
     NotAPermutation,
     SchemaError,
@@ -205,3 +206,82 @@ def test_digest_is_stable_and_distinguishes():
     a = round_robin(3)
     assert a.digest() == round_robin(3).digest()
     assert a.digest() != permuted_round_robin(3, 1).digest()
+
+
+def test_validate_rejects_two_colors_for_one_pair():
+    table = raw_table(round_robin(2))
+    table[(2, 1)] = (table[(1, 2)] + 1) % 3
+    with pytest.raises(SchemaError, match="two different colors"):
+        validate_proper(table, 2)
+
+
+# the error class each one-cell corruption raises, from validate_proper and
+# from parse_coloring; a bool is not an integer in a document's schema
+ONE_CELL_ERRORS = {
+    "missing": (MissingPair, MissingPair),
+    "out_of_range": (ColorOutOfRange, ColorOutOfRange),
+    "bool": (ColorOutOfRange, SchemaError),
+    "clash": (AdjacentClash, AdjacentClash),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    kind=st.sampled_from(sorted(ONE_CELL_ERRORS)),
+    data=st.data(),
+)
+def test_one_corrupted_cell_raises_its_error_class(m, seed, kind, data):
+    c = permuted_round_robin(m, seed)
+    table = raw_table(c)
+    u, v = data.draw(st.sampled_from(sorted(table)))
+    if kind == "missing":
+        del table[(u, v)]
+    elif kind == "out_of_range":
+        table[(u, v)] = data.draw(
+            st.one_of(st.integers(max_value=-1), st.integers(min_value=2 * m - 1))
+        )
+    elif kind == "bool":
+        table[(u, v)] = data.draw(st.booleans())
+    else:  # give (u, v) the color of another edge at u
+        assume(m >= 2)
+        w = data.draw(st.sampled_from([w for w in range(2 * m) if w not in (u, v)]))
+        table[(u, v)] = c.color_of(u, w)
+    from_table, from_document = ONE_CELL_ERRORS[kind]
+    with pytest.raises(InputError) as err:
+        validate_proper(table, m)
+    assert type(err.value) is from_table
+    doc = {"n": 2 * m, "edges": [[a, b, col] for (a, b), col in sorted(table.items())]}
+    with pytest.raises(InputError) as err:
+        parse_coloring(json.dumps(doc))
+    assert type(err.value) is from_document
+
+
+def test_parse_rejects_a_pair_repeated_in_place_of_another():
+    # the edge count is right, so only the repeat tells; it outranks the
+    # out-of-range color on an earlier pair, as the entries come first
+    doc = json.loads(serialize_coloring(round_robin(3)))
+    doc["edges"][0][2] = 99
+    doc["edges"][-1] = list(doc["edges"][-2])
+    with pytest.raises(SchemaError, match="more than once"):
+        parse_coloring(json.dumps(doc))
+
+
+def test_parse_of_a_short_document_reports_without_the_table():
+    # n = 200000 would need a table of 4e10 cells
+    with pytest.raises(MissingPair, match=r"pair \(0,1\) has no color"):
+        parse_coloring(json.dumps({"n": 200000, "edges": []}))
+    # what comes first in (u, v) order is reported, as for a full document
+    doc = json.loads(serialize_coloring(round_robin(3)))
+    del doc["edges"][4]
+    with pytest.raises(MissingPair, match=r"pair \(0,5\)"):
+        parse_coloring(json.dumps(doc))
+    doc["edges"][2][2] = 5
+    with pytest.raises(ColorOutOfRange, match=r"pair \(0,3\)"):
+        parse_coloring(json.dumps(doc))
+    doc["edges"][3] = doc["edges"][0]
+    with pytest.raises(SchemaError, match="more than once"):
+        parse_coloring(json.dumps(doc))
+    with pytest.raises(SchemaError, match="integer triple"):
+        parse_coloring(json.dumps({"n": 4, "edges": [[0, 1, True]]}))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -473,6 +474,21 @@ def test_starved_leaf_pool_raises_leaf_set_exhausted_with_trace(monkeypatch):
     in_flight = trace.rounds[-1]
     assert len(in_flight.leaves) == 1
     assert (in_flight.r_k, in_flight.w_k, in_flight.steps) == (-1, -1, [])
+
+
+def test_round_without_steps_survives_the_jsonl_roundtrip_only_as_last(monkeypatch):
+    starve_leaf_pool(monkeypatch, 3, keep=1)
+    with pytest.raises(LeafSetExhausted) as info:
+        build_forest(round_robin(12))
+    trace = info.value.trace
+    data = trace_to_jsonl(trace)
+    last = data.splitlines()[-1]
+    assert json.loads(last).keys() == {"k", "round"}
+    assert trace_from_jsonl(data) == trace
+    header, *steps = data.splitlines()
+    misplaced = b"\n".join([header, last, *steps]) + b"\n"
+    with pytest.raises(SchemaError, match="only the last record"):
+        trace_from_jsonl(misplaced)
 
 
 def test_duplicated_root_raises_f_validation_failed_with_trace(monkeypatch):

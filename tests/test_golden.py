@@ -1,9 +1,10 @@
-"""Golden sha256s of forest, trace and verify-report bytes.
+"""Golden sha256s of coloring, forest, trace and verify-report bytes.
 
-The constructor may be restructured freely, but for the same instance and
-policy every artifact it writes must stay byte-identical; the trace digests
-change only with the trace version (now 2). These digests pin that down;
-they are independent of PYTHONHASHSEED.
+The generators, the coloring serializer and the constructor may be
+restructured freely, but for the same instance and policy every artifact
+they write must stay byte-identical; the trace digests change only with the
+trace version (now 2). These digests pin that down; they are independent of
+PYTHONHASHSEED.
 """
 
 import hashlib
@@ -17,6 +18,8 @@ from rainbowtrees import (
     forest_to_json,
     permuted_round_robin,
     random_policy,
+    round_robin,
+    serialize_coloring,
     trace_to_jsonl,
     verify_all,
 )
@@ -64,3 +67,53 @@ def test_artifact_bytes_are_golden(m, seed, policy, forest_sha, trace_sha, repor
     assert _sha(forest_to_json(forest)) == forest_sha
     assert _sha(trace_to_jsonl(trace)) == trace_sha
     assert _sha(verify_all(coloring, forest, trace).to_json()) == report_sha
+
+
+COLORING_GOLDEN = [
+    (
+        "rr1",
+        lambda: round_robin(1),
+        "354459ee0fc2210fc4eee59e4ed7080fe3d40a0b533c88f6fe72f616122725a5",
+    ),
+    (
+        "rr2",
+        lambda: round_robin(2),
+        "09808a46e8a7d2f12cc3442aa5b2b50c7f02630ae31d3906669eb0a4994bc83f",
+    ),
+    (
+        "rr12",
+        lambda: round_robin(12),
+        "53c1786fe719b3b3781b51cd9fc75b09e45365134d333208fa4fcc529b4319a3",
+    ),
+    (
+        "prr12-s3",
+        lambda: permuted_round_robin(12, 3),
+        "7540722a94a3e79899c9570528639a7e39efc5cc45fdf35bd4984562823e53f4",
+    ),
+    (
+        "prr100-s1",
+        lambda: permuted_round_robin(100, 1),
+        "e3f79d3084669493c1777f386f4de175cfe76e01de3fed6f0d37097484a7ace2",
+    ),
+    (
+        "prr400-s1",
+        lambda: permuted_round_robin(400, 1),
+        "37cb7f7d342acf0dfe38ac69bf155296f6ccdc4498ed82bf3b2ca370ffb94147",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "make, coloring_sha",
+    [row[1:] for row in COLORING_GOLDEN],
+    ids=[row[0] for row in COLORING_GOLDEN],
+)
+def test_coloring_bytes_are_golden(make, coloring_sha):
+    assert _sha(serialize_coloring(make())) == coloring_sha
+
+
+def test_digest_is_the_cached_sha256_of_the_serialization():
+    coloring = permuted_round_robin(12, 3)
+    first = coloring.digest()
+    assert first == _sha(serialize_coloring(coloring))
+    assert coloring.digest() is first

@@ -221,6 +221,15 @@ def test_trace_cannot_replay_an_empty_forest_or_another_m():
     assert not verify_trace_bounds(ConstructionTrace(m=6), forest).passed
 
 
+def test_empty_forest_fails_verification():
+    # without a trace nothing else counts the trees
+    empty = Forest(m=5, trees=())
+    assert not verify_structure_f(empty, 0, 5).passed
+    report = verify_all(round_robin(5), empty)
+    assert not report.structure.passed
+    assert report.as_dict()["verdict"] == "fail"
+
+
 def test_verify_all_pipeline_and_deleted_edge():
     c = round_robin(5)
     forest, trace = build_forest(c)
