@@ -97,7 +97,7 @@ class EdgeColoring:
 _drain = deque(maxlen=0).extend
 
 
-# fill markers for validate_proper: no color given, or two different ones
+# validate_proper's markers for a pair with no color or two different ones
 _MISSING = object()
 _CONFLICT = object()
 
@@ -117,7 +117,7 @@ def _checked(m: int, color: list[list]) -> EdgeColoring:
     if set(map(type, chain.from_iterable(color))) != {int} or not all(
         map(row_set.__eq__, map(set, color))
     ):
-        _raise_first_fault(m, color)
+        _raise_first_fault(color)
         # no fault after all: the colors are of an int subclass (IntEnum)
         color = [list(map(int, row)) for row in color]
     vertices = range(n)
@@ -130,20 +130,10 @@ def _checked(m: int, color: list[list]) -> EdgeColoring:
     return EdgeColoring(m, color, partner)
 
 
-def _raise_first_fault(m: int, color: list[list]) -> None:
-    """Raise the first violation: per pair u < v, in order, a conflicting or
-    missing pair or a color outside [0, 2m-2]; then per vertex, in order,
-    the first color met twice (AdjacentClash)."""
-    n_colors = 2 * m - 1
-    for u, row in enumerate(color):
-        for v in range(u + 1, len(row)):
-            c = row[v]
-            if c is _CONFLICT:
-                raise SchemaError(f"pair ({u},{v}) is assigned two different colors")
-            if c is _MISSING:
-                raise MissingPair(f"pair ({u},{v}) has no color")
-            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n_colors:
-                raise _out_of_range(c, u, v, n_colors)
+def _raise_first_fault(color: list[list]) -> None:
+    """Raise the first violation: the first pair fault, then per vertex, in
+    order, the first color met twice (AdjacentClash)."""
+    _raise_first_pair_fault(len(color), lambda u, v: color[u][v])
     for v, row in enumerate(color):
         seen = set()
         for u, c in enumerate(row):
@@ -153,8 +143,18 @@ def _raise_first_fault(m: int, color: list[list]) -> None:
                 seen.add(c)
 
 
-def _out_of_range(c, u: int, v: int, n_colors: int) -> ColorOutOfRange:
-    return ColorOutOfRange(f"color {c!r} on pair ({u},{v}) is outside [0, {n_colors - 1}]")
+def _raise_first_pair_fault(n: int, color_of) -> None:
+    """Raise at the first pair u < v, in (u, v) order, whose color_of(u, v)
+    marks two different colors or none, or is not a color in [0, n-2]."""
+    for u in range(n):
+        for v in range(u + 1, n):
+            c = color_of(u, v)
+            if c is _CONFLICT:
+                raise SchemaError(f"pair ({u},{v}) is assigned two different colors")
+            if c is _MISSING:
+                raise MissingPair(f"pair ({u},{v}) has no color")
+            if not isinstance(c, int) or isinstance(c, bool) or not 0 <= c < n - 1:
+                raise ColorOutOfRange(f"color {c!r} on pair ({u},{v}) is outside [0, {n - 2}]")
 
 
 def validate_proper(raw_table: Mapping[tuple[int, int], int], m: int) -> EdgeColoring:
@@ -162,26 +162,28 @@ def validate_proper(raw_table: Mapping[tuple[int, int], int], m: int) -> EdgeCol
 
     ``raw_table`` must assign a color in [0, 2m-2] to every unordered pair of
     vertices in [0, 2m-1]; either orientation of a pair may be used as key.
-    Raises MissingPair, ColorOutOfRange, or AdjacentClash on the first
-    violation found.
+    Raises SchemaError (two colors for one pair), MissingPair,
+    ColorOutOfRange, or AdjacentClash on the first violation found. A
+    mapping with fewer keys than pairs lacks a pair, so its first fault is
+    found without the n x n table.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     n = 2 * m
     get = raw_table.get
+
+    def lookup(u: int, v: int):
+        c, other = get((u, v), _MISSING), get((v, u), _MISSING)
+        if c is _MISSING:
+            return other
+        return _CONFLICT if other is not _MISSING and other != c else c
+
+    if len(raw_table) < n * (n - 1) // 2:
+        _raise_first_pair_fault(n, lookup)
     color = [[-1] * n for _ in range(n)]
     for u in range(n):
-        row = color[u]
         for v in range(u + 1, n):
-            c = get((u, v), _MISSING)
-            other = get((v, u), _MISSING)
-            if c is _MISSING:
-                c = other
-            elif other is not _MISSING and other != c:
-                c = _CONFLICT
-            row[v] = color[v][u] = c
-            if c is _MISSING or c is _CONFLICT:
-                _raise_first_fault(m, color)  # stops here at the latest
+            color[u][v] = color[v][u] = lookup(u, v)
     return _checked(m, color)
 
 
@@ -269,19 +271,6 @@ def _first_bad_entry(edges: list, n: int) -> None:
         seen.add((u, v))
 
 
-def _short_of_pairs(edges: list, n: int) -> InputError:
-    """The error validation reports first for distinct, well-formed entries
-    that miss some pair, found without the n x n table: the first missing
-    pair in (u, v) order, unless a color on an earlier pair is out of range."""
-    keys = (u * n + v for u in range(n) for v in range(u + 1, n))
-    present = chain(sorted(u * n + v for u, v, _ in edges), [-1])
-    gap = next(key for key, have in zip(keys, present) if key != have)
-    bad = [(u * n + v, c, u, v) for u, v, c in edges if not 0 <= c < n - 1 and u * n + v < gap]
-    if bad:
-        return _out_of_range(*min(bad)[1:], n - 1)
-    return MissingPair(f"pair ({gap // n},{gap % n}) has no color")
-
-
 def parse_coloring(data) -> EdgeColoring:
     """Read a coloring document and validate it.
 
@@ -308,7 +297,8 @@ def parse_coloring(data) -> EdgeColoring:
     if len(edges) != n * (n - 1) // 2:
         # more entries than pairs repeat one, which _first_bad_entry reports
         _first_bad_entry(edges, n)
-        raise _short_of_pairs(edges, n)
+        given = {(u, v): c for u, v, c in edges}
+        _raise_first_pair_fault(n, lambda u, v: given.get((u, v), _MISSING))
     # C-speed screening; _first_bad_entry names the entry when one fails
     if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {3}:
         _first_bad_entry(edges, n)

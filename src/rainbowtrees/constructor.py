@@ -22,6 +22,10 @@ every k <= omega(m), so a candidate always survives. Violations of any of
 these guarantees raise InternalInvariantError subclasses: they can only mean
 an implementation bug, never bad input, and are never absorbed.
 
+The trees under construction are :class:`WorkingTree` parent arrays, which
+a leaf exchange patches in O(1) places; :func:`build_forest` turns them into
+RainbowTree values once, at the end.
+
 Each round is recorded once, as a :class:`Round` holding one :class:`Step`
 per rewired tree; the construction reads its own history from that record,
 and the trace is the list of these records. The records keep only what
@@ -49,7 +53,7 @@ from .errors import (
     SchemaError,
     SwapError,
 )
-from .forest import Forest, RainbowTree, apply_swap, base_star, spans, tree_edge_of_color
+from .forest import Forest, WorkingTree, apply_swap, base_star, spans, tree_edge_of_color
 
 
 def omega(m: int) -> int:
@@ -311,23 +315,15 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
         alpha = col.partner(col.color_of(rk, steps[i - 2].w_i), wk)
         if alpha != rk:
             forbid_at("R7", col.color_of(rk, alpha), ri)
-    if i == 1:
-        # R8: both endpoints of the edge colored like (r_k, w_k) in every tree
-        target = col.color_of(rk, wk)
-        for t in state.trees:
-            u, v, _ = tree_edge_of_color(t, target)
-            for alpha in (u, v):
-                if alpha != rk:
-                    forbid_at("R8", col.color_of(rk, alpha), ri)
-    else:
-        # R9: both endpoints of the edge colored like (r_k, w_{i-1}) in every
-        # tree, rewired or not
-        target = col.color_of(rk, steps[i - 2].w_i)
-        for t in state.trees:
-            u, v, _ = tree_edge_of_color(t, target)
-            for alpha in (u, v):
-                if alpha != rk:
-                    forbid_at("R9", col.color_of(rk, alpha), ri)
+    # R8 (i = 1) and R9: both endpoints of the edge colored like (r_k, w_k),
+    # or like (r_k, w_{i-1}) for i >= 2, in every tree, rewired or not
+    rule, handoff = ("R8", wk) if i == 1 else ("R9", steps[i - 2].w_i)
+    target = col.color_of(rk, handoff)
+    for t in state.trees:
+        u, v, _ = tree_edge_of_color(t, target)
+        for alpha in (u, v):
+            if alpha != rk:
+                forbid_at(rule, col.color_of(rk, alpha), ri)
     forbid_at("R10", c_anchor, wk)  # R10: v's edge to w_k must not reuse color(r_i, r_k)
     if i == k - 1:
         for d in range(1, k - 1):  # R11: last rewiring only: color(v, r_i) vs color(w_k, r_d)
@@ -346,7 +342,7 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
     return allowed
 
 
-def revise_tree(state: ConstructionState, i: int, v_i: int) -> RainbowTree:
+def revise_tree(state: ConstructionState, i: int, v_i: int) -> WorkingTree:
     """Rewire tree i around its root, then trade the matching star edge of
     the tree under assembly."""
     col, rnd = state.coloring, state.round
@@ -395,32 +391,30 @@ def extend_kth_partial(state: ConstructionState, i: int) -> int:
     return w_prime
 
 
-def finalize_kth(state: ConstructionState) -> RainbowTree:
+def finalize_kth(state: ConstructionState) -> WorkingTree:
     """Detach w_k from the assembly, close the chain with edge (w_k, w'_k)
-    and build tree k: the star at r_k minus the detached leaves, plus the
-    re-hung edges.
+    and build tree k: the star at r_k with each detached leaf re-hung.
 
-    The result must be a rainbow spanning tree whose root degree is exactly
-    (2m-1) - k with at least (2m-1) - 2k root-adjacent leaves.
+    The result must be spanning (its n - 1 parent edges close no cycle),
+    repeat no color and have root degree exactly (2m-1) - k with at least
+    (2m-1) - 2k root-adjacent leaves.
     """
     col, rnd, k = state.coloring, state.round, state.k
     rk, wk, n = rnd.r_k, rnd.w_k, col.n
     w_prime = col.partner(col.color_of(rk, rnd.steps[-1].w_i), wk)
     _rehang(state, wk, w_prime)
     rnd.w_k_prime = w_prime
-    hung = [(st.w_i, st.w_prime) for st in rnd.steps] + [(wk, w_prime)]
-    detached = {leaf for leaf, _ in hung}
-    edges = [(rk, x, col.color_of(rk, x)) for x in range(n) if x != rk and x not in detached]
-    edges += [(leaf, up, col.color_of(leaf, up)) for leaf, up in hung]
-    tree = RainbowTree.from_edges(rk, edges, n, col)
-    if len(tree.edges) != n - 1:
-        raise CycleDetected(f"assembled tree has {len(tree.edges)} edges, expected {n - 1}")
-    colors = [c for _, _, c in tree.edges]
-    if len(set(colors)) != len(colors):
-        raise ColorClash("assembled tree repeats a color")
+    parent = [rk] * n
+    parent[rk] = -1
+    for st in rnd.steps:
+        parent[st.w_i] = st.w_prime
+    parent[wk] = w_prime
+    tree = WorkingTree.from_parents(col, rk, parent)
     if not spans(tree):
         raise CycleDetected("assembled tree is not spanning-connected")
-    deg = tree.degree(rk)
+    if -1 in tree.child_of_color:
+        raise ColorClash("assembled tree repeats a color")
+    deg = tree.child_count[rk]
     if deg != (n - 1) - k:
         raise InternalInvariantError(
             f"new root degree {deg} differs from the guaranteed {(n - 1) - k}"
@@ -448,7 +442,7 @@ def _check_structure(state: ConstructionState) -> None:
         else:
             want_deg = (n - 1) - idx - 2 * (psi - idx)
             leaf_floor = (n - 1) - 2 * idx - 4 * (psi - idx)
-        deg = tree.degree(tree.root)
+        deg = tree.child_count[tree.root]
         if deg != want_deg:
             raise FValidationFailed(f"tree {idx}: root degree {deg}, expected {want_deg}")
         if len(tree.root_leaves) < max(leaf_floor, 0):
@@ -459,6 +453,7 @@ def _check_structure(state: ConstructionState) -> None:
 
 
 def _close_round(state: ConstructionState) -> None:
+    """Check the incremental leaf sets against the parent arrays, then the structure."""
     rnd, k = state.round, state.k
     # every vertex that lost common-leaf status this round, by construction:
     # the anchors, each detached v_i, and each endpoint of a fresh edge
@@ -466,9 +461,16 @@ def _close_round(state: ConstructionState) -> None:
     for st in rnd.steps:
         dropped.update((st.chosen, st.w_i, st.v_prime, st.w_prime))
     incremental = state.common_leaves - dropped
-    scratch = set(state.trees[0].root_leaves)
-    for t in state.trees[1:]:
-        scratch &= t.root_leaves
+    scratch = set(range(state.coloring.n))
+    for idx, t in enumerate(state.trees, start=1):
+        # the tree's root-adjacent leaves, from its parent array alone
+        has_child = set(t.parent)
+        leaves = {x for x, p in enumerate(t.parent) if p == t.root and x not in has_child}
+        if leaves != t.root_leaves:
+            raise InternalInvariantError(
+                f"round {k}: root-leaf bookkeeping of tree {idx} diverged from recomputation"
+            )
+        scratch &= leaves
     if incremental != scratch:
         raise InternalInvariantError(
             f"round {k}: incremental common-leaf update diverged from recomputation"
@@ -516,7 +518,7 @@ def build_forest(
         exc.trace = state.trace
         raise
     forest = Forest(
-        m=coloring.m, trees=tuple(state.trees), coloring_digest=coloring.digest()
+        m=coloring.m, trees=tuple(t.value() for t in state.trees), coloring_digest=coloring.digest()
     )
     return forest, state.trace
 

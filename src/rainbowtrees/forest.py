@@ -1,6 +1,12 @@
-"""Rooted spanning trees of an edge-colored complete graph and the leaf
-exchange that rewires two root edges at a time, plus the packed-forest
-container and its file formats."""
+"""Edge-colored spanning trees of K_{2m} in two forms, the leaf exchange
+that rewires two root edges at a time, and the packed-forest container with
+its file formats.
+
+:class:`RainbowTree` is a plain value: what a :class:`Forest` holds, what
+:func:`parse_forest` and the oracle return and what the verifier checks.
+:class:`WorkingTree` is the constructor's tree, a parent array with the
+indexes the construction reads; :func:`apply_swap` patches copies of it.
+"""
 
 from __future__ import annotations
 
@@ -8,115 +14,122 @@ import json
 from dataclasses import dataclass
 
 from .coloring import EdgeColoring, canonical_json_bytes
-from .errors import (
-    ColorClash,
-    CycleDetected,
-    DegenerateSwap,
-    InternalInvariantError,
-    NotPendant,
-    SchemaError,
-)
+from .errors import ColorClash, DegenerateSwap, NotPendant, SchemaError
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+@dataclass(frozen=True, slots=True)
 class RainbowTree:
-    """A rooted spanning tree together with its edge colors.
+    """A rooted tree claimed to be a rainbow spanning tree: its root, the
+    vertex count n and its edges as sorted (u, v, color) triples with u < v.
+    Nothing is derived or judged on the way in, so corrupt trees read back
+    from files are representable; the verifier decides."""
 
-    ``from_edges`` builds the derived indexes without judging validity, so
-    claimed trees read back from files (possibly corrupt) can be represented
-    and handed to the verifier. Trees produced by :func:`base_star` and
-    :func:`apply_swap` are always genuine rainbow spanning trees. Instances
-    are treated as immutable snapshots; surgery returns new values.
-    """
-
-    __slots__ = ("root", "n", "edges", "adjacency", "color_edge", "root_leaves", "coloring")
-
-    def __init__(self, root, n, edges, adjacency, color_edge, root_leaves, coloring=None):
-        self.root = root
-        self.n = n
-        self.edges = edges
-        self.adjacency = adjacency
-        self.color_edge = color_edge
-        self.root_leaves = root_leaves
-        self.coloring = coloring
+    root: int
+    n: int
+    edges: tuple[tuple[int, int, int], ...]
 
     @classmethod
-    def from_edges(cls, root: int, edges, n: int, coloring: EdgeColoring | None = None):
-        canon = tuple(sorted((*_pair(u, v), c) for u, v, c in edges))
-        adjacency: dict[int, set[int]] = {v: set() for v in range(n)}
-        color_edge: dict[int, tuple[int, int]] = {}
-        for u, v, c in canon:
-            adjacency[u].add(v)
-            adjacency[v].add(u)
-            color_edge[c] = (u, v)
-        root_leaves = frozenset(x for x in adjacency[root] if len(adjacency[x]) == 1)
-        return cls(root, n, canon, adjacency, color_edge, root_leaves, coloring)
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+    def from_edges(cls, root: int, edges, n: int) -> RainbowTree:
+        """The value with each pair ordered u < v and the triples sorted."""
+        return cls(root, n, tuple(sorted((*_pair(u, v), c) for u, v, c in edges)))
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RainbowTree)
-            and self.root == other.root
-            and self.n == other.n
-            and self.edges == other.edges
-        )
 
-    def __repr__(self):
-        return f"RainbowTree(root={self.root}, n={self.n}, edges={len(self.edges)})"
+@dataclass(slots=True)
+class WorkingTree:
+    """A rainbow spanning tree under construction, rooted at ``root``.
 
-
-def base_star(coloring: EdgeColoring, r: int) -> RainbowTree:
-    """Spanning star at r; rainbow because the colors at any vertex are all distinct."""
-    edges = [(r, x, coloring.color_of(r, x)) for x in range(coloring.n) if x != r]
-    return RainbowTree.from_edges(r, edges, coloring.n, coloring)
-
-
-def tree_edge_of_color(tree: RainbowTree, c: int) -> tuple[int, int, int]:
-    """The unique tree edge of color c, as (u, v, c)."""
-    u, v = tree.color_edge[c]
-    return (u, v, c)
-
-
-def root_leaf_set(tree: RainbowTree) -> frozenset[int]:
-    """Vertices x with degree 1 whose single edge goes to the root."""
-    return tree.root_leaves
-
-
-def spans(tree: RainbowTree) -> bool:
-    """True when every vertex is reachable from the root."""
-    seen = {tree.root}
-    stack = [tree.root]
-    while stack:
-        x = stack.pop()
-        for y in tree.adjacency[x]:
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return len(seen) == tree.n
-
-
-def apply_swap(tree: RainbowTree, r: int, y: int, v: int, w: int, v_prime: int) -> RainbowTree:
-    """Return tree - ry - rv + yw + vv'.
-
-    y and v must be distinct root-adjacent leaves, so detaching them cannot
-    disconnect anything else and the result is again a spanning tree. The
-    result is rainbow exactly when the two new edges reuse the two freed
-    colors, which the construction arranges by choosing w and v' as the
-    matching partners; any other combination raises ColorClash. The root
-    degree drops by exactly two and the root-adjacent leaf set loses at most
-    the four vertices y, v, w, v'.
+    ``parent[x]`` is x's neighbor towards the root (-1 at the root),
+    ``child_count[x]`` counts the vertices hung under x,
+    ``child_of_color[c]`` is the vertex whose edge to its parent has color c
+    and ``root_leaves`` holds the root's children that have none. Each
+    instance is a genuine rainbow spanning tree and a snapshot: the leaf
+    exchange returns a new tree and leaves its input as it was.
     """
-    col = tree.coloring
-    if col is None:
-        raise ValueError("tree carries no coloring; a leaf exchange needs edge colors")
+
+    coloring: EdgeColoring
+    root: int
+    parent: list[int]
+    child_count: list[int]
+    child_of_color: list[int]
+    root_leaves: frozenset[int]
+
+    @classmethod
+    def from_parents(cls, coloring: EdgeColoring, root: int, parent: list[int]) -> WorkingTree:
+        """Index a parent array with parent[root] = -1. Where two edges share
+        a color, some color keeps -1 in the color index."""
+        child_count = [0] * len(parent)
+        child_of_color = [-1] * (len(parent) - 1)
+        for x, p in enumerate(parent):
+            if p >= 0:
+                child_count[p] += 1
+                child_of_color[coloring.color_of(x, p)] = x
+        leaves = frozenset(x for x, p in enumerate(parent) if p == root and not child_count[x])
+        return cls(coloring, root, parent, child_count, child_of_color, leaves)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int, int], ...]:
+        """The sorted (u, v, color) triples of :meth:`value`."""
+        return self.value().edges
+
+    def value(self) -> RainbowTree:
+        """This tree as a plain RainbowTree."""
+        color_of = self.coloring.color_of
+        edges = [(x, p, color_of(x, p)) for x, p in enumerate(self.parent) if p >= 0]
+        return RainbowTree.from_edges(self.root, edges, len(self.parent))
+
+
+def base_star(coloring: EdgeColoring, r: int) -> WorkingTree:
+    """Spanning star at r; rainbow because the colors at any vertex are all distinct."""
+    parent = [r] * coloring.n
+    parent[r] = -1
+    return WorkingTree.from_parents(coloring, r, parent)
+
+
+def tree_edge_of_color(tree: WorkingTree, c: int) -> tuple[int, int, int]:
+    """The unique tree edge of color c, as (u, v, c) with u < v."""
+    x = tree.child_of_color[c]
+    return (*_pair(x, tree.parent[x]), c)
+
+
+def spans(tree: WorkingTree) -> bool:
+    """True when every vertex hangs below the root, so that the n - 1 edges
+    (x, parent[x]) form a spanning tree. O(n)."""
+    children = [[] for _ in tree.parent]
+    for x, p in enumerate(tree.parent):
+        if p >= 0 and x != tree.root:
+            children[p].append(x)
+    reached = [tree.root]
+    for x in reached:
+        reached.extend(children[x])
+    return len(reached) == len(tree.parent)
+
+
+def apply_swap(tree: WorkingTree, r: int, y: int, v: int, w: int, v_prime: int) -> WorkingTree:
+    """Return tree - ry - rv + yw + vv' as a new tree: copies of the input's
+    lists with O(1) entries patched.
+
+    No search is needed. y and v must be distinct root-adjacent leaves, so
+    without ry and rv the other n - 2 vertices still form a spanning tree
+    and y and v have no edge. Re-hanging y under w and v under v' is then a
+    spanning tree other than the input unless w in {r, y}, v' in {r, v}, or
+    (w, v') = (v, y), where both new edges are {y, v}. Those are exactly the
+    DegenerateSwap conditions; nor can a new edge already be in the tree.
+    A rainbow spanning tree uses every color once, so the result is rainbow
+    exactly when the new edges reuse the two freed colors (the construction
+    picks w and v' as the matching partners); else ColorClash. Errors are
+    checked in the order NotPendant, DegenerateSwap, ColorClash.
+
+    The root loses the children y and v, w and v' gain one each and no
+    vertex becomes a root child, so the root-adjacent leaves are the old ones
+    minus {y, v, w, v'}; every round close re-derives them from scratch.
+    """
     if r != tree.root:
         raise NotPendant(f"swap pivot {r} is not the root {tree.root}")
     if y == v:
@@ -128,32 +141,25 @@ def apply_swap(tree: RainbowTree, r: int, y: int, v: int, w: int, v_prime: int) 
         raise DegenerateSwap(f"replacement endpoint w={w} collides with the detached edge")
     if v_prime in (r, v):
         raise DegenerateSwap(f"replacement endpoint v'={v_prime} collides with the detached edge")
-    removed = {_pair(r, y), _pair(r, v)}
-    e_yw = _pair(y, w)
-    e_vv = _pair(v, v_prime)
-    if e_yw == e_vv:
+    if (w, v_prime) == (v, y):
         raise DegenerateSwap("both replacement edges coincide")
-    kept_pairs = tree.pairs() - removed
-    if e_yw in kept_pairs or e_vv in kept_pairs:
-        raise DegenerateSwap("a replacement edge already exists in the tree")
-    removed_colors = {col.color_of(r, y), col.color_of(r, v)}
-    added_colors = {col.color_of(y, w), col.color_of(v, v_prime)}
-    if added_colors != removed_colors:
+    col = tree.coloring
+    c_yw, c_vv = col.color_of(y, w), col.color_of(v, v_prime)
+    freed = {col.color_of(r, y), col.color_of(r, v)}
+    if {c_yw, c_vv} != freed:
         raise ColorClash(
-            f"replacement colors {sorted(added_colors)} do not match freed colors {sorted(removed_colors)}"
+            f"replacement colors {sorted({c_yw, c_vv})} do not match freed colors {sorted(freed)}"
         )
-    new_edges = [(u, x, c) for u, x, c in tree.edges if _pair(u, x) not in removed]
-    new_edges.append((*e_yw, col.color_of(y, w)))
-    new_edges.append((*e_vv, col.color_of(v, v_prime)))
-    out = RainbowTree.from_edges(r, new_edges, tree.n, col)
-    if not spans(out):
-        raise CycleDetected("leaf exchange produced a disconnected graph")
-    expected_leaves = set(tree.root_leaves) - {y, v, w, v_prime}
-    if set(out.root_leaves) != expected_leaves:
-        raise InternalInvariantError(
-            "incremental root-leaf bookkeeping diverged from recomputation"
-        )
-    return out
+    parent = tree.parent.copy()
+    parent[y], parent[v] = w, v_prime
+    child_count = tree.child_count.copy()
+    child_count[r] -= 2
+    child_count[w] += 1
+    child_count[v_prime] += 1
+    child_of_color = tree.child_of_color.copy()
+    child_of_color[c_yw], child_of_color[c_vv] = y, v
+    leaves = tree.root_leaves - {y, v, w, v_prime}
+    return WorkingTree(col, r, parent, child_count, child_of_color, leaves)
 
 
 @dataclass(frozen=True)

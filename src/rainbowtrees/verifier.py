@@ -1,9 +1,10 @@
 """From-scratch certificate checks for packed rainbow spanning trees.
 
-Everything here recomputes from raw edge lists and coloring lookups. Nothing
-is trusted from the construction's incremental bookkeeping (adjacency caches,
-leaf sets, color indexes), so these checks referee the engine as well as
-hand-edited files. Failures are results, not exceptions.
+The checks read plain RainbowTree values (a root and sorted edge triples)
+and recompute everything else from the edges and coloring lookups. Nothing
+is taken from the construction's working trees (parent arrays, child
+counts, color indexes, leaf sets), so these checks referee the engine as
+well as hand-edited files. Failures are results, not exceptions.
 """
 
 from __future__ import annotations

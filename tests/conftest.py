@@ -82,3 +82,70 @@ def duplicate_root(monkeypatch, k):
         return tree
 
     monkeypatch.setattr(ctor, "finalize_kth", duplicated)
+
+
+def misreport_root_leaves(monkeypatch, k):
+    """Once tree 1 is rewired in round k, count its root among its own
+    root-adjacent leaves."""
+    original = ctor.revise_tree
+
+    def misreported(state, i, v_i):
+        tree = original(state, i, v_i)
+        if state.k == k and i == 1:
+            tree.root_leaves = tree.root_leaves | {tree.root}
+        return tree
+
+    monkeypatch.setattr(ctor, "revise_tree", misreported)
+
+
+def forget_common_leaf(monkeypatch, k):
+    """Once tree k is built, drop from the incrementally kept pool the
+    smallest vertex that is still a root-adjacent leaf of every tree."""
+    original = ctor.finalize_kth
+
+    def forgetful(state):
+        tree = original(state)
+        if state.k == k:
+            kept = set.intersection(*(set(t.root_leaves) for t in state.trees))
+            state.common_leaves.discard(min(kept))
+        return tree
+
+    monkeypatch.setattr(ctor, "finalize_kth", forgetful)
+
+
+def empty_candidate_pool(monkeypatch, k):
+    """Leave round k no pool vertex to choose v_i from."""
+    original = ctor.begin_round
+
+    def emptied(state):
+        original(state)
+        if state.k == k:
+            state.lstar = frozenset()
+
+    monkeypatch.setattr(ctor, "begin_round", emptied)
+
+
+def corrupt_hangers(monkeypatch, k, corrupt):
+    """Just before tree k is assembled from the round record, let
+    ``corrupt(round)`` rewrite the recorded w_i and w'_i."""
+    original = ctor.finalize_kth
+
+    def corrupted(state):
+        if state.k == k:
+            corrupt(state.round)
+        return original(state)
+
+    monkeypatch.setattr(ctor, "finalize_kth", corrupted)
+
+
+def miscount_root_children(monkeypatch, k):
+    """Once tree k is built, add one to the child count of its root."""
+    original = ctor.finalize_kth
+
+    def miscounted(state):
+        tree = original(state)
+        if state.k == k:
+            tree.child_count[tree.root] += 1
+        return tree
+
+    monkeypatch.setattr(ctor, "finalize_kth", miscounted)

@@ -3,6 +3,7 @@ line (run with -s to see the lines as they happen)."""
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -109,10 +110,13 @@ def test_criterion_3_structural_equalities(sweeps):
         if not row["report"].structure.passed:
             ok = False
         for idx, tree in enumerate(forest.trees, start=1):
-            deg = tree.degree(tree.root)
+            degree = Counter(x for p in tree.pairs() for x in p)
+            deg = degree[tree.root]
+            root_edges = [p for p in tree.pairs() if tree.root in p]
+            root_leaves = {x for p in root_edges for x in p if x != tree.root and degree[x] == 1}
             want = (n - 1) - 2 * (psi - 1) if idx == 1 else (n - 1) - idx - 2 * (psi - idx)
             floor = (n - 1) - 4 * (psi - 1) if idx == 1 else (n - 1) - 2 * idx - 4 * (psi - idx)
-            if deg != want or len(tree.root_leaves) < max(floor, 0):
+            if deg != want or len(root_leaves) < max(floor, 0):
                 ok = False
     announce(3, "exact root degrees and leaf floors at omega", ok)
 

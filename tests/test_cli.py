@@ -4,7 +4,13 @@ import sys
 
 import pytest
 
-from conftest import corrupt_assembly_step, duplicate_root, starve_leaf_pool
+from conftest import (
+    corrupt_assembly_step,
+    duplicate_root,
+    forget_common_leaf,
+    misreport_root_leaves,
+    starve_leaf_pool,
+)
 from rainbowtrees import trace_from_jsonl
 from rainbowtrees.cli import main
 
@@ -345,8 +351,16 @@ def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, c
         (lambda mp: starve_leaf_pool(mp, 3, keep=1), 3),
         # tree 3 repeats the first root: the dump ends with the whole of round 3
         (lambda mp: duplicate_root(mp, 3), 3),
+        # the bookkeeping faults surface when round 2 closes, after its last step
+        (lambda mp: misreport_root_leaves(mp, 2), 2),
+        (lambda mp: forget_common_leaf(mp, 2), 2),
     ],
-    ids=["leaf-set-exhausted", "f-validation-failed"],
+    ids=[
+        "leaf-set-exhausted",
+        "f-validation-failed",
+        "root-leaf-bookkeeping",
+        "common-leaf-update",
+    ],
 )
 def test_invariant_faults_exit_three_with_a_v2_dump(tmp_path, monkeypatch, capsys, fault, last_k):
     col = tmp_path / "c.json"

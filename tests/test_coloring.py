@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -285,3 +286,43 @@ def test_parse_of_a_short_document_reports_without_the_table():
         parse_coloring(json.dumps(doc))
     with pytest.raises(SchemaError, match="integer triple"):
         parse_coloring(json.dumps({"n": 4, "edges": [[0, 1, True]]}))
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    return peak
+
+
+def test_validate_of_a_short_mapping_reports_without_the_table():
+    # the n x n table would take 32 MB at m = 1000 and 1.3 MB at m = 200
+    def empty():
+        with pytest.raises(MissingPair, match=r"pair \(0,1\) has no color"):
+            validate_proper({}, 1000)
+
+    assert _peak_bytes(empty) < 64_000
+    table = raw_table(round_robin(200))
+    del table[(398, 399)]
+
+    def late():
+        with pytest.raises(MissingPair, match=r"pair \(398,399\) has no color"):
+            validate_proper(table, 200)
+
+    assert _peak_bytes(late) < 64_000
+    # per pair in (u, v) order: two colors, then none, then out of range
+    table = raw_table(round_robin(3))
+    del table[(2, 4)]
+    table[(3, 0)] = (table[(0, 3)] + 1) % 5
+    table[(1, 2)] = 9
+    with pytest.raises(SchemaError, match=r"pair \(0,3\) is assigned two different colors"):
+        validate_proper(table, 3)
+    del table[(3, 0)]
+    with pytest.raises(ColorOutOfRange, match=r"color 9 on pair \(1,2\)"):
+        validate_proper(table, 3)
+    table[(1, 2)] = round_robin(3).color_of(1, 2)
+    with pytest.raises(MissingPair, match=r"pair \(2,4\) has no color"):
+        validate_proper(table, 3)

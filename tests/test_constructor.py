@@ -5,7 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import corrupt_assembly_step, duplicate_root, starve_leaf_pool
+from conftest import (
+    corrupt_assembly_step,
+    corrupt_hangers,
+    duplicate_root,
+    empty_candidate_pool,
+    forget_common_leaf,
+    miscount_root_children,
+    misreport_root_leaves,
+    starve_leaf_pool,
+)
 
 from rainbowtrees import (
     MAX_INDEX,
@@ -27,7 +36,15 @@ from rainbowtrees.constructor import (
     select_anchors,
     start_construction,
 )
-from rainbowtrees.errors import CycleDetected, FValidationFailed, LeafSetExhausted, SchemaError
+from rainbowtrees.errors import (
+    ColorClash,
+    CycleDetected,
+    EmptyCandidateSet,
+    FValidationFailed,
+    InternalInvariantError,
+    LeafSetExhausted,
+    SchemaError,
+)
 
 
 # ---------------------------------------------------------------- omega
@@ -285,10 +302,10 @@ def test_root_degrees_after_every_round(m):
     n = 2 * m
     for k in range(2, omega(m) + 1):
         step(state)
-        assert state.trees[0].degree(state.roots[0]) == (n - 1) - 2 * (k - 1)
+        assert state.trees[0].child_count[state.roots[0]] == (n - 1) - 2 * (k - 1)
         for i in range(2, k + 1):
             tree = state.trees[i - 1]
-            assert tree.degree(state.roots[i - 1]) == (n - 1) - i - 2 * (k - i)
+            assert tree.child_count[state.roots[i - 1]] == (n - 1) - i - 2 * (k - i)
 
 
 def test_new_edges_per_revision_are_exactly_the_replacements():
@@ -501,3 +518,57 @@ def test_duplicated_root_raises_f_validation_failed_with_trace(monkeypatch):
     in_flight = trace.rounds[-1]
     assert [st.i for st in in_flight.steps] == [1, 2]
     assert in_flight.w_k_prime >= 0 and in_flight.leaves_after == []
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (misreport_root_leaves, "root-leaf bookkeeping of tree 1 diverged from recomputation"),
+        (forget_common_leaf, "incremental common-leaf update diverged"),
+    ],
+    ids=["root-leaf-bookkeeping", "common-leaf-update"],
+)
+def test_bookkeeping_faults_raise_at_the_round_close(monkeypatch, fault, message):
+    # both are caught by recomputation when round 2 of m=12 closes
+    fault(monkeypatch, 2)
+    with pytest.raises(InternalInvariantError, match=message) as info:
+        build_forest(round_robin(12))
+    assert type(info.value) is InternalInvariantError
+    (closing,) = info.value.trace.rounds
+    assert closing.k == 2 and closing.w_k_prime >= 0 and closing.leaves_after == []
+
+
+def _hang_in_a_cycle(rnd):
+    # w_1 and w_2 hung under each other
+    rnd.steps[0].w_prime, rnd.steps[1].w_prime = rnd.steps[1].w_i, rnd.steps[0].w_i
+
+
+def _hang_back_at_root(rnd):
+    # w_1 keeps its star edge, so its color appears twice
+    rnd.steps[0].w_prime = rnd.r_k
+
+
+def _hang_twice(rnd):
+    # step 2 repeats step 1: a rainbow spanning tree that detached one leaf too few
+    rnd.steps[1].w_i, rnd.steps[1].w_prime = rnd.steps[0].w_i, rnd.steps[0].w_prime
+
+
+@pytest.mark.parametrize(
+    "fault, error, message",
+    [
+        (lambda mp: starve_leaf_pool(mp, 3, keep=5), InternalInvariantError, "below the floor"),
+        (lambda mp: empty_candidate_pool(mp, 3), EmptyCandidateSet, "left no candidate"),
+        (lambda mp: corrupt_hangers(mp, 3, _hang_in_a_cycle), CycleDetected, "not spanning"),
+        (lambda mp: corrupt_hangers(mp, 3, _hang_back_at_root), ColorClash, "repeats a color"),
+        (lambda mp: corrupt_hangers(mp, 3, _hang_twice), InternalInvariantError, "new root degree"),
+        (lambda mp: miscount_root_children(mp, 3), FValidationFailed, "tree 3: root degree 21"),
+    ],
+    ids=["pool-floor", "empty-candidates", "cycle", "color-clash", "root-degree", "structure"],
+)
+def test_guarantee_checks_fire_under_fault_injection(monkeypatch, fault, error, message):
+    # m = 12 has three rounds' worth of trees; each fault hits round 3
+    fault(monkeypatch)
+    with pytest.raises(error, match=message) as info:
+        build_forest(round_robin(12))
+    assert type(info.value) is error
+    assert info.value.trace.rounds[-1].k == 3

@@ -1,5 +1,7 @@
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from rainbowtrees import (
     forest_to_dot,
     forest_to_json,
     parse_forest,
-    root_leaf_set,
+    permuted_round_robin,
     round_robin,
     tree_edge_of_color,
     verify_rainbow_spanning_tree,
@@ -37,9 +39,10 @@ def test_base_star_shape(m):
     for r in (0, 2 * m - 1):
         t = base_star(c, r)
         assert len(t.edges) == 2 * m - 1
-        assert root_leaf_set(t) == frozenset(x for x in range(2 * m) if x != r)
+        assert t.root_leaves == frozenset(x for x in range(2 * m) if x != r)
         # all 2m-1 colors appear once, so the color index is a bijection
-        assert sorted(t.color_edge) == list(range(2 * m - 1))
+        assert sorted(c for _, _, c in t.edges) == list(range(2 * m - 1))
+        assert sorted(t.child_of_color) == [x for x in range(2 * m) if x != r]
 
 
 def test_apply_swap_m2_example():
@@ -50,9 +53,9 @@ def test_apply_swap_m2_example():
     assert out.root == 3
     assert verify_rainbow_spanning_tree(round_robin(2), out).passed
     # root degree drops by exactly 2
-    assert out.degree(3) == star_m2().degree(3) - 2
+    assert out.child_count[3] == star_m2().child_count[3] - 2
     # by the defining formula no root-adjacent leaf remains: vertex 2 now has degree 3
-    assert root_leaf_set(out) == frozenset()
+    assert out.root_leaves == frozenset()
 
 
 def test_apply_swap_rejects_non_pendant():
@@ -112,18 +115,18 @@ def test_partner_matched_swaps_preserve_everything(m, root, seed):
     for _ in range(3):
         if len(tree.root_leaves) < 2:
             break
-        before_deg = tree.degree(tree.root)
+        before_deg = tree.child_count[tree.root]
         before_colors = sorted(col for _, _, col in tree.edges)
         try:
             tree = partner_swap(tree, rng)
         except DegenerateSwap:
             continue  # replacement edge already present; skip this draw
         assert verify_rainbow_spanning_tree(c, tree).passed
-        assert tree.degree(tree.root) == before_deg - 2
+        assert tree.child_count[tree.root] == before_deg - 2
         # the exchange replaces colors one for one
         assert sorted(col for _, _, col in tree.edges) == before_colors
-        # incremental leaf bookkeeping equals recomputation from adjacency
-        recomputed = {x for x in tree.adjacency[tree.root] if len(tree.adjacency[x]) == 1}
+        # incremental leaf bookkeeping equals recomputation from the edges
+        recomputed, _ = _root_profile(tree.root, {(a, b) for a, b, _ in tree.edges})
         assert set(tree.root_leaves) == recomputed
 
 
@@ -165,3 +168,82 @@ def test_dot_export_mentions_every_edge():
     assert "graph tree_0 {" in dot
     for u, v, col in forest.trees[0].edges:
         assert f'{u} -- {v} [label="{col}"];' in dot
+
+
+def _connected(n, pairs):
+    adj = {x: [] for x in range(n)}
+    for a, b in pairs:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, stack = {0}, [0]
+    while stack:
+        for y in adj[stack.pop()]:
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return len(seen) == n
+
+
+def _root_profile(root, pairs):
+    """(root-adjacent leaves, root degree), recomputed from the edge pairs."""
+    deg = Counter(x for p in pairs for x in p)
+    leaves = {x for p in pairs if root in p for x in p if x != root and deg[x] == 1}
+    return leaves, deg[root]
+
+
+def _surgery(tree, r, y, v, w, v_prime):
+    """What apply_swap must do, from scratch: the error class it raises
+    (NotPendant, then DegenerateSwap, then ColorClash), or the edges of
+    tree - ry - rv + yw + vv'."""
+    n, col = tree.coloring.n, tree.coloring
+    pairs = {(a, b) for a, b, _ in tree.edges}
+    leaves, _ = _root_profile(tree.root, pairs)
+    if r != tree.root or y == v or y not in leaves or v not in leaves:
+        return NotPendant
+    if w in (r, y) or v_prime in (r, v):
+        return DegenerateSwap
+    new = (pairs - {(min(r, y), max(r, y)), (min(r, v), max(r, v))}) | {
+        (min(y, w), max(y, w)),
+        (min(v, v_prime), max(v, v_prime)),
+    }
+    if len(new) != n - 1 or not _connected(n, new):
+        return DegenerateSwap
+    edges = tuple(sorted((a, b, col.color_of(a, b)) for a, b in new))
+    if len({c for _, _, c in edges}) != n - 1:
+        return ColorClash
+    return edges
+
+
+def _first_partner_swap(tree):
+    col, r = tree.coloring, tree.root
+    for y, v in itertools.permutations(sorted(tree.root_leaves), 2):
+        w = col.partner(col.color_of(r, v), y)
+        v_prime = col.partner(col.color_of(r, y), v)
+        if not isinstance(_surgery(tree, r, y, v, w, v_prime), type):
+            return apply_swap(tree, r, y, v, w, v_prime)
+    return None
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_apply_swap_is_exact_on_every_argument_tuple(m):
+    # every (r, y, v, w, v') on a star and on a partner-swapped tree; at
+    # m <= 3 the latter keeps at most one root leaf, so on it every tuple
+    # raises NotPendant
+    n = 2 * m
+    star = base_star(permuted_round_robin(m, 7), n - 1)
+    swapped = _first_partner_swap(star)
+    assert (swapped is None) == (m == 1)
+    for tree in (star, swapped) if swapped is not None else (star,):
+        snapshot = (tree.edges, set(tree.root_leaves))
+        for args in itertools.product(range(n), repeat=5):
+            want = _surgery(tree, *args)
+            if isinstance(want, type):
+                with pytest.raises(want):
+                    apply_swap(tree, *args)
+                continue
+            out = apply_swap(tree, *args)
+            assert (out.root, out.edges) == (tree.root, want)
+            leaves, root_degree = _root_profile(out.root, {(a, b) for a, b, _ in want})
+            assert set(out.root_leaves) == leaves
+            assert out.child_count[out.root] == root_degree
+        assert (tree.edges, set(tree.root_leaves)) == snapshot

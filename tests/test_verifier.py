@@ -94,7 +94,7 @@ def test_first_two_trees_share_their_profile():
     forest, _ = build_forest(c)
     assert verify_structure_f(forest, 2, 5).passed
     for t in forest.trees:
-        assert t.degree(t.root) == 7
+        assert sum(t.root in p for p in t.pairs()) == 7
 
 
 def test_swapped_tree_order_m5_still_satisfies_structure():
