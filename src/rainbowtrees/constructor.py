@@ -332,6 +332,7 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
     del steps[i - 1 :]
     steps.append(Step(k, i, {r: sorted(vs) for r, vs in elim.items()}))
     knocked_out = set().union(*elim.values())
+    # never fires: at i = k-1, R2-R11 call forbid_at 4(k-2) + 2(k-1) + 3 = 6k-7 times
     if i == k - 1 and len(knocked_out) > 6 * k - 7:
         raise InternalInvariantError(
             f"round {k} step {i}: {len(knocked_out)} eliminations exceed the cap {6 * k - 7}"
@@ -419,6 +420,7 @@ def finalize_kth(state: ConstructionState) -> WorkingTree:
         raise InternalInvariantError(
             f"new root degree {deg} differs from the guaranteed {(n - 1) - k}"
         )
+    # never fires: k star leaves are re-hung, each under one vertex, so at most 2k are lost
     if len(tree.root_leaves) < (n - 1) - 2 * k:
         raise InternalInvariantError(
             f"new root has {len(tree.root_leaves)} adjacent leaves,"

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coloring import EdgeColoring, canonical_json_bytes
 from .errors import ColorClash, DegenerateSwap, NotPendant, SchemaError
@@ -174,6 +175,14 @@ class Forest:
     @property
     def roots(self) -> tuple[int, ...]:
         return tuple(t.root for t in self.trees)
+
+    @cached_property
+    def tree_pairs(self) -> tuple[frozenset[tuple[int, int]], ...]:
+        """Each tree's unordered vertex pairs (u, v) with u < v, derived once
+        per forest for the checks that compare trees by their pairs."""
+        return tuple(
+            frozenset((u, v) if u < v else (v, u) for u, v, _ in t.edges) for t in self.trees
+        )
 
 
 def forest_to_json(forest: Forest) -> bytes:

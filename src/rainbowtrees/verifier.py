@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 from .coloring import EdgeColoring, canonical_json_bytes
 from .constructor import ConstructionTrace
@@ -122,15 +123,11 @@ def verify_rainbow_spanning_tree(coloring: EdgeColoring, tree: RainbowTree) -> C
 
 def verify_edge_disjoint(forest: Forest) -> CheckResult:
     """Pass iff no unordered vertex pair occurs in two different trees."""
-    failures: list[str] = []
     counts: Counter = Counter()
-    for t in forest.trees:
-        for p in {(min(u, v), max(u, v)) for u, v, _ in t.edges}:
-            counts[p] += 1
-    for p, k in sorted(counts.items()):
-        if k > 1:
-            failures.append(f"edge {p} appears in {k} trees")
-    return _result(failures)
+    for pairs in forest.tree_pairs:
+        counts.update(pairs)
+    repeated = sorted((p, k) for p, k in counts.items() if k > 1)
+    return _result([f"edge {p} appears in {k} trees" for p, k in repeated])
 
 
 def verify_structure_f(forest: Forest, psi: int, m: int) -> CheckResult:
@@ -172,9 +169,103 @@ def verify_structure_f(forest: Forest, psi: int, m: int) -> CheckResult:
     return _result(failures)
 
 
+class _Replay:
+    """The trees of a replay, indexed for O(1) work per changed edge.
+
+    Slot a holds tree a + 1 and, while a round runs, its last slot holds the
+    assembly of the new tree. Per slot: the root, the vertex pairs, the
+    degree array and the root-adjacent leaves. ``owners`` maps each pair to
+    the bit mask of the slots holding it, ``shared[a][b]`` counts the pairs
+    slots a and b both hold and ``leaf_count[x]`` the slots in which x is a
+    root-adjacent leaf.
+    """
+
+    def __init__(self, n: int, slots: int):
+        self.n = n
+        self.roots: list[int] = []
+        self.pairs: list[set[tuple[int, int]]] = []
+        self.deg: list[list[int]] = []
+        self.leaves: list[set[int]] = []
+        self.leaf_count = [0] * n
+        self.owners: dict[tuple[int, int], int] = {}
+        self.shared = [[0] * slots for _ in range(slots)]
+
+    def owns(self, a: int, p: tuple[int, int]) -> bool:
+        return bool(self.owners.get(p, 0) >> a & 1)
+
+    def add_star(self, root: int) -> None:
+        """A new last slot holding the spanning star at root."""
+        s, n = len(self.pairs), self.n
+        pairs = set(zip(range(root), repeat(root))) | set(zip(repeat(root), range(root + 1, n)))
+        deg = [1] * n
+        deg[root] = n - 1
+        self.roots.append(root)
+        self.pairs.append(pairs)
+        self.deg.append(deg)
+        self.leaves.append(set(range(n)) - {root})
+        self.leaf_count = [c + 1 for c in self.leaf_count]
+        self.leaf_count[root] -= 1
+        bit, owners = 1 << s, self.owners
+        held = pairs & owners.keys()
+        owners.update(dict.fromkeys(pairs - held, bit))
+        for p in held:
+            self._share(s, owners[p], 1)
+            owners[p] |= bit
+
+    def exchange(self, s: int, removed, fresh) -> None:
+        """Slot s's pairs become (pairs - removed) | fresh; removed must be held."""
+        for p in removed:
+            self._toggle(s, p, -1)
+        for p in fresh:
+            if p not in self.pairs[s]:
+                self._toggle(s, p, 1)
+
+    def _share(self, s: int, others: int, delta: int) -> None:
+        """Add delta to the counts of pairs slot s shares with each slot in others."""
+        while others:
+            low = others & -others
+            others ^= low
+            a = low.bit_length() - 1
+            self.shared[s][a] += delta
+            self.shared[a][s] += delta
+
+    def _toggle(self, s: int, p: tuple[int, int], delta: int) -> None:
+        """Add (delta = 1) or remove (delta = -1) pair p in slot s and patch every index."""
+        bit = 1 << s
+        mask = self.owners.get(p, 0) ^ bit
+        if mask:
+            self.owners[p] = mask
+        else:
+            del self.owners[p]
+        pairs = self.pairs[s]
+        if delta > 0:
+            pairs.add(p)
+        else:
+            pairs.remove(p)
+        self._share(s, mask & ~bit, delta)
+        deg, root, leaves = self.deg[s], self.roots[s], self.leaves[s]
+        u, v = p
+        deg[u] += delta
+        deg[v] += delta
+        # only u and v change degree, and (root, x) is held or not only for x in p
+        for x in p:
+            leaf = deg[x] == 1 and _pair(root, x) in pairs
+            if leaf and x not in leaves:
+                leaves.add(x)
+                self.leaf_count[x] += 1
+            elif not leaf and x in leaves:
+                leaves.remove(x)
+                self.leaf_count[x] -= 1
+
+    def common_leaves(self) -> set[int]:
+        """The vertices that are root-adjacent leaves in every slot."""
+        slots = len(self.pairs)
+        return {x for x, c in enumerate(self.leaf_count) if c == slots}
+
+
 def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult:
-    """Replay the recorded rounds by plain set arithmetic, from the star at
-    the forest's first root to exactly the forest's trees.
+    """Replay the recorded rounds, from the star at the forest's first root
+    to exactly the forest's trees.
 
     Checks, per round k (k = 2, 3, ... in order, with the replayed roots):
     the common leaf pool is the replayed trees' one, meets its floor
@@ -184,6 +275,21 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
     suite P1-P11); every assembly stage is acyclic (P12, P13); and the
     recorded post-round leaf pool matches recomputation. The replay must end
     at the forest's roots and edge pairs, tree by tree.
+
+    The replay is incremental (see :class:`_Replay`): a step changes at most
+    four pairs of the rewired tree and two of the assembly, and every check
+    reads the owner masks, the shared-pair counts, the degree arrays or the
+    root-leaf sets those changes patch. A round costs O(n + k^2), so a trace
+    of W trees replays in O(W*n + W^3).
+
+    Acyclicity needs no search while the assembly is a spanning tree and the
+    step re-hangs a pendant leaf: if w is a leaf whose only neighbor is r_k
+    and x is neither w nor r_k, then T - (r_k, w) is a spanning tree on the
+    other n - 1 vertices plus the isolated w, and adding (w, x) joins w to
+    it, so the result is again a spanning tree. Every stage of a valid trace
+    is such a step (w_i at step i, w_k at the round's finish). Any other
+    stage falls back to a component count over the assembly, so the check
+    stays exact on every input.
     """
     failures: list[str] = []
     m, n = forest.m, 2 * forest.m
@@ -192,7 +298,9 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
             [f"trace for m={trace.m} cannot replay a forest of {len(forest.trees)} trees for m={m}"]
         )
     roots = [forest.trees[0].root]
-    trees = [{_pair(roots[0], x) for x in range(n) if x != roots[0]}]
+    replay = _Replay(n, len(trace.rounds) + 1)
+    replay.add_star(roots[0])
+    trees, owners, shared, owns = replay.pairs, replay.owners, replay.shared, replay.owns
     entry_pool = set(range(n)) - {roots[0]}
     for rt in trace.rounds:
         k = len(roots) + 1
@@ -208,7 +316,8 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
         mentioned = [rt.r_k, rt.w_k, rt.w_k_prime, *rt.leaves, *rt.leaves_after]
         for st in rt.steps:
             mentioned += [st.chosen, st.w_i, st.v_prime, st.w_prime]
-        if any(not isinstance(x, int) or not 0 <= x < n for x in mentioned):
+        ints = all(map(isinstance, mentioned, repeat(int)))
+        if not (ints and 0 <= min(mentioned) and max(mentioned) < n):
             failures.append(f"{tag}: record mentions a vertex outside [0, {n - 1}]")
             break
         pool_floor = 2 * m - 3 * k * k + 6 * k - 1
@@ -221,63 +330,71 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
             failures.append(f"{tag}: pool minus anchors has {len(lstar)} <= {6 * k - 7} vertices")
         if rt.leaves != sorted(entry_pool):
             failures.append(f"{tag}: entry leaf pool differs from the replayed common leaves")
-        e_before, e_curr = trees, list(trees)  # rewiring replaces sets, never mutates them
-        partial = {_pair(rt.r_k, x) for x in range(n) if x != rt.r_k}
+        asm = k - 1  # the assembly's slot, tree k's once the round closes
+        replay.add_star(rt.r_k)
+        partial, asm_deg = trees[asm], replay.deg[asm]
+        spanning = True  # the assembly is a spanning tree
         ok_so_far = True
         for st in rt.steps:
             i = st.i
             step_tag = f"(k={k}, i={i})"
             eliminated = set().union(*(set(vs) for vs in st.eliminated.values()))
-            allowed = lstar - eliminated
-            if not allowed:
+            if lstar <= eliminated:
                 failures.append(f"{step_tag}: candidate set is empty")
                 ok_so_far = False
                 break
-            if st.chosen not in allowed:
+            if st.chosen not in lstar or st.chosen in eliminated:
                 failures.append(f"{step_tag}: chosen vertex {st.chosen} was eliminated")
             ri = rt.roots[i - 1]
             removed = {_pair(ri, rt.r_k), _pair(ri, st.chosen)}
             fresh = {_pair(rt.r_k, st.w_i), _pair(st.chosen, st.v_prime)}
-            if not removed <= e_curr[i - 1]:
+            if not removed <= trees[i - 1]:
                 failures.append(f"{step_tag}: a detached edge was not present in tree {i}")
                 ok_so_far = False
                 break
-            e_old = e_curr[i - 1] - removed
-            for a in range(i - 1):  # trees already rewired this round
-                if fresh & e_curr[a]:
-                    failures.append(f"{step_tag}: fresh edge reappears in rewired tree {a + 1}")
-                if e_old & e_curr[a]:
-                    failures.append(f"{step_tag}: retained edges collide with rewired tree {a + 1}")
-            for b0 in range(i, k - 1):  # trees still awaiting their rewiring
-                if fresh & e_before[b0]:
-                    failures.append(f"{step_tag}: fresh edge already sits in tree {b0 + 1}")
-                if e_old & e_before[b0]:
-                    failures.append(f"{step_tag}: retained edges collide with tree {b0 + 1}")
-            e_curr[i - 1] = e_old | fresh
-            if len(e_curr[i - 1]) != n - 1:
+            fresh_owners = 0
+            for p in fresh:
+                fresh_owners |= owners.get(p, 0)
+            row = shared[i - 1]
+            for a in range(k - 1):  # trees 1..i-1 are rewired, i+1..k-1 await it
+                if a == i - 1:
+                    continue
+                if fresh_owners >> a & 1:
+                    where = "reappears in rewired" if a < i - 1 else "already sits in"
+                    failures.append(f"{step_tag}: fresh edge {where} tree {a + 1}")
+                # removed <= tree i, so the retained edges meet tree a in row[a]
+                # pairs minus the removed ones tree a holds
+                if row[a] and row[a] > sum(owns(a, p) for p in removed):
+                    where = "rewired tree" if a < i - 1 else "tree"
+                    failures.append(f"{step_tag}: retained edges collide with {where} {a + 1}")
+            replay.exchange(i - 1, removed, fresh)
+            if len(trees[i - 1]) != n - 1:
                 failures.append(f"{step_tag}: rewired tree {i} does not keep {n - 1} edges")
             star_edge = _pair(rt.r_k, st.w_i)
             if star_edge not in partial:
                 failures.append(f"{step_tag}: assembly detached a missing star edge")
                 ok_so_far = False
                 break
-            partial = (partial - {star_edge}) | {_pair(st.w_i, st.w_prime)}
+            pendant = spanning and asm_deg[st.w_i] == 1 and st.w_prime not in (st.w_i, rt.r_k)
+            replay.exchange(asm, (star_edge,), (_pair(st.w_i, st.w_prime),))
             if len(partial) != n - 1:
                 failures.append(f"{step_tag}: assembly stage does not keep {n - 1} edges")
             for a in range(i):
-                if partial & e_curr[a]:
+                if shared[asm][a]:
                     failures.append(
                         f"{step_tag}: assembly stage shares an edge with rewired tree {a + 1}"
                     )
             for b0 in range(i, k - 1):
-                shared = partial & e_before[b0]
-                if shared != {_pair(rt.r_k, rt.roots[b0])}:
+                root_edge = _pair(rt.r_k, rt.roots[b0])
+                if not (shared[asm][b0] == 1 and owns(asm, root_edge) and owns(b0, root_edge)):
                     failures.append(
-                        f"{step_tag}: assembly stage shares {sorted(shared)} with tree {b0 + 1},"
-                        f" expected only the root-to-root edge"
+                        f"{step_tag}: assembly stage shares {sorted(partial & trees[b0])} with"
+                        f" tree {b0 + 1}, expected only the root-to-root edge"
                     )
-            if not _acyclic(n, partial):
+            acyclic = pendant or _acyclic(n, partial)
+            if not acyclic:
                 failures.append(f"{step_tag}: assembly stage contains a cycle")
+            spanning = acyclic and len(partial) == n - 1
         if not ok_so_far:
             break
         final_tag = f"round {k} finish"
@@ -286,29 +403,26 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
             failures.append(f"{final_tag}: edge to w_k was already gone from the assembly")
             break
         closing = _pair(rt.w_k, rt.w_k_prime)
-        tkk = (partial - {anchor_edge}) | {closing}
-        if len(tkk) != n - 1:
+        pendant = spanning and asm_deg[rt.w_k] == 1 and rt.w_k_prime not in (rt.w_k, rt.r_k)
+        replay.exchange(asm, (anchor_edge,), (closing,))
+        if len(partial) != n - 1:
             failures.append(f"{final_tag}: new tree does not keep {n - 1} edges")
         for a in range(k - 1):
-            if closing in e_curr[a]:
+            if owns(a, closing):
                 failures.append(f"{final_tag}: closing edge sits in tree {a + 1}")
-            if tkk & e_curr[a]:
+            if shared[asm][a]:
                 failures.append(f"{final_tag}: new tree shares an edge with tree {a + 1}")
-        if not _acyclic(n, tkk):
+        if not (pendant or _acyclic(n, partial)):
             failures.append(f"{final_tag}: new tree contains a cycle")
-        pool = None
-        for pairs, root in zip(e_curr + [tkk], list(rt.roots) + [rt.r_k]):
-            leaves = _root_adjacent_leaves(n, pairs, root)
-            pool = leaves if pool is None else pool & leaves
+        pool = replay.common_leaves()
         if sorted(pool) != rt.leaves_after:
             failures.append(f"{final_tag}: recorded exit leaf pool differs from recomputation")
-        trees, roots, entry_pool = e_curr + [tkk], roots + [rt.r_k], pool
+        roots, entry_pool = roots + [rt.r_k], pool
     else:  # the replay ran to its end
-        replayed = list(zip(roots, trees))
-        claimed = [(t.root, {_pair(u, v) for u, v, _ in t.edges}) for t in forest.trees]
-        if len(replayed) != len(claimed):
-            failures.append(f"trace replays {len(replayed)} trees, the forest holds {len(claimed)}")
-        for idx, (got, want) in enumerate(zip(replayed, claimed), start=1):
+        claimed = list(zip(forest.roots, forest.tree_pairs))
+        if len(trees) != len(claimed):
+            failures.append(f"trace replays {len(trees)} trees, the forest holds {len(claimed)}")
+        for idx, (got, want) in enumerate(zip(zip(roots, trees), claimed), start=1):
             if got != want:
                 failures.append(f"tree {idx}: the replay ends at a different root or edge set")
     return _result(failures)
@@ -430,7 +544,7 @@ def verify_all(
     digest_match: bool | None = None
     if forest.coloring_digest is not None:
         digest_match = forest.coloring_digest == coloring.digest()
-    tree_pairs = [{(min(u, v), max(u, v)) for u, v, _ in t.edges} for t in forest.trees]
+    tree_pairs = forest.tree_pairs
     shared = [
         [len(a & b) if i != j else len(a) for j, b in enumerate(tree_pairs)]
         for i, a in enumerate(tree_pairs)

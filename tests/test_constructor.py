@@ -420,6 +420,19 @@ def test_eliminations_at_last_step_respect_cap():
             assert len(knocked) <= 6 * rt.k - 7
 
 
+@pytest.mark.parametrize(
+    "policy", [MIN_INDEX, MAX_INDEX, random_policy(3)], ids=["min", "max", "random"]
+)
+def test_every_step_eliminates_at_most_the_cap(policy):
+    # the constructor checks the cap 6k-7 at i = k-1 only; it bounds every step
+    for m in range(1, 41):
+        _, trace = build_forest(permuted_round_robin(m, m), policy=policy)
+        for rt in trace.rounds:
+            for step in rt.steps:
+                knocked = set().union(*step.eliminated.values())
+                assert len(knocked) <= 6 * rt.k - 7, (m, rt.k, step.i)
+
+
 def test_isqrt_matches_omega_thresholds():
     # the first m at which each count appears
     firsts = {}
