@@ -28,10 +28,11 @@ RainbowTree values once, at the end.
 
 Each round is recorded once, as a :class:`Round` holding one :class:`Step`
 per rewired tree; the construction reads its own history from that record,
-and the trace is the list of these records. The records keep only what
-fixes a round (the roots, the anchors, the chosen v_i and the vertices the
-color equations derive from them) plus the leaf pools and eliminations, so a
-trace replays its forest from the star at the first root. :func:`slack`
+and the trace is the list of these records. The records keep the choices
+that fix a round (the roots, the anchors, the chosen v_i and the vertices
+the color equations derive from them) plus the size of the entry leaf pool
+and the per-rule eliminations, so a trace replays its forest from the star
+at the first root, and the replay re-derives every leaf pool. :func:`slack`
 summarizes how close a recorded run came to failing.
 """
 
@@ -42,7 +43,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coloring import EdgeColoring
+from .coloring import EdgeColoring, canonical_json_bytes
 from .errors import (
     ColorClash,
     CycleDetected,
@@ -127,9 +128,9 @@ class _Chooser:
 
 @dataclass
 class Step:
-    """Step i of round k: the filter's per-rule eliminations from the pool
-    (the round's leaves minus its anchors), then the exchange vertices fixed
-    by the choice of v_i (-1 until fixed).
+    """Step i of its round: the filter's per-rule eliminations from the pool
+    (the round's common leaves minus its anchors), then the exchange
+    vertices fixed by the choice of v_i (-1 until fixed).
 
     The exchange on tree i detaches r_k and v_i (``chosen``) and attaches
     (r_k, w_i) and (v_i, v'_i), where color(r_k, w_i) = color(r_i, v_i) and
@@ -138,7 +139,6 @@ class Step:
     color(r_k, w_{i-1}) afterwards.
     """
 
-    k: int
     i: int
     eliminated: dict[str, list[int]]
     chosen: int = -1
@@ -150,7 +150,8 @@ class Step:
 @dataclass
 class Round:
     """One round of the induction: everything needed to re-derive it from
-    the trees the previous round left (-1 until fixed).
+    the trees the previous round left (-1 until fixed), plus ``pool``, the
+    size of the common leaf pool the round enters with.
 
     The final exchange re-hangs w_k under w'_k with
     color(w_k, w'_k) = color(r_k, w_{k-1}).
@@ -158,12 +159,11 @@ class Round:
 
     k: int
     roots: list[int]
-    leaves: list[int]
+    pool: int
     r_k: int = -1
     w_k: int = -1
     steps: list[Step] = field(default_factory=list)
     w_k_prime: int = -1
-    leaves_after: list[int] = field(default_factory=list)
 
 
 @dataclass
@@ -176,16 +176,18 @@ def slack(trace: ConstructionTrace) -> tuple[int, tuple[int, ...]] | None:
     """How close a run came to failing: (fewest surviving candidates at any
     step, the gap between each round's leaf pool and its floor
     2m - 3k^2 + 6k - 1 for k = 2, 3, ...), or None when no step ran (m <= 4).
-    Round 2's gap is always 0: it enters with the 2m - 1 leaves of the star."""
+    Round 2's gap is always 0: it enters with the 2m - 1 leaves of the star.
+    The anchors and every eliminated vertex lie in the pool, so a step's
+    candidates are the pool minus their union."""
     m = trace.m
     cands = [
-        len(set(rnd.leaves).difference((rnd.r_k, rnd.w_k), *st.eliminated.values()))
+        rnd.pool - len({rnd.r_k, rnd.w_k}.union(*st.eliminated.values()))
         for rnd in trace.rounds
         for st in rnd.steps
     ]
     if not cands:
         return None
-    gaps = tuple(len(rnd.leaves) - (2 * m - 3 * rnd.k**2 + 6 * rnd.k - 1) for rnd in trace.rounds)
+    gaps = tuple(rnd.pool - (2 * m - 3 * rnd.k**2 + 6 * rnd.k - 1) for rnd in trace.rounds)
     return min(cands), gaps
 
 
@@ -249,15 +251,15 @@ def begin_round(state: ConstructionState) -> None:
     """Open the round's record (appended to the trace when one is kept), then
     fix the anchors; tree k starts as the spanning star at r_k."""
     k, m = state.k, state.coloring.m
-    rnd = state.round = Round(k=k, roots=list(state.roots), leaves=sorted(state.common_leaves))
+    rnd = state.round = Round(k=k, roots=list(state.roots), pool=len(state.common_leaves))
     if state.trace is not None:
         state.trace.rounds.append(rnd)
     rnd.r_k, rnd.w_k = select_anchors(state)
     # the structural floors of the previous round guarantee this much pool
     pool_floor = 2 * m - 3 * k * k + 6 * k - 1
-    if len(rnd.leaves) < pool_floor:
+    if rnd.pool < pool_floor:
         raise InternalInvariantError(
-            f"round {k}: common leaf pool has {len(rnd.leaves)} vertices,"
+            f"round {k}: common leaf pool has {rnd.pool} vertices,"
             f" below the floor {pool_floor}"
         )
     state.lstar = frozenset(state.common_leaves - {rnd.r_k, rnd.w_k})
@@ -330,7 +332,7 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
             forbid_at("R11", col.color_of(wk, roots[d - 1]), ri)
 
     del steps[i - 1 :]
-    steps.append(Step(k, i, {r: sorted(vs) for r, vs in elim.items()}))
+    steps.append(Step(i, {r: sorted(vs) for r, vs in elim.items()}))
     knocked_out = set().union(*elim.values())
     # never fires: at i = k-1, R2-R11 call forbid_at 4(k-2) + 2(k-1) + 3 = 6k-7 times
     if i == k - 1 and len(knocked_out) > 6 * k - 7:
@@ -479,7 +481,6 @@ def _close_round(state: ConstructionState) -> None:
         )
     state.common_leaves = scratch
     _check_structure(state)
-    rnd.leaves_after = sorted(scratch)
     state.round = None
     state.assembly_leaves = set()
     state.lstar = frozenset()
@@ -506,10 +507,11 @@ def build_forest(
 
     For m <= 4 the single spanning star already meets the target. The engine
     never attempts rounds beyond omega(m) even when candidates remain; the
-    guarantees only cover k <= omega(m). Returns (forest, trace); the trace
-    is None when trace_on is false. Guarantee violations surface as
-    InternalInvariantError or SwapError with the partial trace attached; it
-    ends with the round and step in flight, whose unfixed fields hold -1.
+    guarantees only cover k <= omega(m). Returns (forest, trace): one Round
+    per round k = 2, 3, ..., holding its choices and the size of its entry
+    leaf pool, or None when trace_on is false. Guarantee violations surface
+    as InternalInvariantError or SwapError with the partial trace attached;
+    it ends with the round and step in flight, whose unfixed fields hold -1.
     """
     state = start_construction(coloring, policy, trace_on)
     target = omega(coloring.m)
@@ -525,31 +527,23 @@ def build_forest(
     return forest, state.trace
 
 
-TRACE_VERSION = 2
+TRACE_VERSION = 3
 
 
 def trace_to_jsonl(trace: ConstructionTrace) -> bytes:
-    """The header {"m": m, "trace_version": 2}, then one JSON record per
-    (k, i), keyed by the Step fields; the i = 1 record of each round also
-    carries the other Round fields under "round". A round that failed before
-    its first step (the last one of an exit-3 dump) is the record
-    {"k": k, "round": {...}} alone."""
-    records = [{"m": trace.m, "trace_version": TRACE_VERSION}]
-    for rnd in trace.rounds:
-        context = {f: v for f, v in vars(rnd).items() if f not in ("k", "steps")}
-        if not rnd.steps:
-            records.append({"k": rnd.k, "round": context})
-        for st in rnd.steps:
-            rec = dict(vars(st))
-            if st.i == 1:
-                rec["round"] = context
-            records.append(rec)
-    lines = (json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
-    return "".join(lines).encode("utf-8")
+    """The header {"m": m, "trace_version": 3}, then one JSON line per
+    round: the Round fields, with "steps" the list of its Step records. The
+    last round of an exit-3 dump may hold fewer steps than k - 1."""
+    header = canonical_json_bytes({"m": trace.m, "trace_version": TRACE_VERSION})
+    rounds = (
+        canonical_json_bytes({**vars(rnd), "steps": [vars(st) for st in rnd.steps]})
+        for rnd in trace.rounds
+    )
+    return header + b"".join(rounds)
 
 
-_STEP_INTS = ("k", "i", "chosen", "w_i", "v_prime", "w_prime")
-_ROUND_LISTS = ("roots", "leaves", "leaves_after")
+_ROUND_INTS = ("k", "pool", "r_k", "w_k", "w_k_prime")
+_STEP_INTS = ("i", "chosen", "w_i", "v_prime", "w_prime")
 
 
 def _int(obj: dict, key: str, where: str) -> int:
@@ -560,28 +554,28 @@ def _int(obj: dict, key: str, where: str) -> int:
 
 
 def _ints(value, what: str) -> list[int]:
-    # type(x) is int at C speed; traces hold tens of thousands of integers
+    # type(x) is int at C speed; traces hold thousands of integers
     if not isinstance(value, list) or not set(map(type, value)) <= {int}:
         raise SchemaError(f"{what} is not a list of integers")
     return value
 
 
-def _round(rec: dict, k: int, where: str) -> Round:
-    """The Round (without steps) held in a record's "round" context."""
-    ctx = rec.get("round")
-    if not isinstance(ctx, dict):
-        raise SchemaError(f"{where} lacks the round context object")
-    return Round(
-        k=k,
-        **{f: _int(ctx, f, where) for f in ("r_k", "w_k", "w_k_prime")},
-        **{f: _ints(ctx.get(f), f"{where}: {f!r}") for f in _ROUND_LISTS},
+def _step(obj, where: str) -> Step:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} is not an object")
+    elim = obj.get("eliminated")
+    if not isinstance(elim, dict):
+        raise SchemaError(f"{where}: 'eliminated' is missing or not an object")
+    return Step(
+        **{f: _int(obj, f, where) for f in _STEP_INTS},
+        eliminated={r: _ints(vs, f"{where}: eliminated {r!r}") for r, vs in elim.items()},
     )
 
 
 def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
     """Rebuild a ConstructionTrace from its JSONL form.
 
-    The first line must be the version-2 header; m, when given, must match
+    The first line must be the version-3 header; m, when given, must match
     it. Every type and shape is checked here and violations raise
     SchemaError; what the values mean is left to the verifier.
     """
@@ -600,29 +594,21 @@ def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
     if m is not None and m != trace_m:
         raise SchemaError(f"trace is for m={trace_m}, expected m={m}")
     rounds: list[Round] = []
-    records = [(no, line) for no, line in enumerate(lines[1:], start=2) if line.strip()]
-    for line_no, line in records:
+    for line_no, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
         rec = json.loads(line)
         where = f"trace line {line_no}"
         if not isinstance(rec, dict):
             raise SchemaError(f"{where} is not an object")
-        if rec.keys() == {"k", "round"}:  # a round that failed before its first step
-            if line_no != records[-1][0]:
-                raise SchemaError(f"{where}: only the last record may be a round without steps")
-            rounds.append(_round(rec, _int(rec, "k", where), where))
-            continue
-        ints = {key: _int(rec, key, where) for key in _STEP_INTS}
-        if not isinstance(rec.get("eliminated"), dict):
-            raise SchemaError(f"{where}: 'eliminated' is missing or not an object")
-        if ints["i"] == 1:
-            rounds.append(_round(rec, ints["k"], where))
-        if not rounds or rounds[-1].k != ints["k"]:
-            raise SchemaError(f"{where} does not follow its round header")
-        elim = rec["eliminated"]
-        rounds[-1].steps.append(
-            Step(
-                **ints,
-                eliminated={r: _ints(vs, f"{where}: eliminated {r!r}") for r, vs in elim.items()},
+        steps = rec.get("steps")
+        if not isinstance(steps, list):
+            raise SchemaError(f"{where}: 'steps' is missing or not a list")
+        rounds.append(
+            Round(
+                **{f: _int(rec, f, where) for f in _ROUND_INTS},
+                roots=_ints(rec.get("roots"), f"{where}: 'roots'"),
+                steps=[_step(st, f"{where}: step {j}") for j, st in enumerate(steps, start=1)],
             )
         )
     return ConstructionTrace(m=trace_m, rounds=rounds)

@@ -178,11 +178,9 @@ class Forest:
 
     @cached_property
     def tree_pairs(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        """Each tree's unordered vertex pairs (u, v) with u < v, derived once
-        per forest for the checks that compare trees by their pairs."""
-        return tuple(
-            frozenset((u, v) if u < v else (v, u) for u, v, _ in t.edges) for t in self.trees
-        )
+        """Each tree's :meth:`RainbowTree.pairs`, derived once per forest for
+        the checks that compare trees by their pairs."""
+        return tuple(t.pairs() for t in self.trees)
 
 
 def forest_to_json(forest: Forest) -> bytes:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 
 from .coloring import EdgeColoring, canonical_json_bytes
 from .constructor import ConstructionTrace
@@ -73,8 +73,7 @@ def _degrees(n: int, pairs) -> list[int]:
     return deg
 
 
-def _root_adjacent_leaves(n: int, pairs, root: int) -> set[int]:
-    deg = _degrees(n, pairs)
+def _root_adjacent_leaves(pairs, root: int, deg: list[int]) -> set[int]:
     out = set()
     for u, v in pairs:
         if u == root and deg[v] == 1:
@@ -150,9 +149,10 @@ def verify_structure_f(forest: Forest, psi: int, m: int) -> CheckResult:
     roots = [t.root for t in forest.trees]
     if len(set(roots)) != psi:
         failures.append(f"roots {roots} are not pairwise distinct")
-    for idx, tree in enumerate(forest.trees, start=1):
-        pairs = [(min(u, v), max(u, v)) for u, v, _ in tree.edges]
-        deg = _degrees(n, pairs)[tree.root] if all(0 <= x < n for p in pairs for x in p) else -1
+    vertices = set(range(n))
+    for idx, (tree, pairs) in enumerate(zip(forest.trees, forest.tree_pairs), start=1):
+        degrees = _degrees(n, pairs) if vertices.issuperset(chain.from_iterable(pairs)) else None
+        deg = -1 if degrees is None else degrees[tree.root]
         if idx == 1:
             want_deg = (n - 1) - 2 * (psi - 1)
             leaf_floor = (n - 1) - 4 * (psi - 1)
@@ -161,7 +161,7 @@ def verify_structure_f(forest: Forest, psi: int, m: int) -> CheckResult:
             leaf_floor = (n - 1) - 2 * idx - 4 * (psi - idx)
         if deg != want_deg:
             failures.append(f"tree {idx}: root degree {deg}, expected exactly {want_deg}")
-        leaves = _root_adjacent_leaves(n, pairs, tree.root) if deg >= 0 else set()
+        leaves = set() if degrees is None else _root_adjacent_leaves(pairs, tree.root, degrees)
         if len(leaves) < max(leaf_floor, 0):
             failures.append(
                 f"tree {idx}: {len(leaves)} root-adjacent leaves, floor is {max(leaf_floor, 0)}"
@@ -268,13 +268,13 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
     to exactly the forest's trees.
 
     Checks, per round k (k = 2, 3, ... in order, with the replayed roots):
-    the common leaf pool is the replayed trees' one, meets its floor
-    2m - 3k^2 + 6k - 1 and exceeds 6k - 7 after removing the anchors; every
-    candidate set is nonempty and contains the chosen vertex; no fresh edge
-    of any rewired tree occurs in any other tree of the round (the disjointness
-    suite P1-P11); every assembly stage is acyclic (P12, P13); and the
-    recorded post-round leaf pool matches recomputation. The replay must end
-    at the forest's roots and edge pairs, tree by tree.
+    the common leaf pool of the replayed trees meets its floor
+    2m - 3k^2 + 6k - 1, holds both anchors, exceeds 6k - 7 after removing
+    them and has the recorded size; every candidate set is nonempty and
+    contains the chosen vertex; no fresh edge of any rewired tree occurs in
+    any other tree of the round (the disjointness suite P1-P11); and every
+    assembly stage is acyclic (P12, P13). The replay must end at the
+    forest's roots and edge pairs, tree by tree.
 
     The replay is incremental (see :class:`_Replay`): a step changes at most
     four pairs of the rewired tree and two of the assembly, and every check
@@ -313,7 +313,7 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
         if [st.i for st in rt.steps] != list(range(1, k)):
             failures.append(f"{tag}: record holds the wrong number of steps")
             break
-        mentioned = [rt.r_k, rt.w_k, rt.w_k_prime, *rt.leaves, *rt.leaves_after]
+        mentioned = [rt.r_k, rt.w_k, rt.w_k_prime]
         for st in rt.steps:
             mentioned += [st.chosen, st.w_i, st.v_prime, st.w_prime]
         ints = all(map(isinstance, mentioned, repeat(int)))
@@ -321,14 +321,14 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
             failures.append(f"{tag}: record mentions a vertex outside [0, {n - 1}]")
             break
         pool_floor = 2 * m - 3 * k * k + 6 * k - 1
-        if len(rt.leaves) < pool_floor:
-            failures.append(f"{tag}: leaf pool {len(rt.leaves)} below floor {pool_floor}")
-        if rt.r_k not in rt.leaves or rt.w_k not in rt.leaves or rt.r_k == rt.w_k:
+        if len(entry_pool) < pool_floor:
+            failures.append(f"{tag}: leaf pool {len(entry_pool)} below floor {pool_floor}")
+        if rt.r_k not in entry_pool or rt.w_k not in entry_pool or rt.r_k == rt.w_k:
             failures.append(f"{tag}: anchors are not two distinct recorded leaves")
-        lstar = set(rt.leaves) - {rt.r_k, rt.w_k}
+        lstar = entry_pool - {rt.r_k, rt.w_k}
         if not len(lstar) > 6 * k - 7:
             failures.append(f"{tag}: pool minus anchors has {len(lstar)} <= {6 * k - 7} vertices")
-        if rt.leaves != sorted(entry_pool):
+        if rt.pool != len(entry_pool):
             failures.append(f"{tag}: entry leaf pool differs from the replayed common leaves")
         asm = k - 1  # the assembly's slot, tree k's once the round closes
         replay.add_star(rt.r_k)
@@ -414,10 +414,7 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
                 failures.append(f"{final_tag}: new tree shares an edge with tree {a + 1}")
         if not (pendant or _acyclic(n, partial)):
             failures.append(f"{final_tag}: new tree contains a cycle")
-        pool = replay.common_leaves()
-        if sorted(pool) != rt.leaves_after:
-            failures.append(f"{final_tag}: recorded exit leaf pool differs from recomputation")
-        roots, entry_pool = roots + [rt.r_k], pool
+        roots, entry_pool = roots + [rt.r_k], replay.common_leaves()
     else:  # the replay ran to its end
         claimed = list(zip(forest.roots, forest.tree_pairs))
         if len(trees) != len(claimed):

@@ -41,6 +41,31 @@ def mutate_forest(forest, coloring, rng):
     return mutant, kind
 
 
+def common_root_leaves(n, trees):
+    """The vertices that are root-adjacent leaves in every tree, counted
+    from plain edge lists; ``trees`` holds (root, [(u, v, c), ...]) pairs."""
+    pools = []
+    for root, edges in trees:
+        degree = [0] * n
+        for u, v, _ in edges:
+            degree[u] += 1
+            degree[v] += 1
+        neighbors = {v if u == root else u for u, v, _ in edges if root in (u, v)}
+        pools.append({x for x in neighbors if degree[x] == 1})
+    return set.intersection(*pools)
+
+
+def entry_pools(coloring, policy=ctor.MIN_INDEX):
+    """The common leaf pool each round of a run enters with, counted from
+    the edge lists of the trees the previous round left."""
+    state = ctor.start_construction(coloring, policy, trace_on=False)
+    pools = []
+    while len(state.trees) < ctor.omega(coloring.m):
+        pools.append(common_root_leaves(coloring.n, [(t.root, t.edges) for t in state.trees]))
+        ctor.step(state)
+    return pools
+
+
 def corrupt_assembly_step(monkeypatch, k, i, pick_w_i):
     """Make the assembly step (k, i) re-hang a vertex of our choosing.
 

@@ -74,13 +74,13 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
     the forest's first root to exactly the forest's trees.
 
     Checks, per round k (k = 2, 3, ... in order, with the replayed roots):
-    the common leaf pool is the replayed trees' one, meets its floor
-    2m - 3k^2 + 6k - 1 and exceeds 6k - 7 after removing the anchors; every
-    candidate set is nonempty and contains the chosen vertex; no fresh edge
-    of any rewired tree occurs in any other tree of the round (the disjointness
-    suite P1-P11); every assembly stage is acyclic (P12, P13); and the
-    recorded post-round leaf pool matches recomputation. The replay must end
-    at the forest's roots and edge pairs, tree by tree.
+    the common leaf pool of the replayed trees meets its floor
+    2m - 3k^2 + 6k - 1, holds both anchors, exceeds 6k - 7 after removing
+    them and has the recorded size; every candidate set is nonempty and
+    contains the chosen vertex; no fresh edge of any rewired tree occurs in
+    any other tree of the round (the disjointness suite P1-P11); and every
+    assembly stage is acyclic (P12, P13). The replay must end at the
+    forest's roots and edge pairs, tree by tree.
     """
     failures: list[str] = []
     m, n = forest.m, 2 * forest.m
@@ -102,21 +102,21 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
         if [st.i for st in rt.steps] != list(range(1, k)):
             failures.append(f"{tag}: record holds the wrong number of steps")
             break
-        mentioned = [rt.r_k, rt.w_k, rt.w_k_prime, *rt.leaves, *rt.leaves_after]
+        mentioned = [rt.r_k, rt.w_k, rt.w_k_prime]
         for st in rt.steps:
             mentioned += [st.chosen, st.w_i, st.v_prime, st.w_prime]
         if any(not isinstance(x, int) or not 0 <= x < n for x in mentioned):
             failures.append(f"{tag}: record mentions a vertex outside [0, {n - 1}]")
             break
         pool_floor = 2 * m - 3 * k * k + 6 * k - 1
-        if len(rt.leaves) < pool_floor:
-            failures.append(f"{tag}: leaf pool {len(rt.leaves)} below floor {pool_floor}")
-        if rt.r_k not in rt.leaves or rt.w_k not in rt.leaves or rt.r_k == rt.w_k:
+        if len(entry_pool) < pool_floor:
+            failures.append(f"{tag}: leaf pool {len(entry_pool)} below floor {pool_floor}")
+        if rt.r_k not in entry_pool or rt.w_k not in entry_pool or rt.r_k == rt.w_k:
             failures.append(f"{tag}: anchors are not two distinct recorded leaves")
-        lstar = set(rt.leaves) - {rt.r_k, rt.w_k}
+        lstar = entry_pool - {rt.r_k, rt.w_k}
         if not len(lstar) > 6 * k - 7:
             failures.append(f"{tag}: pool minus anchors has {len(lstar)} <= {6 * k - 7} vertices")
-        if rt.leaves != sorted(entry_pool):
+        if rt.pool != len(entry_pool):
             failures.append(f"{tag}: entry leaf pool differs from the replayed common leaves")
         e_before, e_curr = trees, list(trees)  # rewiring replaces sets, never mutates them
         partial = {_pair(rt.r_k, x) for x in range(n) if x != rt.r_k}
@@ -197,8 +197,6 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
         for pairs, root in zip(e_curr + [tkk], list(rt.roots) + [rt.r_k]):
             leaves = _root_adjacent_leaves(n, pairs, root)
             pool = leaves if pool is None else pool & leaves
-        if sorted(pool) != rt.leaves_after:
-            failures.append(f"{final_tag}: recorded exit leaf pool differs from recomputation")
         trees, roots, entry_pool = e_curr + [tkk], roots + [rt.r_k], pool
     else:  # the replay ran to its end
         replayed = list(zip(roots, trees))

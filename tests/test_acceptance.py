@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import mutate_forest
+from conftest import entry_pools, mutate_forest
 from rainbowtrees import (
     MAX_INDEX,
     MIN_INDEX,
@@ -128,13 +128,14 @@ def test_criterion_4_trace_bounds(sweeps):
         m = row["m"]
         if row["report"].trace_bounds is None or not row["report"].trace_bounds.passed:
             ok = False
-        for rt in row["trace"].rounds:
+        pools = entry_pools(row["coloring"])
+        for rt, pool in zip(row["trace"].rounds, pools, strict=True):
             k = rt.k
-            if len(rt.leaves) < 2 * m - 3 * k * k + 6 * k - 1:
+            if rt.pool != len(pool) or len(pool) < 2 * m - 3 * k * k + 6 * k - 1:
                 ok = False
             for st in rt.steps:
                 eliminated = set().union(*(set(v) for v in st.eliminated.values()))
-                if not set(rt.leaves) - {rt.r_k, rt.w_k} - eliminated:
+                if not pool - {rt.r_k, rt.w_k} - eliminated:
                     ok = False
     announce(4, "leaf-pool floors and nonempty candidate sets", ok)
 

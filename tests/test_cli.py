@@ -11,8 +11,9 @@ from conftest import (
     misreport_root_leaves,
     starve_leaf_pool,
 )
-from rainbowtrees import trace_from_jsonl
+from rainbowtrees import build_forest, round_robin, trace_from_jsonl, trace_to_jsonl
 from rainbowtrees.cli import main
+from rainbowtrees.errors import InternalInvariantError, SwapError
 
 
 def run_cli(argv, capsys=None):
@@ -215,34 +216,60 @@ def _built_trace(tmp_path):
 
 
 def _drop_roots(rec):
-    del rec["round"]["roots"]
+    del rec["roots"]
 
 
-def _list_eliminated(rec):
-    rec["eliminated"] = list(rec["eliminated"].values())
+def _string_in_roots(rec):
+    rec["roots"][0] = str(rec["roots"][0])
+
+
+def _drop_pool(rec):
+    del rec["pool"]
+
+
+def _string_pool(rec):
+    rec["pool"] = str(rec["pool"])
 
 
 def _string_k(rec):
     rec["k"] = "2"
 
 
-def _string_in_leaves(rec):
-    rec["round"]["leaves"][0] = str(rec["round"]["leaves"][0])
+def _steps_not_a_list(rec):
+    rec["steps"] = rec["steps"][0]
+
+
+def _step_not_an_object(rec):
+    rec["steps"][0] = list(rec["steps"][0].values())
+
+
+def _list_eliminated(rec):
+    rec["steps"][0]["eliminated"] = list(rec["steps"][0]["eliminated"].values())
 
 
 def _string_chosen(rec):
-    rec["chosen"] = str(rec["chosen"])
+    rec["steps"][0]["chosen"] = str(rec["steps"][0]["chosen"])
 
 
 @pytest.mark.parametrize(
     "corrupt",
-    [_drop_roots, _list_eliminated, _string_k, _string_in_leaves, _string_chosen],
+    [
+        _drop_roots,
+        _string_in_roots,
+        _drop_pool,
+        _string_pool,
+        _string_k,
+        _steps_not_a_list,
+        _step_not_an_object,
+        _list_eliminated,
+        _string_chosen,
+    ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_malformed_trace_is_input_error(tmp_path, capsys, corrupt):
     col, forest, trace = _built_trace(tmp_path)
-    header, first_step = trace.read_text().splitlines()[:2]
-    rec = json.loads(first_step)
+    header, first_round = trace.read_text().splitlines()[:2]
+    rec = json.loads(first_round)
     corrupt(rec)
     trace.write_text(header + "\n" + json.dumps(rec) + "\n")
     capsys.readouterr()
@@ -260,11 +287,11 @@ def _version_1_header(lines):
 
 
 def _other_m_header(lines):
-    return ['{"m":6,"trace_version":2}'] + lines[1:]
+    return ['{"m":6,"trace_version":3}'] + lines[1:]
 
 
 def _bool_m_header(lines):
-    return ['{"m":true,"trace_version":2}'] + lines[1:]
+    return ['{"m":true,"trace_version":3}'] + lines[1:]
 
 
 def _list_header(lines):
@@ -281,6 +308,8 @@ def _no_lines(lines):
     ids=lambda f: f.__name__.lstrip("_"),
 )
 def test_trace_without_its_v2_header_is_input_error(tmp_path, capsys, corrupt):
+    # the test keeps its name from trace version 2; the header it asks for
+    # is now {"m": m, "trace_version": 3}
     col, forest, trace = _built_trace(tmp_path)
     lines = corrupt(trace.read_text().splitlines())
     trace.write_text("".join(line + "\n" for line in lines))
@@ -288,6 +317,17 @@ def test_trace_without_its_v2_header_is_input_error(tmp_path, capsys, corrupt):
     assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: trace ") and err.count("\n") == 1
+
+
+def test_version_2_trace_is_input_error(tmp_path, capsys):
+    col, forest, trace = _built_trace(tmp_path)
+    header, *records = trace.read_text().splitlines()
+    assert header == '{"m":5,"trace_version":3}'
+    trace.write_text("".join(line + "\n" for line in ['{"m":5,"trace_version":2}', *records]))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 1 is not the header") and err.count("\n") == 1
 
 
 def test_trace_of_another_run_is_verification_failure(tmp_path, capsys):
@@ -319,13 +359,28 @@ def test_non_utf8_input_file_is_input_error(tmp_path, capsys, command):
 
 def test_out_of_range_trace_vertex_is_verification_failure(tmp_path, capsys):
     col, forest, trace = _built_trace(tmp_path)
-    header, first_step = trace.read_text().splitlines()[:2]
-    rec = json.loads(first_step)
-    rec["chosen"] = 10**6
+    header, first_round = trace.read_text().splitlines()[:2]
+    rec = json.loads(first_round)
+    rec["steps"][0]["chosen"] = 10**6
     trace.write_text(header + "\n" + json.dumps(rec) + "\n")
     capsys.readouterr()
     assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 1
     assert json.loads(capsys.readouterr().out)["verdict"] == "fail"
+
+
+def test_round_without_steps_before_the_last_is_verification_failure(tmp_path, capsys):
+    # m = 12 has rounds 2 and 3; a step-less round 2 parses but does not replay
+    col, forest, trace = tmp_path / "c.json", tmp_path / "f.json", tmp_path / "t.jsonl"
+    assert run_cli(["gen", "--m", "12", "-o", str(col)]) == 0
+    assert run_cli(["build", "-i", str(col), "-o", str(forest), "--trace", str(trace)]) == 0
+    header, round_2, round_3 = trace.read_text().splitlines()
+    rec = json.loads(round_2)
+    rec["steps"] = []
+    trace.write_text("\n".join([header, json.dumps(rec), round_3]) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["trace_bounds"]["failures"] == ["round 2: record holds the wrong number of steps"]
 
 
 def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, capsys):
@@ -336,12 +391,15 @@ def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, c
     code = run_cli(["build", "-i", str(col), "-o", str(tmp_path / "f.json"), "--trace", str(dump)])
     assert code == 3
     assert "internal invariant violated" in capsys.readouterr().err
-    last = json.loads(dump.read_text().splitlines()[-1])
-    assert (last["k"], last["i"]) == (2, 1)
-    assert set(last["eliminated"]) == {f"R{j}" for j in range(2, 12)}
-    rnd = last["round"]
-    assert last["chosen"] in set(rnd["leaves"]) - {rnd["r_k"], rnd["w_k"]}
-    assert last["w_prime"] == -1 and rnd["w_k_prime"] == -1
+    rnd = json.loads(dump.read_text().splitlines()[-1])
+    (in_flight,) = rnd["steps"]
+    assert (rnd["k"], rnd["pool"], in_flight["i"]) == (2, 9, 1)
+    assert set(in_flight["eliminated"]) == {f"R{j}" for j in range(2, 12)}
+    # round 2 enters with the star's leaves, every vertex but the first root
+    eliminated = set().union(*in_flight["eliminated"].values())
+    pool = set(range(10)) - {rnd["roots"][0], rnd["r_k"], rnd["w_k"]}
+    assert in_flight["chosen"] in pool - eliminated
+    assert in_flight["w_prime"] == -1 and rnd["w_k_prime"] == -1
 
 
 @pytest.mark.parametrize(
@@ -362,7 +420,7 @@ def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, c
         "common-leaf-update",
     ],
 )
-def test_invariant_faults_exit_three_with_a_v2_dump(tmp_path, monkeypatch, capsys, fault, last_k):
+def test_invariant_faults_exit_three_with_a_v3_dump(tmp_path, monkeypatch, capsys, fault, last_k):
     col = tmp_path / "c.json"
     run_cli(["gen", "--m", "12", "-o", str(col)])
     fault(monkeypatch)
@@ -371,6 +429,11 @@ def test_invariant_faults_exit_three_with_a_v2_dump(tmp_path, monkeypatch, capsy
     assert code == 3
     assert "internal invariant violated" in capsys.readouterr().err
     lines = dump.read_text().splitlines()
-    assert lines[0] == '{"m":12,"trace_version":2}'
-    assert json.loads(lines[-1])["k"] == last_k
-    assert trace_from_jsonl(dump.read_bytes()).rounds[-1].k == last_k
+    assert lines[0] == '{"m":12,"trace_version":3}'
+    assert [json.loads(line)["k"] for line in lines[1:]] == list(range(2, last_k + 1))
+    # the dump is the trace the exception carries, and it survives the roundtrip
+    with pytest.raises((SwapError, InternalInvariantError)) as info:
+        build_forest(round_robin(12))
+    trace = info.value.trace
+    assert trace_to_jsonl(trace) == dump.read_bytes()
+    assert trace_from_jsonl(trace_to_jsonl(trace)) == trace

@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    common_root_leaves,
     corrupt_assembly_step,
     corrupt_hangers,
     duplicate_root,
     empty_candidate_pool,
+    entry_pools,
     forget_common_leaf,
     miscount_root_children,
     misreport_root_leaves,
@@ -192,10 +194,12 @@ def _star_edges(coloring, r, detached=()):
 
 def replay_filter_against_brute(coloring, trace):
     """Replay a recorded construction from the star at the first root and
-    re-derive every candidate set."""
+    re-derive every leaf pool and candidate set."""
     checked = 0
     trees = [_star_edges(coloring, trace.rounds[0].roots[0])] if trace.rounds else []
     for rt in trace.rounds:
+        leaves = common_root_leaves(coloring.n, zip(rt.roots, trees))
+        assert len(leaves) == rt.pool, rt.k
         vs, ws, w_primes = [], [], []
         for st_rec in rt.steps:
             got = brute_admissible(
@@ -204,12 +208,12 @@ def replay_filter_against_brute(coloring, trace):
                 trees,
                 rt.r_k,
                 rt.w_k,
-                rt.leaves,
+                leaves,
                 (vs, ws, w_primes),
                 st_rec.i,
             )
             eliminated = set().union(*(set(x) for x in st_rec.eliminated.values()))
-            expected = set(rt.leaves) - {rt.r_k, rt.w_k} - eliminated
+            expected = leaves - {rt.r_k, rt.w_k} - eliminated
             assert got == expected, (rt.k, st_rec.i)
             checked += 1
             # rewire tree i by the defining edge replacement
@@ -327,20 +331,19 @@ def test_new_edges_per_revision_are_exactly_the_replacements():
 
 
 def test_leaf_pool_continuity_between_rounds():
-    # each round must enter with exactly the pool the previous round left
-    # (the from-scratch recomputation itself is re-checked by verify_trace_bounds)
+    # each round must enter with exactly the pool the previous round left,
+    # here counted from the edge lists of that round's trees
     c = round_robin(23)
     _, trace = build_forest(c)
-    for idx, rt in enumerate(trace.rounds[:-1]):
-        assert trace.rounds[idx + 1].leaves == rt.leaves_after
+    assert [rt.pool for rt in trace.rounds] == [len(pool) for pool in entry_pools(c)]
 
 
 def test_leaf_pool_floor_every_round():
     for m in (5, 12, 23, 36):
         _, trace = build_forest(round_robin(m))
         for rt in trace.rounds:
-            assert len(rt.leaves) >= 2 * m - 3 * rt.k**2 + 6 * rt.k - 1
-            assert len(rt.leaves) - 2 > 6 * rt.k - 7
+            assert rt.pool >= 2 * m - 3 * rt.k**2 + 6 * rt.k - 1
+            assert rt.pool - 2 > 6 * rt.k - 7
 
 
 def test_trace_off_returns_none():
@@ -350,18 +353,21 @@ def test_trace_off_returns_none():
 
 
 def test_trace_jsonl_roundtrip():
-    c = round_robin(12)
-    _, trace = build_forest(c)
-    data = trace_to_jsonl(trace)
-    back = trace_from_jsonl(data)
-    assert back == trace
-    assert trace_to_jsonl(back) == data
+    for m in range(1, 41):
+        for policy in (MIN_INDEX, MAX_INDEX, random_policy(m)):
+            _, trace = build_forest(permuted_round_robin(m, m), policy=policy)
+            data = trace_to_jsonl(trace)
+            back = trace_from_jsonl(data)
+            assert back == trace, (m, policy)
+            assert trace_to_jsonl(back) == data
+            # the header, then one line per round
+            assert data.count(b"\n") == 1 + len(trace.rounds)
 
 
 def test_trace_jsonl_header_only():
     _, trace = build_forest(round_robin(2))
     data = trace_to_jsonl(trace)
-    assert data == b'{"m":2,"trace_version":2}\n'
+    assert data == b'{"m":2,"trace_version":3}\n'
     assert trace_from_jsonl(data) == trace
     assert trace_from_jsonl(data, m=2) == trace
     with pytest.raises(SchemaError, match="m=2, expected m=3"):
@@ -408,7 +414,7 @@ def test_never_builds_beyond_omega():
     forest, trace = build_forest(round_robin(m))
     assert len(forest.trees) == omega(m)
     assert len(trace.rounds) == omega(m) - 1
-    assert len(trace.rounds[-1].leaves_after) > 2
+    assert len(common_root_leaves(2 * m, [(t.root, t.edges) for t in forest.trees])) > 2
 
 
 def test_eliminations_at_last_step_respect_cap():
@@ -451,14 +457,15 @@ def test_isqrt_matches_omega_thresholds():
     [(4, MIN_INDEX), (5, MIN_INDEX), (12, MAX_INDEX), (23, random_policy(5)), (36, MIN_INDEX)],
 )
 def test_slack_agrees_with_recomputation(m, policy):
-    _, trace = build_forest(permuted_round_robin(m, 9), policy=policy)
+    coloring = permuted_round_robin(m, 9)
+    _, trace = build_forest(coloring, policy=policy)
     cands = []
     gaps = []
-    for rt in trace.rounds:
-        gaps.append(len(rt.leaves) - (2 * m - 3 * rt.k**2 + 6 * rt.k - 1))
+    for rt, pool in zip(trace.rounds, entry_pools(coloring, policy), strict=True):
+        gaps.append(len(pool) - (2 * m - 3 * rt.k**2 + 6 * rt.k - 1))
         for st_rec in rt.steps:
             eliminated = set().union(*(set(v) for v in st_rec.eliminated.values()))
-            cands.append(len(set(rt.leaves) - {rt.r_k, rt.w_k} - eliminated))
+            cands.append(len(pool - {rt.r_k, rt.w_k} - eliminated))
     expected = (min(cands), tuple(gaps)) if cands else None
     assert slack(trace) == expected
     assert (expected is None) == (m <= 4)
@@ -481,16 +488,17 @@ FAULTS = {
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_assembly_fault_raises_cycle_detected_with_trace(monkeypatch, fault):
     m, k, i, pick = FAULTS[fault]
+    pool = entry_pools(round_robin(m))[k - 2]  # the rounds before k run as without the fault
     corrupt_assembly_step(monkeypatch, k, i, pick)
     with pytest.raises(CycleDetected) as info:
         build_forest(round_robin(m))
     trace = info.value.trace
     assert trace is not None and trace.m == m
     last = trace.rounds[-1]
-    assert last.k == k and last.w_k_prime == -1 and last.leaves_after == []
+    assert last.k == k and last.pool == len(pool) and last.w_k_prime == -1
     in_flight = last.steps[-1]
-    assert (in_flight.k, in_flight.i) == (k, i)
-    assert in_flight.chosen in set(last.leaves) - {last.r_k, last.w_k}
+    assert in_flight.i == i
+    assert in_flight.chosen in pool - {last.r_k, last.w_k}
     assert in_flight.w_prime == -1
 
 
@@ -502,23 +510,23 @@ def test_starved_leaf_pool_raises_leaf_set_exhausted_with_trace(monkeypatch):
     trace = info.value.trace
     assert [rt.k for rt in trace.rounds] == [2, 3]
     in_flight = trace.rounds[-1]
-    assert len(in_flight.leaves) == 1
+    assert in_flight.pool == 1
     assert (in_flight.r_k, in_flight.w_k, in_flight.steps) == (-1, -1, [])
 
 
-def test_round_without_steps_survives_the_jsonl_roundtrip_only_as_last(monkeypatch):
+def test_round_without_steps_survives_the_jsonl_roundtrip(monkeypatch):
     starve_leaf_pool(monkeypatch, 3, keep=1)
     with pytest.raises(LeafSetExhausted) as info:
         build_forest(round_robin(12))
     trace = info.value.trace
     data = trace_to_jsonl(trace)
-    last = data.splitlines()[-1]
-    assert json.loads(last).keys() == {"k", "round"}
+    last = json.loads(data.splitlines()[-1])
+    assert (last["k"], last["pool"], last["r_k"], last["steps"]) == (3, 1, -1, [])
     assert trace_from_jsonl(data) == trace
-    header, *steps = data.splitlines()
-    misplaced = b"\n".join([header, last, *steps]) + b"\n"
-    with pytest.raises(SchemaError, match="only the last record"):
-        trace_from_jsonl(misplaced)
+    # moved before round 2 it still parses; the replay is what rejects it
+    header, *records = data.splitlines()
+    misplaced = b"\n".join([header, records[-1], *records[:-1]]) + b"\n"
+    assert [rt.k for rt in trace_from_jsonl(misplaced).rounds] == [3, 2]
 
 
 def test_duplicated_root_raises_f_validation_failed_with_trace(monkeypatch):
@@ -530,7 +538,7 @@ def test_duplicated_root_raises_f_validation_failed_with_trace(monkeypatch):
     assert [rt.k for rt in trace.rounds] == [2, 3]
     in_flight = trace.rounds[-1]
     assert [st.i for st in in_flight.steps] == [1, 2]
-    assert in_flight.w_k_prime >= 0 and in_flight.leaves_after == []
+    assert in_flight.w_k_prime >= 0
 
 
 @pytest.mark.parametrize(
@@ -548,7 +556,7 @@ def test_bookkeeping_faults_raise_at_the_round_close(monkeypatch, fault, message
         build_forest(round_robin(12))
     assert type(info.value) is InternalInvariantError
     (closing,) = info.value.trace.rounds
-    assert closing.k == 2 and closing.w_k_prime >= 0 and closing.leaves_after == []
+    assert closing.k == 2 and closing.w_k_prime >= 0
 
 
 def _hang_in_a_cycle(rnd):

@@ -3,7 +3,7 @@
 The generators, the coloring serializer and the constructor may be
 restructured freely, but for the same instance and policy every artifact
 they write must stay byte-identical; the trace digests change only with the
-trace version (now 2). These digests pin that down; they are independent of
+trace version (now 3). These digests pin that down; they are independent of
 PYTHONHASHSEED.
 """
 
@@ -28,25 +28,25 @@ GOLDEN = [
     (
         12, 3, "min", MIN_INDEX,
         "5ebbf23e608b5cc036204e62d578f4c3b2e7354942f598a9ecea436ebb29be3c",
-        "9efca727083461bbb316090c36bc91d1bfff7ed671a2ecb45b5ff007c6d2371d",
+        "94c013ad1d845fc941032deb239c8b806bae167b8868a1e0751b7ed0eb7cff6e",
         "9ccfc4ae648a583389a7c9a4c325c4f1141f8a433d1156ce3014d3f6b160d213",
     ),
     (
         23, 5, "max", MAX_INDEX,
         "e163595f9bdb8989e2ffd9af3f5449da894c1811db17219b67b4b492ecf96231",
-        "b9e67e4ee4037497d388441d5554d0d70fe5a535768f13e70121b53d047de6ce",
+        "b882b34d4858d8d9365ac845940a277bbad9a17881fde402aef34c4ecc9ec1d5",
         "e68532bf784742aebc2dced597be26f1f2301208022e22dd6c721ab2e4cee77e",
     ),
     (
         36, 7, "random11", random_policy(11),
         "695d2f92d45c01ca3ceccacd403fbda039336a58e9b60701a2b07e0b892e3e7d",
-        "f91e78352521cf58a3b22a24487f09b98dff3225418d306e040d27a07b29e7f1",
+        "4001880356798e8f2c29ce3167267e4b464f21852f84ef5d4a4c2a40ddd7508a",
         "2e487a20b2c39300fc826d3e5c9c79a7aa2cbc8c8d2aa0aa78a9783d3bf4deb6",
     ),
     (
         100, 1, "random2", random_policy(2),
         "4a498f4ca38c51ed0b5827eafc33f381f4833ed80882000be119b83dacc2272f",
-        "ee5b67b9760f931dfd4787a80331a7f7dc31eda4a7669aa5a61de5538a93925b",
+        "42c49276ca7cef0e86a4e75a75b81785e45f6ec8338bb7025ae379f984822d5a",
         "24fc0f322574dec33b9e95e1f468a6ac8b1feaf1a8bf7108861b75dab2f41935",
     ),
 ]

@@ -32,6 +32,7 @@ MUTATIONS = (
     "duplicate_round",
     *STEP_FIELDS,
     *ROUND_FIELDS,
+    "pool",
     "eliminated",
     "swap_trees",
     "replace_edge",
@@ -79,6 +80,8 @@ def _mutate(kind, coloring, forest, trace, data):
     elif kind in ROUND_FIELDS:
         rnd = rounds[data.draw(st.integers(0, len(rounds) - 1))]
         setattr(rnd, kind, _vertex(data, n, rnd))
+    elif kind == "pool":
+        rounds[data.draw(st.integers(0, len(rounds) - 1))].pool += data.draw(st.integers(-2, 2))
     else:
         rnd = rounds[data.draw(st.integers(0, len(rounds) - 1))]
         step = rnd.steps[data.draw(st.integers(0, len(rnd.steps) - 1))]

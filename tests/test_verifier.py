@@ -58,7 +58,7 @@ def test_disconnected_and_cyclic_graphs_fail():
 
 def test_two_stars_share_an_edge():
     c = round_robin(2)
-    forest = Forest(m=2, trees=(base_star(c, 0), base_star(c, 1)))
+    forest = Forest(m=2, trees=(base_star(c, 0).value(), base_star(c, 1).value()))
     res = verify_edge_disjoint(forest)
     assert not res.passed
     assert any("(0, 1)" in f for f in res.failures)
@@ -66,7 +66,7 @@ def test_two_stars_share_an_edge():
 
 def test_single_tree_forest_is_disjoint():
     c = round_robin(2)
-    assert verify_edge_disjoint(Forest(m=2, trees=(base_star(c, 0),))).passed
+    assert verify_edge_disjoint(Forest(m=2, trees=(base_star(c, 0).value(),))).passed
 
 
 @pytest.mark.parametrize("m", list(range(5, 41, 7)))
@@ -78,13 +78,13 @@ def test_built_forests_are_disjoint(m):
 
 def test_structure_single_star():
     c = round_robin(4)
-    forest = Forest(m=4, trees=(base_star(c, 0),))
+    forest = Forest(m=4, trees=(base_star(c, 0).value(),))
     assert verify_structure_f(forest, 1, 4).passed
 
 
 def test_structure_rejects_wrong_tree_count():
     c = round_robin(4)
-    forest = Forest(m=4, trees=(base_star(c, 0),))
+    forest = Forest(m=4, trees=(base_star(c, 0).value(),))
     assert not verify_structure_f(forest, 2, 4).passed
 
 
@@ -125,7 +125,7 @@ def test_trace_bounds_m5_pass_and_arithmetic():
     assert verify_trace_bounds(trace, forest).passed
     (rt,) = trace.rounds
     # the k=2 floor: 2m - 3k^2 + 6k - 1 = 10 - 12 + 12 - 1 = 9
-    assert len(rt.leaves) == 9 >= 9
+    assert rt.pool == 9 >= 9
 
 
 @pytest.mark.parametrize("m", list(range(5, 41, 5)))
@@ -140,11 +140,22 @@ def test_corrupted_trace_with_empty_candidate_claim_fails():
     forest, trace = build_forest(c)
     bad = copy.deepcopy(trace)
     rnd = bad.rounds[0]
-    # claim the whole pool, the leaves minus the anchors, was knocked out
-    rnd.steps[0].eliminated["R5"] = sorted(set(rnd.leaves) - {rnd.r_k, rnd.w_k})
+    # claim the whole pool, the star's leaves minus the anchors, was knocked out
+    rnd.steps[0].eliminated["R5"] = sorted(set(range(c.n)) - {rnd.roots[0], rnd.r_k, rnd.w_k})
     res = verify_trace_bounds(bad, forest)
     assert not res.passed
     assert any("empty" in f for f in res.failures)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_corrupted_pool_size_fails(delta):
+    c = round_robin(12)
+    forest, trace = build_forest(c)
+    bad = copy.deepcopy(trace)
+    bad.rounds[-1].pool += delta
+    res = verify_trace_bounds(bad, forest)
+    assert res.failures == ["round 3: entry leaf pool differs from the replayed common leaves"]
+    assert not verify_all(c, forest, bad).verdict
 
 
 def test_corrupted_trace_edge_collision_fails():
