@@ -10,7 +10,6 @@ verification failure, 2 usage or input error, 3 internal-invariant violation
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 import time
@@ -240,9 +239,6 @@ def main(argv=None) -> int:
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except json.JSONDecodeError as exc:
-        print(f"error: malformed JSON: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

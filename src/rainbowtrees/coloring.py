@@ -37,6 +37,25 @@ def canonical_json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def read_json(data, where: str):
+    """Parse one JSON document from text or UTF-8 bytes.
+
+    Bytes that are not UTF-8, malformed JSON and nesting too deep for the
+    parser raise SchemaError, whose message starts with ``where``.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{where} is not UTF-8: {exc}") from exc
+    try:
+        return json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: malformed JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{where}: JSON nests too deeply") from exc
+
+
 class EdgeColoring:
     """A validated proper (2m-1)-edge-coloring of K_{2m}.
 
@@ -274,16 +293,11 @@ def _first_bad_entry(edges: list, n: int) -> None:
 def parse_coloring(data) -> EdgeColoring:
     """Read a coloring document and validate it.
 
-    Malformed JSON propagates json.JSONDecodeError; structural problems raise
-    SchemaError; coloring problems raise the validate_proper errors. The
-    edge count is checked before the n x n table is allocated.
+    Unreadable JSON and structural problems raise SchemaError; coloring
+    problems raise the validate_proper errors. The edge count is checked
+    before the n x n table is allocated.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"coloring is not UTF-8: {exc}") from exc
-    doc = json.loads(data)
+    doc = read_json(data, "coloring")
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     n = doc.get("n")

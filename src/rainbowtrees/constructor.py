@@ -38,12 +38,11 @@ summarizes how close a recorded run came to failing.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from dataclasses import dataclass, field
 
-from .coloring import EdgeColoring, canonical_json_bytes
+from .coloring import EdgeColoring, canonical_json_bytes, read_json
 from .errors import (
     ColorClash,
     CycleDetected,
@@ -585,7 +584,7 @@ def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
         except UnicodeDecodeError as exc:
             raise SchemaError(f"trace is not UTF-8: {exc}") from exc
     lines = data.splitlines()
-    header = json.loads(lines[0]) if lines else None
+    header = read_json(lines[0], "trace line 1") if lines else None
     if not isinstance(header, dict) or header.get("trace_version") != TRACE_VERSION:
         raise SchemaError(
             f'trace line 1 is not the header {{"m": m, "trace_version": {TRACE_VERSION}}}'
@@ -597,8 +596,8 @@ def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
     for line_no, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        rec = json.loads(line)
         where = f"trace line {line_no}"
+        rec = read_json(line, where)
         if not isinstance(rec, dict):
             raise SchemaError(f"{where} is not an object")
         steps = rec.get("steps")

@@ -35,7 +35,7 @@ class NotAPermutation(InputError):
 
 
 class SchemaError(InputError):
-    """A document is well-formed JSON but violates the expected shape."""
+    """A document is not UTF-8 JSON or violates the expected shape."""
 
 
 class InstanceTooLarge(InputError):

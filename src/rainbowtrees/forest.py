@@ -10,11 +10,10 @@ indexes the construction reads; :func:`apply_swap` patches copies of it.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .coloring import EdgeColoring, canonical_json_bytes
+from .coloring import EdgeColoring, canonical_json_bytes, read_json
 from .errors import ColorClash, DegenerateSwap, NotPendant, SchemaError
 
 
@@ -203,12 +202,7 @@ def parse_forest(data) -> Forest:
     Only the document shape is enforced here; validity of the trees is the
     verifier's job, so corrupt forests stay representable.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"forest is not UTF-8: {exc}") from exc
-    doc = json.loads(data)
+    doc = read_json(data, "forest")
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")
     m = doc.get("m")

@@ -15,7 +15,6 @@ from itertools import chain, repeat
 
 from .coloring import EdgeColoring, canonical_json_bytes
 from .constructor import ConstructionTrace
-from .errors import SelfLoop
 from .forest import Forest, RainbowTree
 
 
@@ -177,10 +176,12 @@ class _Replay:
     degree array and the root-adjacent leaves. ``owners`` maps each pair to
     the bit mask of the slots holding it, ``shared[a][b]`` counts the pairs
     slots a and b both hold and ``leaf_count[x]`` the slots in which x is a
-    root-adjacent leaf.
+    root-adjacent leaf. Each new slot adds one row and one column to
+    ``shared``, so a trace that fails early allocates nothing for the rounds
+    it never reaches.
     """
 
-    def __init__(self, n: int, slots: int):
+    def __init__(self, n: int):
         self.n = n
         self.roots: list[int] = []
         self.pairs: list[set[tuple[int, int]]] = []
@@ -188,7 +189,7 @@ class _Replay:
         self.leaves: list[set[int]] = []
         self.leaf_count = [0] * n
         self.owners: dict[tuple[int, int], int] = {}
-        self.shared = [[0] * slots for _ in range(slots)]
+        self.shared: list[list[int]] = []
 
     def owns(self, a: int, p: tuple[int, int]) -> bool:
         return bool(self.owners.get(p, 0) >> a & 1)
@@ -205,6 +206,9 @@ class _Replay:
         self.leaves.append(set(range(n)) - {root})
         self.leaf_count = [c + 1 for c in self.leaf_count]
         self.leaf_count[root] -= 1
+        for row in self.shared:
+            row.append(0)
+        self.shared.append([0] * (s + 1))
         bit, owners = 1 << s, self.owners
         held = pairs & owners.keys()
         owners.update(dict.fromkeys(pairs - held, bit))
@@ -263,18 +267,29 @@ class _Replay:
         return {x for x, c in enumerate(self.leaf_count) if c == slots}
 
 
-def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult:
-    """Replay the recorded rounds, from the star at the forest's first root
-    to exactly the forest's trees.
+def verify_trace_bounds(
+    coloring: EdgeColoring, trace: ConstructionTrace, forest: Forest
+) -> CheckResult:
+    """Replay the recorded rounds under the coloring, from the star at the
+    forest's first root to exactly the forest's trees.
 
     Checks, per round k (k = 2, 3, ... in order, with the replayed roots):
     the common leaf pool of the replayed trees meets its floor
     2m - 3k^2 + 6k - 1, holds both anchors, exceeds 6k - 7 after removing
     them and has the recorded size; every candidate set is nonempty and
-    contains the chosen vertex; no fresh edge of any rewired tree occurs in
-    any other tree of the round (the disjointness suite P1-P11); and every
-    assembly stage is acyclic (P12, P13). The replay must end at the
-    forest's roots and edge pairs, tree by tree.
+    contains the chosen vertex; every exchange vertex satisfies its color
+    equation (stated in the Step and Round docstrings); no fresh edge of any
+    rewired tree occurs in any other tree of the round (the disjointness
+    suite P1-P11); and every assembly stage is acyclic (P12, P13). The
+    replay must end at the forest's roots and edge pairs, tree by tree.
+
+    Each equation is checked where the replay has shown that the edges it
+    looks up are held: w_i and v'_i once (r_i, r_k) and (r_i, v_i) are found
+    in tree i, w'_i once (r_k, w_i) is found in the assembly, w'_k once
+    (r_k, w_k) is. No tree ever holds a pair (r, r) for its own root r, so
+    none of these lookups names a self-loop. A round whose anchors coincide
+    has no color for step 1 to take over; it fails its anchor check, and its
+    equations go unchecked.
 
     The replay is incremental (see :class:`_Replay`): a step changes at most
     four pairs of the rewired tree and two of the assembly, and every check
@@ -293,12 +308,16 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
     """
     failures: list[str] = []
     m, n = forest.m, 2 * forest.m
-    if trace.m != m or not forest.trees:
+    if not trace.m == coloring.m == m or not forest.trees:
         return _result(
-            [f"trace for m={trace.m} cannot replay a forest of {len(forest.trees)} trees for m={m}"]
+            [
+                f"trace for m={trace.m} cannot replay a forest of {len(forest.trees)} trees"
+                f" for m={m} under a coloring for m={coloring.m}"
+            ]
         )
+    color_of, partner = coloring.color_of, coloring.partner
     roots = [forest.trees[0].root]
-    replay = _Replay(n, len(trace.rounds) + 1)
+    replay = _Replay(n)
     replay.add_star(roots[0])
     trees, owners, shared, owns = replay.pairs, replay.owners, replay.shared, replay.owns
     entry_pool = set(range(n)) - {roots[0]}
@@ -334,6 +353,9 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
         replay.add_star(rt.r_k)
         partial, asm_deg = trees[asm], replay.deg[asm]
         spanning = True  # the assembly is a spanning tree
+        # the color the next step takes over: color(r_k, w_k) for step 1,
+        # color(r_k, w_i) after step i
+        handoff = color_of(rt.r_k, rt.w_k) if rt.r_k != rt.w_k else None
         ok_so_far = True
         for st in rt.steps:
             i = st.i
@@ -352,6 +374,15 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
                 failures.append(f"{step_tag}: a detached edge was not present in tree {i}")
                 ok_so_far = False
                 break
+            if handoff is not None:
+                if partner(color_of(ri, st.chosen), rt.r_k) != st.w_i:
+                    failures.append(
+                        f"{step_tag}: w_i does not satisfy color(r_k, w_i) = color(r_i, v_i)"
+                    )
+                if partner(color_of(ri, rt.r_k), st.chosen) != st.v_prime:
+                    failures.append(
+                        f"{step_tag}: v'_i does not satisfy color(v_i, v'_i) = color(r_i, r_k)"
+                    )
             fresh_owners = 0
             for p in fresh:
                 fresh_owners |= owners.get(p, 0)
@@ -375,6 +406,10 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
                 failures.append(f"{step_tag}: assembly detached a missing star edge")
                 ok_so_far = False
                 break
+            if handoff is not None:
+                if partner(handoff, st.w_i) != st.w_prime:
+                    failures.append(f"{step_tag}: w'_i does not carry the handed-off color")
+                handoff = color_of(rt.r_k, st.w_i)
             pendant = spanning and asm_deg[st.w_i] == 1 and st.w_prime not in (st.w_i, rt.r_k)
             replay.exchange(asm, (star_edge,), (_pair(st.w_i, st.w_prime),))
             if len(partial) != n - 1:
@@ -402,6 +437,9 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
         if anchor_edge not in partial:
             failures.append(f"{final_tag}: edge to w_k was already gone from the assembly")
             break
+        # (r_k, w_k) is held, so r_k != w_k and handoff is set
+        if partner(handoff, rt.w_k) != rt.w_k_prime:
+            failures.append(f"round {k}: w'_k does not carry the final handed-off color")
         closing = _pair(rt.w_k, rt.w_k_prime)
         pendant = spanning and asm_deg[rt.w_k] == 1 and rt.w_k_prime not in (rt.w_k, rt.r_k)
         replay.exchange(asm, (anchor_edge,), (closing,))
@@ -423,48 +461,6 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
             if got != want:
                 failures.append(f"tree {idx}: the replay ends at a different root or edge set")
     return _result(failures)
-
-
-def _verify_trace_definitions(coloring: EdgeColoring, trace: ConstructionTrace) -> list[str]:
-    """Confirm the recorded exchange vertices satisfy their defining color
-    equations under this coloring."""
-    failures: list[str] = []
-    if trace.m != coloring.m:
-        failures.append(f"trace is for m={trace.m}, coloring has m={coloring.m}")
-        return failures
-    for rt in trace.rounds:
-        k = rt.k
-        if len(rt.roots) != k - 1 or [st.i for st in rt.steps] != list(range(1, k)):
-            continue  # already reported by the structural pass
-        ws: list[int] = []
-        try:
-            for st in rt.steps:
-                i = st.i
-                tag = f"(k={k}, i={i})"
-                ri = rt.roots[i - 1]
-                if coloring.partner(coloring.color_of(ri, st.chosen), rt.r_k) != st.w_i:
-                    failures.append(
-                        f"{tag}: w_i does not satisfy color(r_k, w_i) = color(r_i, v_i)"
-                    )
-                if coloring.partner(coloring.color_of(ri, rt.r_k), st.chosen) != st.v_prime:
-                    failures.append(
-                        f"{tag}: v'_i does not satisfy color(v_i, v'_i) = color(r_i, r_k)"
-                    )
-                handoff = (
-                    coloring.color_of(rt.r_k, rt.w_k)
-                    if i == 1
-                    else coloring.color_of(rt.r_k, ws[-1])
-                )
-                if coloring.partner(handoff, st.w_i) != st.w_prime:
-                    failures.append(f"{tag}: w'_i does not carry the handed-off color")
-                ws.append(st.w_i)
-            if ws:
-                handoff = coloring.color_of(rt.r_k, ws[-1])
-                if coloring.partner(handoff, rt.w_k) != rt.w_k_prime:
-                    failures.append(f"round {k}: w'_k does not carry the final handed-off color")
-        except (SelfLoop, IndexError):
-            failures.append(f"round {k}: recorded vertices do not form valid edge lookups")
-    return failures
 
 
 @dataclass
@@ -532,12 +528,7 @@ def verify_all(
     tree_checks = [verify_rainbow_spanning_tree(coloring, t) for t in forest.trees]
     disjoint = verify_edge_disjoint(forest)
     structure = verify_structure_f(forest, len(forest.trees), forest.m)
-    trace_check: CheckResult | None = None
-    if trace is not None:
-        trace_check = verify_trace_bounds(trace, forest)
-        extra = _verify_trace_definitions(coloring, trace)
-        if extra:
-            trace_check = CheckResult(False, trace_check.failures + extra)
+    trace_check = None if trace is None else verify_trace_bounds(coloring, trace, forest)
     digest_match: bool | None = None
     if forest.coloring_digest is not None:
         digest_match = forest.coloring_digest == coloring.digest()

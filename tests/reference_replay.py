@@ -1,16 +1,22 @@
-"""The full-recompute trace replay, kept as a reference for differential tests.
+"""The full-recompute trace replay and the separate definitions pass, kept
+as references for differential tests.
 
-This is the verifier's ``verify_trace_bounds`` as it was before the replay
-became incremental, with the helpers it uses: every step copies the rewired
-tree's edge set, intersects it with every other tree and runs a component
-count over the whole assembly, and every round close recomputes each tree's
-root-adjacent leaves. ``tests/test_replay_differential.py`` checks that the
-incremental replay reports exactly what this one does.
+``verify_trace_bounds`` is the verifier's replay as it was before it became
+incremental and took the coloring, with the helpers it uses: every step
+copies the rewired tree's edge set, intersects it with every other tree and
+runs a component count over the whole assembly, and every round close
+recomputes each tree's root-adjacent leaves. ``verify_trace_definitions`` is
+the second walk over the trace that checked the exchange vertices' color
+equations before the replay checked them itself.
+``tests/test_replay_differential.py`` checks the verifier's one replay
+against both.
 """
 
 from __future__ import annotations
 
+from rainbowtrees.coloring import EdgeColoring
 from rainbowtrees.constructor import ConstructionTrace
+from rainbowtrees.errors import SelfLoop
 from rainbowtrees.forest import Forest
 from rainbowtrees.verifier import CheckResult
 
@@ -207,3 +213,45 @@ def verify_trace_bounds(trace: ConstructionTrace, forest: Forest) -> CheckResult
             if got != want:
                 failures.append(f"tree {idx}: the replay ends at a different root or edge set")
     return _result(failures)
+
+
+def verify_trace_definitions(coloring: EdgeColoring, trace: ConstructionTrace) -> list[str]:
+    """Confirm the recorded exchange vertices satisfy their defining color
+    equations under this coloring."""
+    failures: list[str] = []
+    if trace.m != coloring.m:
+        failures.append(f"trace is for m={trace.m}, coloring has m={coloring.m}")
+        return failures
+    for rt in trace.rounds:
+        k = rt.k
+        if len(rt.roots) != k - 1 or [st.i for st in rt.steps] != list(range(1, k)):
+            continue  # already reported by the structural pass
+        ws: list[int] = []
+        try:
+            for st in rt.steps:
+                i = st.i
+                tag = f"(k={k}, i={i})"
+                ri = rt.roots[i - 1]
+                if coloring.partner(coloring.color_of(ri, st.chosen), rt.r_k) != st.w_i:
+                    failures.append(
+                        f"{tag}: w_i does not satisfy color(r_k, w_i) = color(r_i, v_i)"
+                    )
+                if coloring.partner(coloring.color_of(ri, rt.r_k), st.chosen) != st.v_prime:
+                    failures.append(
+                        f"{tag}: v'_i does not satisfy color(v_i, v'_i) = color(r_i, r_k)"
+                    )
+                handoff = (
+                    coloring.color_of(rt.r_k, rt.w_k)
+                    if i == 1
+                    else coloring.color_of(rt.r_k, ws[-1])
+                )
+                if coloring.partner(handoff, st.w_i) != st.w_prime:
+                    failures.append(f"{tag}: w'_i does not carry the handed-off color")
+                ws.append(st.w_i)
+            if ws:
+                handoff = coloring.color_of(rt.r_k, ws[-1])
+                if coloring.partner(handoff, rt.w_k) != rt.w_k_prime:
+                    failures.append(f"round {k}: w'_k does not carry the final handed-off color")
+        except (SelfLoop, IndexError):
+            failures.append(f"round {k}: recorded vertices do not form valid edge lookups")
+    return failures

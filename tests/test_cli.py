@@ -251,6 +251,10 @@ def _string_chosen(rec):
     rec["steps"][0]["chosen"] = str(rec["steps"][0]["chosen"])
 
 
+def _broken(rec):
+    return "{broken"  # replaces the whole line
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -263,6 +267,7 @@ def _string_chosen(rec):
         _step_not_an_object,
         _list_eliminated,
         _string_chosen,
+        _broken,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -270,8 +275,8 @@ def test_malformed_trace_is_input_error(tmp_path, capsys, corrupt):
     col, forest, trace = _built_trace(tmp_path)
     header, first_round = trace.read_text().splitlines()[:2]
     rec = json.loads(first_round)
-    corrupt(rec)
-    trace.write_text(header + "\n" + json.dumps(rec) + "\n")
+    line = corrupt(rec) or json.dumps(rec)
+    trace.write_text(header + "\n" + line + "\n")
     capsys.readouterr()
     assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 2
     err = capsys.readouterr().err
@@ -355,6 +360,19 @@ def test_non_utf8_input_file_is_input_error(tmp_path, capsys, command):
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "not UTF-8" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["-i", "-f", "-t"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, flag):
+    # json.loads gives up on deep nesting with a RecursionError
+    col, forest, trace = _built_trace(tmp_path)
+    files = {"-i": col, "-f": forest, "-t": trace}
+    files[flag].write_text("[" * 200000)
+    argv = ["verify"] + [str(x) for pair in files.items() for x in pair]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "JSON nests too deeply" in err and err.count("\n") == 1
 
 
 def test_out_of_range_trace_vertex_is_verification_failure(tmp_path, capsys):

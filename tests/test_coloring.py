@@ -192,7 +192,7 @@ def test_parse_rejects_unordered_pair():
 
 
 def test_parse_rejects_malformed_json():
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(SchemaError, match="^coloring: malformed JSON: "):
         parse_coloring(b"{not json")
 
 

@@ -1,7 +1,14 @@
-"""The incremental trace replay against the full-recompute reference.
+"""The verifier's one replay against the full-recompute reference replay
+and the separate definitions pass it replaced.
 
-Both replays must report the same failures, in the same order, on every
-mutated trace and forest; on an intact pair both pass.
+On every mutated trace and forest the replay's own failures must equal the
+reference replay's, in the same order. Its color-equation failures must be
+a subsequence of the definitions pass's (the replay stops where the
+structure breaks, the pass walked on), equal to them whenever the reference
+replay passes, and the verdict must be the one the two passes gave together.
+Half the inputs then swap the forest for the trees the mutated trace leads
+to, so that some traces replay cleanly and only their color equations
+fail. On an intact pair everything passes.
 """
 
 import copy
@@ -11,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_replay import verify_trace_bounds as reference_replay
+from reference_replay import verify_trace_definitions
 
 import rainbowtrees.verifier as verifier
 from rainbowtrees import (
@@ -37,6 +45,21 @@ MUTATIONS = (
     "swap_trees",
     "replace_edge",
 )
+# the failure texts of the color-equation checks
+EQUATIONS = (
+    "w_i does not satisfy",
+    "v'_i does not satisfy",
+    "w'_i does not carry",
+    "w'_k does not carry",
+)
+
+
+def _split(failures):
+    """The replay's own failures, then its color-equation failures."""
+    own, equations = [], []
+    for f in failures:
+        (equations if any(e in f for e in EQUATIONS) else own).append(f)
+    return own, equations
 
 
 @functools.lru_cache(maxsize=None)
@@ -44,6 +67,41 @@ def _instance(m, policy, seed):
     coloring = permuted_round_robin(m, seed)
     forest, trace = build_forest(coloring, policy=POLICIES[policy])
     return coloring, forest, trace
+
+
+def _pair(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _refit(forest, trace):
+    """The forest the trace's exchanges lead to from the star at the first
+    root, by plain set arithmetic, so that only the color equations can tell
+    a mutated exchange vertex; the forest itself when a step names a tree
+    not yet built. Edge colors are left at 0: the replay compares pairs."""
+    n = 2 * forest.m
+
+    def star(r):
+        return {_pair(r, x) for x in range(n) if x != r}
+
+    roots = [forest.trees[0].root]
+    trees = [star(roots[0])]
+    for rnd in trace.rounds:
+        assembly = star(rnd.r_k)
+        for s in rnd.steps:
+            if not 1 <= s.i <= len(trees):
+                return forest
+            a = s.i - 1
+            ri = roots[a]
+            trees[a] -= {_pair(ri, rnd.r_k), _pair(ri, s.chosen)}
+            trees[a] |= {_pair(rnd.r_k, s.w_i), _pair(s.chosen, s.v_prime)}
+            assembly -= {_pair(rnd.r_k, s.w_i)}
+            assembly |= {_pair(s.w_i, s.w_prime)}
+        trees.append(assembly - {_pair(rnd.r_k, rnd.w_k)} | {_pair(rnd.w_k, rnd.w_k_prime)})
+        roots.append(rnd.r_k)
+    refitted = (
+        RainbowTree.from_edges(r, [(u, v, 0) for u, v in t], n) for r, t in zip(roots, trees)
+    )
+    return Forest(m=forest.m, trees=tuple(refitted), coloring_digest=forest.coloring_digest)
 
 
 def _vertex(data, n, rnd):
@@ -102,17 +160,26 @@ def _mutate(kind, coloring, forest, trace, data):
     policy=st.sampled_from(sorted(POLICIES)),
     seed=st.integers(0, 3),
     kinds=st.lists(st.sampled_from(MUTATIONS), max_size=3),
+    refit=st.booleans(),
     data=st.data(),
 )
-def test_incremental_replay_matches_the_reference(m, policy, seed, kinds, data):
+def test_incremental_replay_matches_the_reference(m, policy, seed, kinds, refit, data):
     coloring, forest, trace = _instance(m, policy, seed)
     trace = copy.deepcopy(trace)
     for kind in kinds:
         forest = _mutate(kind, coloring, forest, trace, data)
+    if refit:
+        forest = _refit(forest, trace)
     want = reference_replay(trace, forest)
-    got = verify_trace_bounds(trace, forest)
-    assert got.failures == want.failures
-    assert got.passed == want.passed
+    old_definitions = verify_trace_definitions(coloring, trace)
+    got = verify_trace_bounds(coloring, trace, forest)
+    own, definitions = _split(got.failures)
+    assert own == want.failures
+    rest = iter(old_definitions)
+    assert all(f in rest for f in definitions)  # a subsequence, in order
+    if want.passed:
+        assert definitions == old_definitions
+    assert got.passed == (want.passed and not old_definitions)
 
 
 def _count_acyclic_calls(monkeypatch):
@@ -130,8 +197,8 @@ def _count_acyclic_calls(monkeypatch):
 def test_a_valid_trace_replays_without_a_component_count(monkeypatch):
     calls = _count_acyclic_calls(monkeypatch)
     for policy in POLICIES:
-        _, forest, trace = _instance(40, policy, 1)
-        assert verify_trace_bounds(trace, forest).passed
+        coloring, forest, trace = _instance(40, policy, 1)
+        assert verify_trace_bounds(coloring, trace, forest).passed
     assert calls == []
 
 
@@ -151,12 +218,12 @@ def _root_edge_detached(rnd):
     "corrupt", [_non_pendant_w_i, _root_edge_detached], ids=lambda f: f.__name__.lstrip("_")
 )
 def test_targeted_corruptions_match_the_reference(monkeypatch, corrupt):
-    _, forest, trace = _instance(12, "min", 0)
+    coloring, forest, trace = _instance(12, "min", 0)
     bad = copy.deepcopy(trace)
     assert bad.rounds[-1].k == 3
     corrupt(bad.rounds[-1])
     calls = _count_acyclic_calls(monkeypatch)
-    got = verify_trace_bounds(bad, forest)
+    got = verify_trace_bounds(coloring, bad, forest)
     assert not got.passed
-    assert got.failures == reference_replay(bad, forest).failures
+    assert _split(got.failures)[0] == reference_replay(bad, forest).failures
     assert bool(calls) == (corrupt is _non_pendant_w_i)

@@ -1,5 +1,6 @@
 import copy
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,8 @@ from rainbowtrees import (
     build_forest,
     permuted_round_robin,
     round_robin,
+    trace_from_jsonl,
+    trace_to_jsonl,
     verify_all,
     verify_edge_disjoint,
     verify_rainbow_spanning_tree,
@@ -122,7 +125,7 @@ def test_swapped_tree_order_m12_fails_structure():
 def test_trace_bounds_m5_pass_and_arithmetic():
     c = round_robin(5)
     forest, trace = build_forest(c)
-    assert verify_trace_bounds(trace, forest).passed
+    assert verify_trace_bounds(c, trace, forest).passed
     (rt,) = trace.rounds
     # the k=2 floor: 2m - 3k^2 + 6k - 1 = 10 - 12 + 12 - 1 = 9
     assert rt.pool == 9 >= 9
@@ -132,7 +135,7 @@ def test_trace_bounds_m5_pass_and_arithmetic():
 def test_trace_bounds_across_sizes(m):
     c = round_robin(m)
     forest, trace = build_forest(c)
-    assert verify_trace_bounds(trace, forest).passed
+    assert verify_trace_bounds(c, trace, forest).passed
 
 
 def test_corrupted_trace_with_empty_candidate_claim_fails():
@@ -142,7 +145,7 @@ def test_corrupted_trace_with_empty_candidate_claim_fails():
     rnd = bad.rounds[0]
     # claim the whole pool, the star's leaves minus the anchors, was knocked out
     rnd.steps[0].eliminated["R5"] = sorted(set(range(c.n)) - {rnd.roots[0], rnd.r_k, rnd.w_k})
-    res = verify_trace_bounds(bad, forest)
+    res = verify_trace_bounds(c, bad, forest)
     assert not res.passed
     assert any("empty" in f for f in res.failures)
 
@@ -153,7 +156,7 @@ def test_corrupted_pool_size_fails(delta):
     forest, trace = build_forest(c)
     bad = copy.deepcopy(trace)
     bad.rounds[-1].pool += delta
-    res = verify_trace_bounds(bad, forest)
+    res = verify_trace_bounds(c, bad, forest)
     assert res.failures == ["round 3: entry leaf pool differs from the replayed common leaves"]
     assert not verify_all(c, forest, bad).verdict
 
@@ -166,20 +169,21 @@ def test_corrupted_trace_edge_collision_fails():
     # (r_k, w_1) already sits in the rewired tree 1 and left the assembly
     last_round = bad.rounds[-1]
     last_round.steps[1].w_i = last_round.steps[0].w_i
-    res = verify_trace_bounds(bad, forest)
+    res = verify_trace_bounds(c, bad, forest)
     assert not res.passed
 
 
 def test_corrupted_trace_definition_break_needs_the_coloring():
     # claiming w_i = r_1 stays consistent as pure set arithmetic but violates
-    # the defining color equation, which verify_all checks with the coloring
+    # the defining color equation, which the replay checks with the coloring
     c = round_robin(12)
     forest, trace = build_forest(c)
     bad = copy.deepcopy(trace)
     bad.rounds[-1].steps[1].w_i = bad.rounds[-1].roots[0]
-    report = verify_all(c, forest, bad)
-    assert not report.trace_bounds.passed
-    assert any("w_i" in f for f in report.trace_bounds.failures)
+    res = verify_trace_bounds(c, bad, forest)
+    assert not res.passed
+    assert any("w_i does not satisfy" in f for f in res.failures)
+    assert verify_all(c, forest, bad).trace_bounds == res
 
 
 def test_malformed_trace_fails_cleanly():
@@ -188,7 +192,7 @@ def test_malformed_trace_fails_cleanly():
     forest, trace = build_forest(c)
     bad = copy.deepcopy(trace)
     bad.rounds[-1].steps[0].i = 9
-    res = verify_trace_bounds(bad, forest)
+    res = verify_trace_bounds(c, bad, forest)
     assert not res.passed
     assert any("wrong number" in f for f in res.failures)
     assert not verify_all(c, forest, bad).verdict
@@ -228,8 +232,27 @@ def test_trace_must_replay_to_the_forest_it_accompanies(mismatch):
 def test_trace_cannot_replay_an_empty_forest_or_another_m():
     c = round_robin(5)
     forest, trace = build_forest(c)
-    assert not verify_trace_bounds(trace, Forest(m=5, trees=())).passed
-    assert not verify_trace_bounds(ConstructionTrace(m=6), forest).passed
+    assert not verify_trace_bounds(c, trace, Forest(m=5, trees=())).passed
+    assert not verify_trace_bounds(c, ConstructionTrace(m=6), forest).passed
+    (failure,) = verify_trace_bounds(round_robin(6), trace, forest).failures
+    assert failure.endswith("under a coloring for m=6")
+
+
+def test_a_long_trace_that_fails_early_allocates_little():
+    # 2,000 copies of the one round record: round 2 replays, round 3 is
+    # recorded as round 2 again; the replay allocates only for what it reaches
+    c = round_robin(5)
+    forest, trace = build_forest(c)
+    header, record = trace_to_jsonl(trace).splitlines(keepends=True)
+    long_trace = trace_from_jsonl(header + record * 2000)
+    tracemalloc.start()
+    try:
+        res = verify_trace_bounds(c, long_trace, forest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.failures[-1].startswith("round 3: recorded as round 2")
+    assert peak < 1 << 20
 
 
 def test_empty_forest_fails_verification():
