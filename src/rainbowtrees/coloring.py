@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 from collections import deque
 from itertools import chain, repeat
 from operator import lt, setitem
@@ -40,8 +41,9 @@ def canonical_json_bytes(obj) -> bytes:
 def read_json(data, where: str):
     """Parse one JSON document from text or UTF-8 bytes.
 
-    Bytes that are not UTF-8, malformed JSON and nesting too deep for the
-    parser raise SchemaError, whose message starts with ``where``.
+    Bytes that are not UTF-8, malformed JSON, nesting too deep for the
+    parser and integer literals too long to convert raise SchemaError, whose
+    message starts with ``where``.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -54,6 +56,8 @@ def read_json(data, where: str):
         raise SchemaError(f"{where}: malformed JSON: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{where}: JSON nests too deeply") from exc
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise SchemaError(f"{where}: integer literal too long: {exc}") from exc
 
 
 class EdgeColoring:
@@ -95,7 +99,8 @@ class EdgeColoring:
                 yield u, v, row[v]
 
     def digest(self) -> str:
-        """Content hash of the canonical serialization, computed on first use."""
+        """Content hash of the canonical serialization, computed on first use;
+        parse_coloring sets it from canonical bytes it read."""
         if self._digest is None:
             self._digest = hashlib.sha256(serialize_coloring(self)).hexdigest()
         return self._digest
@@ -294,9 +299,74 @@ def parse_coloring(data) -> EdgeColoring:
     """Read a coloring document and validate it.
 
     Unreadable JSON and structural problems raise SchemaError; coloring
-    problems raise the validate_proper errors. The edge count is checked
-    before the n x n table is allocated.
+    problems raise MissingPair, ColorOutOfRange or AdjacentClash. The edge
+    count is checked before the n x n table is allocated.
+
+    Bytes that are exactly the document serialize_coloring writes are read
+    on a fast path, and their digest is their sha256. Every other input, and
+    every input the fast path refuses, is read by the json path, so results
+    and errors do not depend on the path taken.
     """
+    if isinstance(data, bytes):
+        coloring = _parse_canonical(data)
+        if coloring is not None:
+            return coloring
+    return _parse_json(data)
+
+
+# the frame of serialize_coloring's document, and the ",c]" closing each entry
+_CANONICAL_HEAD = b'{"edges":[['
+_CANONICAL_TAIL = re.compile(rb'\],"n":([0-9]{1,9})\}\n\Z')
+_CANONICAL_COLOR = re.compile(rb",([0-9]{1,9})\]")
+
+
+def _parse_canonical(data: bytes) -> EdgeColoring | None:
+    """The valid coloring whose canonical document is ``data``, else None.
+
+    One regex pass takes the colors out, and two slice assignments per
+    vertex fill its row and its column. The result stands only if it
+    serializes back to ``data``, which makes it the coloring the json path
+    reads from ``data`` and sha256(data) its digest. The table is allocated
+    only after the document has shown one color per pair, so its size is
+    bounded by the input's. Never raises: an invalid coloring gives None, and
+    the json path reports it.
+    """
+    tail = _CANONICAL_TAIL.search(data, max(0, len(data) - 20))
+    if tail is None or not data.startswith(_CANONICAL_HEAD):
+        return None
+    n = int(tail[1])
+    if n < 2 or n % 2:
+        return None
+    found = _CANONICAL_COLOR.findall(data)
+    if len(found) != n * (n - 1) // 2:
+        return None
+    # the spelling of each color, so one int object serves all of its cells
+    spelled = {str(c).encode(): c for c in range(n - 1)}
+    try:
+        colors = list(map(spelled.__getitem__, found))
+    except KeyError:  # a color out of range or with a leading zero
+        return None
+    del found
+    flat = [-1] * (n * n)
+    start = 0
+    for u in range(n - 1):
+        seg = colors[start:start + n - 1 - u]  # (u, v) for v = u+1..n-1
+        start += n - 1 - u
+        flat[u * n + u + 1:(u + 1) * n] = seg  # row u right of the diagonal
+        flat[(u + 1) * n + u::n] = seg  # column u below it
+    try:
+        coloring = _checked(n // 2, [flat[i:i + n] for i in range(0, n * n, n)])
+    except InputError:
+        return None
+    if serialize_coloring(coloring) != data:
+        return None
+    coloring._digest = hashlib.sha256(data).hexdigest()
+    return coloring
+
+
+def _parse_json(data) -> EdgeColoring:
+    """parse_coloring for any spelling of the document: json.loads, then
+    C-speed screens, with the per-entry checks run only to name a fault."""
     doc = read_json(data, "coloring")
     if not isinstance(doc, dict):
         raise SchemaError("document root must be an object")

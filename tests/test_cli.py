@@ -375,6 +375,28 @@ def test_deeply_nested_json_is_input_error(tmp_path, capsys, flag):
     assert err.startswith("error: ") and "JSON nests too deeply" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "flag, where", [("-i", "coloring"), ("-f", "forest"), ("-t", "trace line 1")]
+)
+def test_overlong_integer_literal_is_input_error(tmp_path, capsys, flag, where):
+    # json.loads refuses an int literal past 4300 digits with a ValueError
+    col, forest, trace = _built_trace(tmp_path)
+    huge = "9" * 5000
+    if flag == "-i":
+        col.write_text(f'{{"edges":[],"n":{huge}}}\n')
+    elif flag == "-f":
+        forest.write_text(forest.read_text().replace('"m":5', f'"m":{huge}'))
+    else:
+        header, *records = trace.read_text().splitlines()
+        lines = [f'{{"m":{huge},"trace_version":3}}', *records]
+        trace.write_text("".join(f"{line}\n" for line in lines))
+    argv = ["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: integer literal too long") and err.count("\n") == 1
+
+
 def test_out_of_range_trace_vertex_is_verification_failure(tmp_path, capsys):
     col, forest, trace = _built_trace(tmp_path)
     header, first_round = trace.read_text().splitlines()[:2]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import rainbowtrees.coloring as coloring_module
 from rainbowtrees import (
     AdjacentClash,
     ColorOutOfRange,
@@ -209,6 +211,17 @@ def test_digest_is_stable_and_distinguishes():
     assert a.digest() != permuted_round_robin(3, 1).digest()
 
 
+def test_digest_of_a_canonical_document_is_the_sha256_of_its_bytes(monkeypatch):
+    data = serialize_coloring(permuted_round_robin(7, 3))
+    coloring = parse_coloring(data)
+
+    def no_serialization(_):
+        raise AssertionError("the digest serialized the coloring again")
+
+    monkeypatch.setattr(coloring_module, "serialize_coloring", no_serialization)
+    assert coloring.digest() == hashlib.sha256(data).hexdigest()
+
+
 def test_validate_rejects_two_colors_for_one_pair():
     table = raw_table(round_robin(2))
     table[(2, 1)] = (table[(1, 2)] + 1) % 3
@@ -296,6 +309,21 @@ def _peak_bytes(call):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     return peak
+
+
+@pytest.mark.parametrize(
+    "data",
+    [b'{"edges":[[0,1,0]],"n":200000}\n', json.dumps({"n": 200000, "edges": [[0, 1, 0]]})],
+    ids=["canonical", "spaced"],
+)
+def test_parse_of_a_short_document_stays_within_a_mebibyte(data):
+    # the canonical spelling reaches the fast path, which must refuse it
+    # before the 4e10-cell table, as the json path does
+    def short():
+        with pytest.raises(MissingPair, match=r"pair \(0,2\) has no color"):
+            parse_coloring(data)
+
+    assert _peak_bytes(short) < 2**20
 
 
 def test_validate_of_a_short_mapping_reports_without_the_table():

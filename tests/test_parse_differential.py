@@ -1,0 +1,164 @@
+"""parse_coloring against its json path alone, on mutated canonical documents.
+
+parse_coloring reads the exact bytes serialize_coloring writes on a fast
+path and hands everything else to the json path. On every input the two
+must agree: an equal coloring with an equal digest, or the same error class
+with the same message. The mutations start from the canonical document of a
+relabelled round-robin coloring and change its frame (whitespace, key
+order, newline, BOM, trailing bytes, str instead of bytes), the spelling of
+one number, or one entry.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rainbowtrees import (
+    AdjacentClash,
+    ColorOutOfRange,
+    InputError,
+    MissingPair,
+    SchemaError,
+    parse_coloring,
+    permuted_round_robin,
+    serialize_coloring,
+)
+from rainbowtrees.coloring import _parse_canonical, _parse_json
+
+
+def outcome(parse, data):
+    try:
+        coloring = parse(data)
+    except InputError as exc:
+        return "error", type(exc), str(exc)
+    return "ok", coloring, coloring.digest()
+
+
+def fields(coloring):
+    """The document's entries as lists of number spellings."""
+    return [[str(u), str(v), str(c)] for u, v, c in coloring.edges()]
+
+
+def document(entries, n, n_first=False):
+    """The document with ``n`` spelled as given, "n" last unless ``n_first``."""
+    edges = ",".join(f"[{','.join(entry)}]" for entry in entries)
+    if n_first:
+        return f'{{"n":{n},"edges":[{edges}]}}\n'.encode()
+    return f'{{"edges":[{edges}],"n":{n}}}\n'.encode()
+
+
+# one number of one entry, spelled otherwise; some still read as a valid color
+SPELLINGS = {
+    "float": lambda x: f"{x}.0",
+    "bool": lambda x: "true",
+    "minus_zero": lambda x: "-0",
+    "negative": lambda x: f"-{x}" if x != "0" else "-1",
+    "leading_zero": lambda x: f"0{x}",
+    "huge": lambda x: "9" * 5000,
+}
+ENTRY_MUTATIONS = ("swap_uv", "drop", "repeat_in_place", "repeat_extra", "improper")
+FRAME_MUTATIONS = ("whitespace", "n_first", "n", "no_newline", "bom", "trailing", "str")
+
+
+def mutate_entries(entries, n, kind, data):
+    if not entries:  # m = 1 has one entry, which "drop" may have taken
+        return
+    j = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    if kind in SPELLINGS:
+        at = data.draw(st.integers(0, 2), label="field")
+        entries[j][at] = SPELLINGS[kind](entries[j][at])
+    elif kind == "swap_uv":
+        entries[j][0], entries[j][1] = entries[j][1], entries[j][0]
+    elif kind == "drop":
+        del entries[j]
+    elif kind == "repeat_in_place":
+        entries[j] = list(entries[data.draw(st.integers(0, len(entries) - 1), label="source")])
+    elif kind == "repeat_extra":
+        entries.insert(j, list(entries[j]))
+    else:  # another color, in range or not
+        c = data.draw(st.integers(0, n - 1).filter(lambda c: str(c) != entries[j][2]))
+        entries[j][2] = str(c)
+
+
+def mutate_frame(doc, kind, data):
+    if kind == "whitespace":
+        marks = [i for i, b in enumerate(doc) if b in b",:[]{}"]
+        at = data.draw(st.sampled_from(marks), label="after") + 1
+        return doc[:at] + data.draw(st.sampled_from([b" ", b"\n", b"\t", b"\r\n"])) + doc[at:]
+    if kind == "no_newline":
+        return doc[:-1]
+    if kind == "bom":
+        return b"\xef\xbb\xbf" + doc
+    if kind == "trailing":
+        return doc + data.draw(st.sampled_from([b" ", b"\n", b"x", b"{}", b"\x00"]))
+    return doc.decode()  # "str"; n_first and n apply when the document is written
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    entry_kinds=st.lists(st.sampled_from(sorted(SPELLINGS) + list(ENTRY_MUTATIONS)), max_size=2),
+    frame_kinds=st.lists(st.sampled_from(FRAME_MUTATIONS), max_size=2),
+    data=st.data(),
+)
+def test_parse_coloring_agrees_with_the_json_path(m, seed, entry_kinds, frame_kinds, data):
+    coloring = permuted_round_robin(m, seed)
+    n = coloring.n
+    entries = fields(coloring)
+    for kind in entry_kinds:
+        mutate_entries(entries, n, kind, data)
+    n_text = str(n)
+    if "n" in frame_kinds:
+        spellings = [*SPELLINGS.values(), lambda x: str(n - 1), lambda x: str(n + 2)]
+        n_text = data.draw(st.sampled_from(spellings), label="n spelling")(n_text)
+    doc = document(entries, n_text, n_first="n_first" in frame_kinds)
+    for kind in frame_kinds:
+        if kind not in ("n_first", "n") and isinstance(doc, bytes):
+            doc = mutate_frame(doc, kind, data)
+    assert outcome(parse_coloring, doc) == outcome(_parse_json, doc)
+    if not entry_kinds and not frame_kinds:
+        assert doc == serialize_coloring(coloring)
+        assert _parse_canonical(doc) == coloring
+
+
+def _in_place_of_another(entries):
+    entries[-1] = list(entries[-2])
+
+
+def _missing_pair(entries):
+    del entries[3]
+
+
+def _color_out_of_range(entries):
+    entries[2][2] = "9"
+
+
+def _improper(entries):
+    entries[0][2] = entries[1][2]
+
+
+@pytest.mark.parametrize(
+    "corrupt, error, message",
+    [
+        (_in_place_of_another, SchemaError, r"pair \(3,5\) appears more than once"),
+        (_missing_pair, MissingPair, r"pair \(0,4\) has no color"),
+        (_color_out_of_range, ColorOutOfRange, r"color 9 on pair \(0,3\)"),
+        (_improper, AdjacentClash, "meet at vertex 0"),
+    ],
+    ids=["SchemaError", "MissingPair", "ColorOutOfRange", "AdjacentClash"],
+)
+def test_a_canonical_frame_around_an_invalid_coloring_raises_the_json_paths_error(
+    corrupt, error, message
+):
+    # the fast path reads the colors of these documents and refuses them
+    coloring = permuted_round_robin(3, 5)
+    entries = fields(coloring)
+    corrupt(entries)
+    doc = document(entries, coloring.n)
+    assert _parse_canonical(doc) is None
+    with pytest.raises(error, match=message) as fast:
+        parse_coloring(doc)
+    with pytest.raises(error) as slow:
+        _parse_json(doc)
+    assert str(fast.value) == str(slow.value)
