@@ -95,21 +95,16 @@ def cmd_build(args) -> int:
     try:
         forest, trace = build_forest(coloring, policy=policy, trace_on=True)
     except (SwapError, InternalInvariantError) as exc:
-        trace = getattr(exc, "trace", None)
+        # build_forest attaches the partial trace, recorded since trace_on is set
         dump_path = args.trace
-        if trace is not None:
-            if dump_path is None:
-                handle = tempfile.NamedTemporaryFile(
-                    mode="wb", suffix=".trace.jsonl", delete=False
-                )
+        if dump_path is None:
+            with tempfile.NamedTemporaryFile(
+                mode="wb", suffix=".trace.jsonl", delete=False
+            ) as handle:
                 dump_path = handle.name
-                handle.write(trace_to_jsonl(trace))
-                handle.close()
-            else:
-                _write(dump_path, trace_to_jsonl(trace))
+        _write(dump_path, trace_to_jsonl(exc.trace))
         print(f"internal invariant violated: {exc}", file=sys.stderr)
-        if dump_path is not None:
-            print(f"trace dumped to {dump_path}", file=sys.stderr)
+        print(f"trace dumped to {dump_path}", file=sys.stderr)
         return EXIT_INTERNAL
     _write(args.output, forest_to_json(forest))
     if args.trace is not None:

@@ -23,19 +23,18 @@ def _pair(u: int, v: int) -> tuple[int, int]:
 
 @dataclass(frozen=True, slots=True)
 class RainbowTree:
-    """A rooted tree claimed to be a rainbow spanning tree: its root, the
-    vertex count n and its edges as sorted (u, v, color) triples with u < v.
-    Nothing is derived or judged on the way in, so corrupt trees read back
-    from files are representable; the verifier decides."""
+    """A rooted tree claimed to be a rainbow spanning tree: its root and its
+    edges as sorted (u, v, color) triples with u < v. Nothing is derived or
+    judged on the way in, so corrupt trees read back from files are
+    representable; the verifier decides."""
 
     root: int
-    n: int
     edges: tuple[tuple[int, int, int], ...]
 
     @classmethod
-    def from_edges(cls, root: int, edges, n: int) -> RainbowTree:
+    def from_edges(cls, root: int, edges) -> RainbowTree:
         """The value with each pair ordered u < v and the triples sorted."""
-        return cls(root, n, tuple(sorted((*_pair(u, v), c) for u, v, c in edges)))
+        return cls(root, tuple(sorted((*_pair(u, v), c) for u, v, c in edges)))
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
@@ -73,16 +72,11 @@ class WorkingTree:
         leaves = frozenset(x for x, p in enumerate(parent) if p == root and not child_count[x])
         return cls(coloring, root, parent, child_count, child_of_color, leaves)
 
-    @property
-    def edges(self) -> tuple[tuple[int, int, int], ...]:
-        """The sorted (u, v, color) triples of :meth:`value`."""
-        return self.value().edges
-
     def value(self) -> RainbowTree:
         """This tree as a plain RainbowTree."""
         color_of = self.coloring.color_of
         edges = [(x, p, color_of(x, p)) for x, p in enumerate(self.parent) if p >= 0]
-        return RainbowTree.from_edges(self.root, edges, len(self.parent))
+        return RainbowTree.from_edges(self.root, edges)
 
 
 def base_star(coloring: EdgeColoring, r: int) -> WorkingTree:
@@ -237,7 +231,7 @@ def parse_forest(data) -> Forest:
             if not (0 <= u < n and 0 <= v < n) or u == v:
                 raise SchemaError(f"tree {idx} edge ({u},{v}) is not a vertex pair")
             triples.append((u, v, c))
-        trees.append(RainbowTree.from_edges(root, triples, n))
+        trees.append(RainbowTree.from_edges(root, triples))
     return Forest(m=m, trees=tuple(trees), coloring_digest=digest)
 
 

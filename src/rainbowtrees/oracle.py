@@ -68,7 +68,7 @@ def enumerate_rainbow_spanning_trees(
             f"enumeration needs n = {coloring.n} <= {max_vertices} vertices"
         )
     return [
-        RainbowTree.from_edges(0, edges, coloring.n)
+        RainbowTree.from_edges(0, edges)
         for edges in _rainbow_tree_edge_sets(coloring)
     ]
 

@@ -16,16 +16,16 @@ def mutate_forest(forest, coloring, rng):
     t_idx = rng.randrange(len(trees))
     tree = trees[t_idx]
     kind = rng.choice(("edge_consistent", "edge_keep_color", "color", "root"))
-    n = tree.n
+    n = 2 * forest.m
     edges = list(tree.edges)
     if kind == "root":
         new_root = rng.choice([x for x in range(n) if x != tree.root])
-        trees[t_idx] = RainbowTree.from_edges(new_root, edges, n)
+        trees[t_idx] = RainbowTree.from_edges(new_root, edges)
     elif kind == "color":
         e_idx = rng.randrange(len(edges))
         u, v, c = edges[e_idx]
         edges[e_idx] = (u, v, rng.choice([x for x in range(n - 1) if x != c]))
-        trees[t_idx] = RainbowTree.from_edges(tree.root, edges, n)
+        trees[t_idx] = RainbowTree.from_edges(tree.root, edges)
     else:
         e_idx = rng.randrange(len(edges))
         u, v, c = edges[e_idx]
@@ -36,7 +36,7 @@ def mutate_forest(forest, coloring, rng):
         a, b = rng.choice(choices)
         stored = coloring.color_of(a, b) if kind == "edge_consistent" else c
         edges[e_idx] = (a, b, stored)
-        trees[t_idx] = RainbowTree.from_edges(tree.root, edges, n)
+        trees[t_idx] = RainbowTree.from_edges(tree.root, edges)
     mutant = Forest(m=forest.m, trees=tuple(trees), coloring_digest=forest.coloring_digest)
     return mutant, kind
 
@@ -61,7 +61,8 @@ def entry_pools(coloring, policy=ctor.MIN_INDEX):
     state = ctor.start_construction(coloring, policy, trace_on=False)
     pools = []
     while len(state.trees) < ctor.omega(coloring.m):
-        pools.append(common_root_leaves(coloring.n, [(t.root, t.edges) for t in state.trees]))
+        trees = [(t.root, t.value().edges) for t in state.trees]
+        pools.append(common_root_leaves(coloring.n, trees))
         ctor.step(state)
     return pools
 

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -255,6 +256,10 @@ def _broken(rec):
     return "{broken"  # replaces the whole line
 
 
+def _not_an_object(rec):
+    return "[1]"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -268,6 +273,7 @@ def _broken(rec):
         _list_eliminated,
         _string_chosen,
         _broken,
+        _not_an_object,
     ],
     ids=lambda f: f.__name__.lstrip("_"),
 )
@@ -347,19 +353,25 @@ def test_trace_of_another_run_is_verification_failure(tmp_path, capsys):
     assert report["verdict"] == "fail" and not report["trace_bounds"]["passed"]
 
 
-@pytest.mark.parametrize("command", ["build", "verify"])
-def test_non_utf8_input_file_is_input_error(tmp_path, capsys, command):
+@pytest.mark.parametrize(
+    "command, document",
+    [("build", "coloring"), ("verify", "forest"), ("verify-trace", "trace")],
+    ids=["build", "verify", "verify-trace"],
+)
+def test_non_utf8_input_file_is_input_error(tmp_path, capsys, command, document):
     col, forest, _ = _built_trace(tmp_path)
     junk = tmp_path / "junk.json"
     junk.write_bytes(b"\xff\xfe")
     if command == "build":
         argv = ["build", "-i", str(junk), "-o", str(tmp_path / "out.json")]
-    else:
+    elif command == "verify":
         argv = ["verify", "-i", str(col), "-f", str(junk)]
+    else:
+        argv = ["verify", "-i", str(col), "-f", str(forest), "-t", str(junk)]
     capsys.readouterr()
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "not UTF-8" in err and err.count("\n") == 1
+    assert err.startswith(f"error: {document} is not UTF-8: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("flag", ["-i", "-f", "-t"])
@@ -477,3 +489,125 @@ def test_invariant_faults_exit_three_with_a_v3_dump(tmp_path, monkeypatch, capsy
     trace = info.value.trace
     assert trace_to_jsonl(trace) == dump.read_bytes()
     assert trace_from_jsonl(trace_to_jsonl(trace)) == trace
+
+
+_FULL_K4 = [[0, 1, 0], [0, 2, 1], [0, 3, 2], [1, 2, 2], [1, 3, 1]]
+
+
+@pytest.mark.parametrize(
+    "flag, doc, message",
+    [
+        ("-f", [], "document root must be an object"),
+        ("-f", {"m": 0, "trees": []}, '"m" must be a positive integer'),
+        ("-f", {"m": 5, "trees": {}}, '"trees" must be a list'),
+        ("-f", {"m": 5, "trees": [], "coloring_digest": 5},
+         '"coloring_digest" must be a string when present'),
+        ("-f", {"m": 5, "trees": [[]]}, "tree 0 is not an object"),
+        ("-f", {"m": 5, "trees": [{"root": 10, "edges": []}]},
+         "tree 0 root must be a vertex in [0, 9]"),
+        ("-f", {"m": 5, "trees": [{"root": 0, "edges": {}}]}, 'tree 0 "edges" must be a list'),
+        ("-f", {"m": 5, "trees": [{"root": 0, "edges": [[0, 1]]}]},
+         "tree 0 edge [0, 1] is not an integer triple"),
+        ("-f", {"m": 5, "trees": [{"root": 0, "edges": [[0, 10, 0]]}]},
+         "tree 0 edge (0,10) is not a vertex pair"),
+        ("-i", [], "document root must be an object"),
+        ("-i", {"n": 4, "edges": {}}, '"edges" must be a list'),
+        # as many entries as K_4 has pairs, one of them not a list
+        ("-i", {"n": 4, "edges": _FULL_K4 + [5]},
+         "edge entry 5 is not an integer triple [u, v, c]"),
+    ],
+    ids=[
+        "forest-root-not-object",
+        "forest-m-zero",
+        "forest-trees-not-list",
+        "forest-digest-not-string",
+        "forest-tree-not-object",
+        "forest-root-out-of-range",
+        "forest-edges-not-list",
+        "forest-edge-not-triple",
+        "forest-edge-out-of-range",
+        "coloring-root-not-object",
+        "coloring-edges-not-list",
+        "coloring-entry-not-list",
+    ],
+)
+def test_malformed_document_shape_is_input_error(tmp_path, capsys, flag, doc, message):
+    col, forest = tmp_path / "c.json", tmp_path / "f.json"
+    assert run_cli(["gen", "--m", "5", "-o", str(col)]) == 0
+    forest.write_text(json.dumps({"m": 5, "trees": []}))
+    (col if flag == "-i" else forest).write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_blank_trace_lines_are_skipped(tmp_path, capsys):
+    col, forest, trace = tmp_path / "c.json", tmp_path / "f.json", tmp_path / "t.jsonl"
+    assert run_cli(["gen", "--m", "12", "-o", str(col)]) == 0
+    assert run_cli(["build", "-i", str(col), "-o", str(forest), "--trace", str(trace)]) == 0
+    header, round_2, round_3 = trace.read_text().splitlines()
+    trace.write_text("\n".join([header, round_2, "", "  ", round_3]) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+def test_internal_invariant_without_trace_flag_dumps_to_a_temporary_file(
+    tmp_path, monkeypatch, capsys
+):
+    col = tmp_path / "c.json"
+    run_cli(["gen", "--m", "12", "-o", str(col)])
+    misreport_root_leaves(monkeypatch, 2)
+    capsys.readouterr()
+    assert run_cli(["build", "-i", str(col), "-o", str(tmp_path / "f.json")]) == 3
+    first, second = capsys.readouterr().err.splitlines()
+    assert first.startswith("internal invariant violated: round 2: root-leaf bookkeeping")
+    assert second.startswith("trace dumped to ")
+    dump = pathlib.Path(second.removeprefix("trace dumped to "))
+    try:
+        trace = trace_from_jsonl(dump.read_bytes(), m=12)
+    finally:
+        dump.unlink()
+    assert [rnd.k for rnd in trace.rounds] == [2]
+    assert not (tmp_path / "f.json").exists()
+
+
+def _repeat_first_edge(doc):
+    doc["trees"][0]["edges"].append(doc["trees"][0]["edges"][0])
+    u, v, _ = doc["trees"][0]["edges"][0]
+    return f"edge ({u}, {v}) appears twice"
+
+
+def _color_99(doc):
+    doc["trees"][0]["edges"][0][2] = 99
+    u, v, _ = doc["trees"][0]["edges"][0]
+    return f"edge ({u}, {v}) carries out-of-range color 99"
+
+
+@pytest.mark.parametrize("corrupt", [_repeat_first_edge, _color_99], ids=["repeat", "color-99"])
+def test_hand_edited_tree_is_verification_failure(tmp_path, capsys, corrupt):
+    col, forest = tmp_path / "c.json", tmp_path / "f.json"
+    assert run_cli(["gen", "--m", "5", "-o", str(col)]) == 0
+    assert run_cli(["build", "-i", str(col), "-o", str(forest)]) == 0
+    doc = json.loads(forest.read_text())
+    message = corrupt(doc)
+    forest.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert message in report["trees"][0]["failures"]
+    assert report["trees"][1]["passed"] and report["verdict"] == "fail"
+
+
+def test_forest_for_a_larger_m_is_verification_failure(tmp_path, capsys):
+    # an m = 6 forest names vertices 10 and 11, which an m = 5 coloring lacks
+    col5, col6, forest = tmp_path / "c5.json", tmp_path / "c6.json", tmp_path / "f.json"
+    assert run_cli(["gen", "--m", "5", "-o", str(col5)]) == 0
+    assert run_cli(["gen", "--m", "6", "-o", str(col6)]) == 0
+    assert run_cli(["build", "-i", str(col6), "-o", str(forest)]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col5), "-f", str(forest)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    failures = [f for tree in report["trees"] for f in tree["failures"]]
+    assert any(f.endswith(",11) is not a valid vertex pair") for f in failures)
+    assert report["digest_match"] is False and report["verdict"] == "fail"

@@ -30,7 +30,7 @@ def star_m2():
 
 
 def test_base_star_m2_edges():
-    assert star_m2().edges == ((0, 3, 0), (1, 3, 1), (2, 3, 2))
+    assert star_m2().value().edges == ((0, 3, 0), (1, 3, 1), (2, 3, 2))
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
@@ -38,10 +38,10 @@ def test_base_star_shape(m):
     c = round_robin(m)
     for r in (0, 2 * m - 1):
         t = base_star(c, r)
-        assert len(t.edges) == 2 * m - 1
+        assert len(t.value().edges) == 2 * m - 1
         assert t.root_leaves == frozenset(x for x in range(2 * m) if x != r)
         # all 2m-1 colors appear once, so the color index is a bijection
-        assert sorted(c for _, _, c in t.edges) == list(range(2 * m - 1))
+        assert sorted(c for _, _, c in t.value().edges) == list(range(2 * m - 1))
         assert sorted(t.child_of_color) == [x for x in range(2 * m) if x != r]
 
 
@@ -49,9 +49,9 @@ def test_apply_swap_m2_example():
     # detach 0 and 1 from the star at 3, reattach both at 2:
     # the result is the star at 2, still rooted (as data) at 3
     out = apply_swap(star_m2(), 3, 0, 1, 2, 2)
-    assert out.edges == ((0, 2, 1), (1, 2, 0), (2, 3, 2))
+    assert out.value().edges == ((0, 2, 1), (1, 2, 0), (2, 3, 2))
     assert out.root == 3
-    assert verify_rainbow_spanning_tree(round_robin(2), out).passed
+    assert verify_rainbow_spanning_tree(round_robin(2), out.value()).passed
     # root degree drops by exactly 2
     assert out.child_count[3] == star_m2().child_count[3] - 2
     # by the defining formula no root-adjacent leaf remains: vertex 2 now has degree 3
@@ -116,30 +116,30 @@ def test_partner_matched_swaps_preserve_everything(m, root, seed):
         if len(tree.root_leaves) < 2:
             break
         before_deg = tree.child_count[tree.root]
-        before_colors = sorted(col for _, _, col in tree.edges)
+        before_colors = sorted(col for _, _, col in tree.value().edges)
         try:
             tree = partner_swap(tree, rng)
         except DegenerateSwap:
             continue  # replacement edge already present; skip this draw
-        assert verify_rainbow_spanning_tree(c, tree).passed
+        assert verify_rainbow_spanning_tree(c, tree.value()).passed
         assert tree.child_count[tree.root] == before_deg - 2
         # the exchange replaces colors one for one
-        assert sorted(col for _, _, col in tree.edges) == before_colors
+        assert sorted(col for _, _, col in tree.value().edges) == before_colors
         # incremental leaf bookkeeping equals recomputation from the edges
-        recomputed, _ = _root_profile(tree.root, {(a, b) for a, b, _ in tree.edges})
+        recomputed, _ = _root_profile(tree.root, {(a, b) for a, b, _ in tree.value().edges})
         assert set(tree.root_leaves) == recomputed
 
 
 def test_from_edges_tolerates_corrupt_input():
     # duplicate colors and a cycle: representable, judged only by the verifier
-    t = RainbowTree.from_edges(0, [(0, 1, 2), (1, 2, 2), (0, 2, 0)], 4)
+    t = RainbowTree.from_edges(0, [(0, 1, 2), (1, 2, 2), (0, 2, 0)])
     assert len(t.edges) == 3
     assert not verify_rainbow_spanning_tree(round_robin(2), t).passed
 
 
 def test_forest_json_roundtrip():
     c = round_robin(2)
-    forest = Forest(m=2, trees=(base_star(c, 0),), coloring_digest=c.digest())
+    forest = Forest(m=2, trees=(base_star(c, 0).value(),), coloring_digest=c.digest())
     data = forest_to_json(forest)
     back = parse_forest(data)
     assert back.m == forest.m
@@ -150,20 +150,20 @@ def test_forest_json_roundtrip():
 
 
 def test_forest_json_digest_optional():
-    doc = json.loads(forest_to_json(Forest(m=1, trees=(base_star(round_robin(1), 0),))))
+    doc = json.loads(forest_to_json(Forest(m=1, trees=(base_star(round_robin(1), 0).value(),))))
     assert "coloring_digest" not in doc
     assert parse_forest(json.dumps(doc)).coloring_digest is None
 
 
 def test_forest_roots_property():
     c = round_robin(3)
-    forest = Forest(m=3, trees=(base_star(c, 4), base_star(c, 1)))
+    forest = Forest(m=3, trees=(base_star(c, 4).value(), base_star(c, 1).value()))
     assert forest.roots == (4, 1)
 
 
 def test_dot_export_mentions_every_edge():
     c = round_robin(2)
-    forest = Forest(m=2, trees=(base_star(c, 3),))
+    forest = Forest(m=2, trees=(base_star(c, 3).value(),))
     dot = forest_to_dot(forest)
     assert "graph tree_0 {" in dot
     for u, v, col in forest.trees[0].edges:
@@ -196,7 +196,7 @@ def _surgery(tree, r, y, v, w, v_prime):
     (NotPendant, then DegenerateSwap, then ColorClash), or the edges of
     tree - ry - rv + yw + vv'."""
     n, col = tree.coloring.n, tree.coloring
-    pairs = {(a, b) for a, b, _ in tree.edges}
+    pairs = {(a, b) for a, b, _ in tree.value().edges}
     leaves, _ = _root_profile(tree.root, pairs)
     if r != tree.root or y == v or y not in leaves or v not in leaves:
         return NotPendant
@@ -234,7 +234,7 @@ def test_apply_swap_is_exact_on_every_argument_tuple(m):
     swapped = _first_partner_swap(star)
     assert (swapped is None) == (m == 1)
     for tree in (star, swapped) if swapped is not None else (star,):
-        snapshot = (tree.edges, set(tree.root_leaves))
+        snapshot = (tree.value().edges, set(tree.root_leaves))
         for args in itertools.product(range(n), repeat=5):
             want = _surgery(tree, *args)
             if isinstance(want, type):
@@ -242,8 +242,8 @@ def test_apply_swap_is_exact_on_every_argument_tuple(m):
                     apply_swap(tree, *args)
                 continue
             out = apply_swap(tree, *args)
-            assert (out.root, out.edges) == (tree.root, want)
+            assert (out.root, out.value().edges) == (tree.root, want)
             leaves, root_degree = _root_profile(out.root, {(a, b) for a, b, _ in want})
             assert set(out.root_leaves) == leaves
             assert out.child_count[out.root] == root_degree
-        assert (tree.edges, set(tree.root_leaves)) == snapshot
+        assert (tree.value().edges, set(tree.root_leaves)) == snapshot

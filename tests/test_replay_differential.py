@@ -99,7 +99,7 @@ def _refit(forest, trace):
         trees.append(assembly - {_pair(rnd.r_k, rnd.w_k)} | {_pair(rnd.w_k, rnd.w_k_prime)})
         roots.append(rnd.r_k)
     refitted = (
-        RainbowTree.from_edges(r, [(u, v, 0) for u, v in t], n) for r, t in zip(roots, trees)
+        RainbowTree.from_edges(r, [(u, v, 0) for u, v in t]) for r, t in zip(roots, trees)
     )
     return Forest(m=forest.m, trees=tuple(refitted), coloring_digest=forest.coloring_digest)
 
@@ -127,7 +127,7 @@ def _mutate(kind, coloring, forest, trace, data):
         u = data.draw(st.integers(0, n - 2))
         v = data.draw(st.integers(u + 1, n - 1))
         edges[e] = (u, v, coloring.color_of(u, v))
-        trees[idx] = RainbowTree.from_edges(trees[idx].root, edges, n)
+        trees[idx] = RainbowTree.from_edges(trees[idx].root, edges)
     elif not rounds:
         return forest
     elif kind == "delete_round":

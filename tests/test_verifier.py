@@ -4,6 +4,7 @@ import tracemalloc
 
 import pytest
 
+import rainbowtrees.constructor as ctor
 from rainbowtrees import (
     MAX_INDEX,
     ConstructionTrace,
@@ -21,17 +22,18 @@ from rainbowtrees import (
     verify_structure_f,
     verify_trace_bounds,
 )
+from rainbowtrees.errors import InternalInvariantError, SwapError
 
 
 @pytest.mark.parametrize("m", [1, 2, 5])
 def test_star_is_a_rainbow_spanning_tree(m):
     c = round_robin(m)
-    assert verify_rainbow_spanning_tree(c, base_star(c, 0)).passed
+    assert verify_rainbow_spanning_tree(c, base_star(c, 0).value()).passed
 
 
 def test_recolored_edge_fails():
     c = round_robin(2)
-    t = RainbowTree.from_edges(3, [(3, 0, 1), (3, 1, 1), (3, 2, 2)], 4)
+    t = RainbowTree.from_edges(3, [(3, 0, 1), (3, 1, 1), (3, 2, 2)])
     res = verify_rainbow_spanning_tree(c, t)
     assert not res.passed
     assert any("color" in f for f in res.failures)
@@ -41,7 +43,7 @@ def test_path_in_k4_repeats_a_color():
     # colors along 0-1-2-3 are 2, 0, 2
     c = round_robin(2)
     t = RainbowTree.from_edges(
-        0, [(0, 1, c.color_of(0, 1)), (1, 2, c.color_of(1, 2)), (2, 3, c.color_of(2, 3))], 4
+        0, [(0, 1, c.color_of(0, 1)), (1, 2, c.color_of(1, 2)), (2, 3, c.color_of(2, 3))]
     )
     res = verify_rainbow_spanning_tree(c, t)
     assert not res.passed
@@ -51,7 +53,7 @@ def test_path_in_k4_repeats_a_color():
 def test_disconnected_and_cyclic_graphs_fail():
     c = round_robin(2)
     cyclic = RainbowTree.from_edges(
-        0, [(0, 1, c.color_of(0, 1)), (1, 2, c.color_of(1, 2)), (0, 2, c.color_of(0, 2))], 4
+        0, [(0, 1, c.color_of(0, 1)), (1, 2, c.color_of(1, 2)), (0, 2, c.color_of(0, 2))]
     )
     res = verify_rainbow_spanning_tree(c, cyclic)
     assert not res.passed
@@ -82,20 +84,14 @@ def test_built_forests_are_disjoint(m):
 def test_structure_single_star():
     c = round_robin(4)
     forest = Forest(m=4, trees=(base_star(c, 0).value(),))
-    assert verify_structure_f(forest, 1, 4).passed
-
-
-def test_structure_rejects_wrong_tree_count():
-    c = round_robin(4)
-    forest = Forest(m=4, trees=(base_star(c, 0).value(),))
-    assert not verify_structure_f(forest, 2, 4).passed
+    assert verify_structure_f(forest).passed
 
 
 def test_first_two_trees_share_their_profile():
     # at psi=2 both roots must have degree (2m-1) - 2
     c = round_robin(5)
     forest, _ = build_forest(c)
-    assert verify_structure_f(forest, 2, 5).passed
+    assert verify_structure_f(forest).passed
     for t in forest.trees:
         assert sum(t.root in p for p in t.pairs()) == 7
 
@@ -106,7 +102,7 @@ def test_swapped_tree_order_m5_still_satisfies_structure():
     c = round_robin(5)
     forest, _ = build_forest(c)
     swapped = Forest(m=5, trees=forest.trees[::-1], coloring_digest=forest.coloring_digest)
-    assert verify_structure_f(swapped, 2, 5).passed
+    assert verify_structure_f(swapped).passed
 
 
 def test_swapped_tree_order_m12_fails_structure():
@@ -118,7 +114,7 @@ def test_swapped_tree_order_m12_fails_structure():
         trees=(forest.trees[2], forest.trees[1], forest.trees[0]),
         coloring_digest=forest.coloring_digest,
     )
-    res = verify_structure_f(reordered, 3, 12)
+    res = verify_structure_f(reordered)
     assert not res.passed
 
 
@@ -258,7 +254,7 @@ def test_a_long_trace_that_fails_early_allocates_little():
 def test_empty_forest_fails_verification():
     # without a trace nothing else counts the trees
     empty = Forest(m=5, trees=())
-    assert not verify_structure_f(empty, 0, 5).passed
+    assert not verify_structure_f(empty).passed
     report = verify_all(round_robin(5), empty)
     assert not report.structure.passed
     assert report.as_dict()["verdict"] == "fail"
@@ -268,9 +264,7 @@ def test_verify_all_pipeline_and_deleted_edge():
     c = round_robin(5)
     forest, trace = build_forest(c)
     assert verify_all(c, forest, trace).verdict
-    dropped = RainbowTree.from_edges(
-        forest.trees[0].root, forest.trees[0].edges[1:], 2 * 5
-    )
+    dropped = RainbowTree.from_edges(forest.trees[0].root, forest.trees[0].edges[1:])
     broken = Forest(m=5, trees=(dropped, forest.trees[1]), coloring_digest=forest.coloring_digest)
     report = verify_all(c, broken, trace)
     assert not report.verdict
@@ -316,3 +310,57 @@ def test_mutation_fuzz_small():
     for _ in range(100):
         mutant, kind = mutate_forest(forest, c, rng)
         assert not verify_all(c, mutant).verdict, kind
+
+
+@pytest.mark.parametrize("m", [10**5, 10**9])
+def test_structure_cost_is_bounded_by_the_edges_not_the_claimed_m(m):
+    # one 3-edge star claiming a huge m: the structure check counts degrees
+    # from the forest's pairs and allocates nothing per claimed vertex
+    c = round_robin(2)
+    forest = Forest(m=m, trees=(base_star(c, 0).value(),))
+    tracemalloc.start()
+    try:
+        report = verify_all(c, forest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.structure.failures == [
+        f"tree 1: root degree 3, expected exactly {2 * m - 1}",
+        f"tree 1: 3 root-adjacent leaves, floor is {2 * m - 1}",
+    ]
+    assert report.tree_count == 1 and not report.verdict
+    assert peak < 64 << 10
+
+
+def _past_omega(coloring, policy):
+    """Step the engine until a round fails; the forest and trace of the rounds
+    that closed. A failing round has already rewired some trees, so its
+    state is dropped."""
+    state = ctor.start_construction(coloring, policy, trace_on=True)
+    closed = [t.value() for t in state.trees]
+    with pytest.raises((SwapError, InternalInvariantError)):
+        while True:
+            ctor.step(state)
+            closed = [t.value() for t in state.trees]
+    trace = ConstructionTrace(m=coloring.m, rounds=state.trace.rounds[: len(closed) - 1])
+    return Forest(m=coloring.m, trees=tuple(closed), coloring_digest=coloring.digest()), trace
+
+
+@pytest.mark.parametrize(
+    "m, policy, reach, first_short_round",
+    [(24, ctor.MIN_INDEX, 6, 5), (40, MAX_INDEX, 10, 7)],
+    ids=["m24-min", "m40-max"],
+)
+def test_past_omega_only_the_elimination_cap_fails(m, policy, reach, first_short_round):
+    # the engine itself runs past omega(m) here; the rounds beyond it replay
+    # exactly, and only the paper's 6k-7 bound on the pool fails
+    c = permuted_round_robin(m, 1)
+    forest, trace = _past_omega(c, policy)
+    assert len(forest.trees) == reach > ctor.omega(m)
+    report = verify_all(c, forest, trace)
+    assert all(report.tree_checks) and report.disjointness and report.structure
+    assert report.digest_match is True
+    failures = report.trace_bounds.failures
+    assert failures and all("pool minus anchors" in f for f in failures)
+    assert failures[0].startswith(f"round {first_short_round}: ")
+    assert not report.verdict
