@@ -95,7 +95,7 @@ def cmd_build(args) -> int:
     try:
         forest, trace = build_forest(coloring, policy=policy, trace_on=True)
     except (SwapError, InternalInvariantError) as exc:
-        # build_forest attaches the partial trace, recorded since trace_on is set
+        # build_forest attaches the partial trace of the rounds it recorded
         dump_path = args.trace
         if dump_path is None:
             with tempfile.NamedTemporaryFile(

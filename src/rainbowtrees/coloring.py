@@ -144,7 +144,7 @@ def _checked(m: int, color: list[list]) -> EdgeColoring:
         _raise_first_fault(color)
         # no fault after all: the colors are of an int subclass (IntEnum)
         color = [list(map(int, row)) for row in color]
-    vertices = range(n)
+    vertices = list(range(n))  # one int object per vertex, shared by every row
     partner = []
     for row in color:
         inverse = [0] * n

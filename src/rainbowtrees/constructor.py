@@ -53,7 +53,15 @@ from .errors import (
     SchemaError,
     SwapError,
 )
-from .forest import Forest, WorkingTree, apply_swap, base_star, spans, tree_edge_of_color
+from .forest import (
+    Forest,
+    WorkingTree,
+    apply_swap,
+    base_star,
+    root_leaves,
+    spans,
+    tree_edge_of_color,
+)
 
 
 def omega(m: int) -> int:
@@ -72,18 +80,22 @@ class SelectionPolicy:
     """How the engine breaks ties among allowed choices.
 
     "min" and "max" take the smallest or largest admissible index; "random"
-    draws from a generator seeded once per run. Every structural guarantee
-    holds under any policy; policies exist to diversify artifacts while
-    keeping runs reproducible.
+    draws from a generator seeded once per run, so a random policy needs an
+    int seed and the others take none. Every structural guarantee holds
+    under any policy; policies exist to diversify artifacts while keeping
+    runs reproducible.
     """
 
     kind: str = "min"
     seed: int | None = None
 
-    def start(self) -> "_Chooser":
+    def __post_init__(self):
         if self.kind not in ("min", "max", "random"):
             raise ValueError(f"unknown selection policy {self.kind!r}")
-        return _Chooser(self)
+        if self.kind == "random" and type(self.seed) is not int:  # bool is not accepted
+            raise ValueError(f"a random policy needs an int seed, not {self.seed!r}")
+        if self.kind != "random" and self.seed is not None:
+            raise ValueError(f"policy {self.kind!r} takes no seed, not {self.seed!r}")
 
 
 MIN_INDEX = SelectionPolicy("min")
@@ -190,6 +202,7 @@ def slack(trace: ConstructionTrace) -> tuple[int, tuple[int, ...]] | None:
     return min(cands), gaps
 
 
+@dataclass(slots=True)
 class ConstructionState:
     """Mutable working state of one construction run; confined to that run.
 
@@ -198,43 +211,26 @@ class ConstructionState:
     acyclicity checks of the star assembly need.
     """
 
-    __slots__ = (
-        "coloring",
-        "k",
-        "trees",
-        "roots",
-        "common_leaves",
-        "round",
-        "assembly_leaves",
-        "trace",
-        "chooser",
-        "lstar",
-    )
-
-    def __init__(self, coloring, trees, roots, common_leaves, chooser, trace):
-        self.coloring = coloring
-        self.trees = trees
-        self.roots = roots
-        self.common_leaves = set(common_leaves)
-        self.k = len(trees) + 1
-        self.chooser = chooser
-        self.trace = trace
-        self.round: Round | None = None
-        self.assembly_leaves: set[int] = set()
-        self.lstar: frozenset[int] = frozenset()
+    coloring: EdgeColoring
+    trees: list[WorkingTree]
+    roots: list[int]
+    common_leaves: set[int]
+    chooser: _Chooser
+    trace: ConstructionTrace
+    k: int = 2
+    round: Round | None = None
+    assembly_leaves: set[int] = field(default_factory=set)
+    lstar: frozenset[int] = frozenset()
 
 
 def start_construction(
-    coloring: EdgeColoring,
-    policy: SelectionPolicy = MIN_INDEX,
-    trace_on: bool = True,
+    coloring: EdgeColoring, policy: SelectionPolicy = MIN_INDEX
 ) -> ConstructionState:
     """Base step: one spanning star rooted per policy; state is ready for round 2."""
-    chooser = policy.start()
+    chooser = _Chooser(policy)
     r1 = chooser.root(coloring.n)
-    star = base_star(coloring, r1)
-    trace = ConstructionTrace(m=coloring.m) if trace_on else None
-    return ConstructionState(coloring, [star], [r1], star.root_leaves, chooser, trace)
+    star, trace = base_star(coloring, r1), ConstructionTrace(m=coloring.m)
+    return ConstructionState(coloring, [star], [r1], set(star.root_leaves), chooser, trace)
 
 
 def select_anchors(state: ConstructionState) -> tuple[int, int]:
@@ -247,12 +243,11 @@ def select_anchors(state: ConstructionState) -> tuple[int, int]:
 
 
 def begin_round(state: ConstructionState) -> None:
-    """Open the round's record (appended to the trace when one is kept), then
-    fix the anchors; tree k starts as the spanning star at r_k."""
+    """Open the round's record and append it to the trace, then fix the
+    anchors; tree k starts as the spanning star at r_k."""
     k, m = state.k, state.coloring.m
     rnd = state.round = Round(k=k, roots=list(state.roots), pool=len(state.common_leaves))
-    if state.trace is not None:
-        state.trace.rounds.append(rnd)
+    state.trace.rounds.append(rnd)
     rnd.r_k, rnd.w_k = select_anchors(state)
     # the structural floors of the previous round guarantee this much pool
     pool_floor = 2 * m - 3 * k * k + 6 * k - 1
@@ -310,18 +305,18 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
     forbid_at("R5", col.color_of(rk, wk), ri)  # R5: ... and color(r_k, w_k)
     for a in range(1, i):  # R6: ... and color(r_k, w'_a)
         forbid_at("R6", col.color_of(rk, steps[a - 1].w_prime), ri)
+    handoff = _handoff(state, i)
     if i >= 2:
         # R7: ... and color(r_k, alpha) for the alpha matching w_k through the
         # color the assembly is about to hand off
-        alpha = col.partner(col.color_of(rk, steps[i - 2].w_i), wk)
+        alpha = col.partner(handoff, wk)
         if alpha != rk:
             forbid_at("R7", col.color_of(rk, alpha), ri)
-    # R8 (i = 1) and R9: both endpoints of the edge colored like (r_k, w_k),
-    # or like (r_k, w_{i-1}) for i >= 2, in every tree, rewired or not
-    rule, handoff = ("R8", wk) if i == 1 else ("R9", steps[i - 2].w_i)
-    target = col.color_of(rk, handoff)
+    # R8 (i = 1) and R9: both endpoints of the edge carrying the hand-off
+    # color, in every tree, rewired or not
+    rule = "R8" if i == 1 else "R9"
     for t in state.trees:
-        u, v, _ = tree_edge_of_color(t, target)
+        u, v, _ = tree_edge_of_color(t, handoff)
         for alpha in (u, v):
             if alpha != rk:
                 forbid_at(rule, col.color_of(rk, alpha), ri)
@@ -348,8 +343,7 @@ def revise_tree(state: ConstructionState, i: int, v_i: int) -> WorkingTree:
     """Rewire tree i around its root, then trade the matching star edge of
     the tree under assembly."""
     col, rnd = state.coloring, state.round
-    rk = rnd.r_k
-    ri = state.roots[i - 1]
+    rk, ri = rnd.r_k, state.roots[i - 1]
     w_i = col.partner(col.color_of(ri, v_i), rk)
     v_prime = col.partner(col.color_of(ri, rk), v_i)
     new_tree = apply_swap(state.trees[i - 1], ri, rk, v_i, w_i, v_prime)
@@ -360,37 +354,40 @@ def revise_tree(state: ConstructionState, i: int, v_i: int) -> WorkingTree:
     return new_tree
 
 
-def _rehang(state: ConstructionState, leaf: int, new_neighbor: int) -> None:
-    """Trade the assembly's pendant edge (r_k, leaf) for (leaf, new_neighbor).
+def _handoff(state: ConstructionState, i: int) -> int:
+    """The color the assembly takes over at step i: color(r_k, w_k) at step
+    1 and color(r_k, w_{i-1}) after it; the final exchange is step k."""
+    rnd = state.round
+    return state.coloring.color_of(rnd.r_k, rnd.w_k if i == 1 else rnd.steps[i - 2].w_i)
+
+
+def _rehang(state: ConstructionState, i: int, leaf: int) -> int:
+    """Trade the assembly's pendant edge (r_k, leaf) for (leaf, w') at step
+    i, where (leaf, w') carries the hand-off color; returns w'.
 
     Detaching a pendant leaf leaves a spanning tree on the other n-1
     vertices, so re-hanging it under any vertex other than itself and r_k
     gives a spanning tree again: these two O(1) checks are exact.
     """
     rk = state.round.r_k
+    w_prime = state.coloring.partner(_handoff(state, i), leaf)
     if leaf not in state.assembly_leaves:
         raise CycleDetected(f"vertex {leaf} is not a pendant neighbor of the new root {rk}")
-    if new_neighbor in (leaf, rk):
-        raise CycleDetected(f"re-hanging {leaf} under {new_neighbor} would not keep a tree")
+    if w_prime in (leaf, rk):
+        raise CycleDetected(f"re-hanging {leaf} under {w_prime} would not keep a tree")
     state.assembly_leaves.discard(leaf)
-    state.assembly_leaves.discard(new_neighbor)
+    state.assembly_leaves.discard(w_prime)
+    return w_prime
 
 
-def extend_kth_partial(state: ConstructionState, i: int) -> int:
-    """Swap star edge (r_k, w_i) for (w_i, w'_i) in the assembly; returns w'_i.
+def extend_kth_partial(state: ConstructionState, i: int) -> None:
+    """Swap star edge (r_k, w_i) for (w_i, w'_i) in the assembly and record w'_i.
 
-    The replacement edge carries color(r_k, w_k) at the first step and the
-    color released by the previous step afterwards; the temporary color
+    The replacement edge carries the hand-off color; the temporary color
     imbalance resolves at finalize.
     """
-    col, rnd = state.coloring, state.round
-    rk, wk = rnd.r_k, rnd.w_k
-    st = rnd.steps[i - 1]
-    handoff = col.color_of(rk, wk) if i == 1 else col.color_of(rk, rnd.steps[i - 2].w_i)
-    w_prime = col.partner(handoff, st.w_i)
-    _rehang(state, st.w_i, w_prime)
-    st.w_prime = w_prime
-    return w_prime
+    st = state.round.steps[i - 1]
+    st.w_prime = _rehang(state, i, st.w_i)
 
 
 def finalize_kth(state: ConstructionState) -> WorkingTree:
@@ -403,23 +400,20 @@ def finalize_kth(state: ConstructionState) -> WorkingTree:
     """
     col, rnd, k = state.coloring, state.round, state.k
     rk, wk, n = rnd.r_k, rnd.w_k, col.n
-    w_prime = col.partner(col.color_of(rk, rnd.steps[-1].w_i), wk)
-    _rehang(state, wk, w_prime)
-    rnd.w_k_prime = w_prime
+    rnd.w_k_prime = _rehang(state, k, wk)
     parent = [rk] * n
     parent[rk] = -1
     for st in rnd.steps:
         parent[st.w_i] = st.w_prime
-    parent[wk] = w_prime
+    parent[wk] = rnd.w_k_prime
     tree = WorkingTree.from_parents(col, rk, parent)
     if not spans(tree):
         raise CycleDetected("assembled tree is not spanning-connected")
     if -1 in tree.child_of_color:
         raise ColorClash("assembled tree repeats a color")
-    deg = tree.child_count[rk]
-    if deg != (n - 1) - k:
+    if tree.root_degree != (n - 1) - k:
         raise InternalInvariantError(
-            f"new root degree {deg} differs from the guaranteed {(n - 1) - k}"
+            f"new root degree {tree.root_degree} differs from the guaranteed {(n - 1) - k}"
         )
     # never fires: k star leaves are re-hung, each under one vertex, so at most 2k are lost
     if len(tree.root_leaves) < (n - 1) - 2 * k:
@@ -439,19 +433,17 @@ def _check_structure(state: ConstructionState) -> None:
     if len(set(state.roots)) != psi:
         raise FValidationFailed("roots are not pairwise distinct")
     for idx, tree in enumerate(state.trees, start=1):
-        if idx == 1:
-            want_deg = (n - 1) - 2 * (psi - 1)
-            leaf_floor = (n - 1) - 4 * (psi - 1)
-        else:
-            want_deg = (n - 1) - idx - 2 * (psi - idx)
-            leaf_floor = (n - 1) - 2 * idx - 4 * (psi - idx)
-        deg = tree.child_count[tree.root]
+        # the root edges tree idx gave up: idx when it was assembled (none for
+        # the first star), then two per later round; each costs at most two leaves
+        lost = (idx if idx > 1 else 0) + 2 * (psi - idx)
+        want_deg, leaf_floor = (n - 1) - lost, max((n - 1) - 2 * lost, 0)
+        deg = tree.root_degree
         if deg != want_deg:
             raise FValidationFailed(f"tree {idx}: root degree {deg}, expected {want_deg}")
-        if len(tree.root_leaves) < max(leaf_floor, 0):
+        if len(tree.root_leaves) < leaf_floor:
             raise FValidationFailed(
                 f"tree {idx}: {len(tree.root_leaves)} root-adjacent leaves,"
-                f" below the floor {max(leaf_floor, 0)}"
+                f" below the floor {leaf_floor}"
             )
 
 
@@ -466,9 +458,7 @@ def _close_round(state: ConstructionState) -> None:
     incremental = state.common_leaves - dropped
     scratch = set(range(state.coloring.n))
     for idx, t in enumerate(state.trees, start=1):
-        # the tree's root-adjacent leaves, from its parent array alone
-        has_child = set(t.parent)
-        leaves = {x for x, p in enumerate(t.parent) if p == t.root and x not in has_child}
+        leaves = root_leaves(t.parent, t.root)
         if leaves != t.root_leaves:
             raise InternalInvariantError(
                 f"round {k}: root-leaf bookkeeping of tree {idx} diverged from recomputation"
@@ -508,11 +498,12 @@ def build_forest(
     never attempts rounds beyond omega(m) even when candidates remain; the
     guarantees only cover k <= omega(m). Returns (forest, trace): one Round
     per round k = 2, 3, ..., holding its choices and the size of its entry
-    leaf pool, or None when trace_on is false. Guarantee violations surface
-    as InternalInvariantError or SwapError with the partial trace attached;
-    it ends with the round and step in flight, whose unfixed fields hold -1.
+    leaf pool; the rounds are always recorded, and trace_on=False only
+    returns None in place of the record. Guarantee violations surface as
+    InternalInvariantError or SwapError with the partial trace attached; it
+    ends with the round and step in flight, whose unfixed fields hold -1.
     """
-    state = start_construction(coloring, policy, trace_on)
+    state = start_construction(coloring, policy)
     target = omega(coloring.m)
     try:
         while len(state.trees) < target:
@@ -523,7 +514,7 @@ def build_forest(
     forest = Forest(
         m=coloring.m, trees=tuple(t.value() for t in state.trees), coloring_digest=coloring.digest()
     )
-    return forest, state.trace
+    return forest, state.trace if trace_on else None
 
 
 TRACE_VERSION = 3

@@ -40,12 +40,18 @@ class RainbowTree:
         return frozenset((u, v) for u, v, _ in self.edges)
 
 
+def root_leaves(parent: list[int], root: int) -> frozenset[int]:
+    """The root's children that have none, read from a parent array alone."""
+    has_child = set(parent)
+    return frozenset(x for x, p in enumerate(parent) if p == root and x not in has_child)
+
+
 @dataclass(slots=True)
 class WorkingTree:
     """A rainbow spanning tree under construction, rooted at ``root``.
 
     ``parent[x]`` is x's neighbor towards the root (-1 at the root),
-    ``child_count[x]`` counts the vertices hung under x,
+    ``root_degree`` counts the root's children,
     ``child_of_color[c]`` is the vertex whose edge to its parent has color c
     and ``root_leaves`` holds the root's children that have none. Each
     instance is a genuine rainbow spanning tree and a snapshot: the leaf
@@ -55,7 +61,7 @@ class WorkingTree:
     coloring: EdgeColoring
     root: int
     parent: list[int]
-    child_count: list[int]
+    root_degree: int
     child_of_color: list[int]
     root_leaves: frozenset[int]
 
@@ -63,14 +69,12 @@ class WorkingTree:
     def from_parents(cls, coloring: EdgeColoring, root: int, parent: list[int]) -> WorkingTree:
         """Index a parent array with parent[root] = -1. Where two edges share
         a color, some color keeps -1 in the color index."""
-        child_count = [0] * len(parent)
         child_of_color = [-1] * (len(parent) - 1)
         for x, p in enumerate(parent):
             if p >= 0:
-                child_count[p] += 1
                 child_of_color[coloring.color_of(x, p)] = x
-        leaves = frozenset(x for x, p in enumerate(parent) if p == root and not child_count[x])
-        return cls(coloring, root, parent, child_count, child_of_color, leaves)
+        leaves = root_leaves(parent, root)
+        return cls(coloring, root, parent, parent.count(root), child_of_color, leaves)
 
     def value(self) -> RainbowTree:
         """This tree as a plain RainbowTree."""
@@ -146,14 +150,10 @@ def apply_swap(tree: WorkingTree, r: int, y: int, v: int, w: int, v_prime: int) 
         )
     parent = tree.parent.copy()
     parent[y], parent[v] = w, v_prime
-    child_count = tree.child_count.copy()
-    child_count[r] -= 2
-    child_count[w] += 1
-    child_count[v_prime] += 1
     child_of_color = tree.child_of_color.copy()
     child_of_color[c_yw], child_of_color[c_vv] = y, v
     leaves = tree.root_leaves - {y, v, w, v_prime}
-    return WorkingTree(col, r, parent, child_count, child_of_color, leaves)
+    return WorkingTree(col, r, parent, tree.root_degree - 2, child_of_color, leaves)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 The checks read plain RainbowTree values (a root and sorted edge triples)
 and recompute everything else from the edges and coloring lookups. Nothing
-is taken from the construction's working trees (parent arrays, child
-counts, color indexes, leaf sets), so these checks referee the engine as
+is taken from the construction's working trees (parent arrays, root
+degrees, color indexes, leaf sets), so these checks referee the engine as
 well as hand-edited files. Failures are results, not exceptions.
 """
 
@@ -161,10 +161,11 @@ class _Replay:
     """The trees of a replay, indexed for O(1) work per changed edge.
 
     Slot a holds tree a + 1 and, while a round runs, its last slot holds the
-    assembly of the new tree. Per slot: the root, the vertex pairs, the
-    degree array and the root-adjacent leaves. ``owners`` maps each pair to
-    the bit mask of the slots holding it, ``shared[a][b]`` counts the pairs
-    slots a and b both hold and ``leaf_count[x]`` the slots in which x is a
+    assembly of the new tree. Per slot: the root, the vertex pairs and the
+    degree array, from which a vertex x is a root-adjacent leaf when
+    deg[x] = 1 and (root, x) is held. ``owners`` maps each pair to the bit
+    mask of the slots holding it, ``shared[a][b]`` counts the pairs slots a
+    and b both hold and ``leaf_count[x]`` the slots in which x is a
     root-adjacent leaf. Each new slot adds one row and one column to
     ``shared``, so a trace that fails early allocates nothing for the rounds
     it never reaches.
@@ -175,7 +176,6 @@ class _Replay:
         self.roots: list[int] = []
         self.pairs: list[set[tuple[int, int]]] = []
         self.deg: list[list[int]] = []
-        self.leaves: list[set[int]] = []
         self.leaf_count = [0] * n
         self.owners: dict[tuple[int, int], int] = {}
         self.shared: list[list[int]] = []
@@ -192,7 +192,6 @@ class _Replay:
         self.roots.append(root)
         self.pairs.append(pairs)
         self.deg.append(deg)
-        self.leaves.append(set(range(n)) - {root})
         self.leaf_count = [c + 1 for c in self.leaf_count]
         self.leaf_count[root] -= 1
         for row in self.shared:
@@ -230,25 +229,19 @@ class _Replay:
             self.owners[p] = mask
         else:
             del self.owners[p]
-        pairs = self.pairs[s]
+        self._share(s, mask & ~bit, delta)
+        pairs, deg, root, count = self.pairs[s], self.deg[s], self.roots[s], self.leaf_count
+        u, v = p  # u = v in a corrupt trace: a set of endpoints counts it once
+        for x in {u, v}:  # only u and v change degree or root adjacency
+            count[x] -= deg[x] == 1 and _pair(root, x) in pairs
         if delta > 0:
             pairs.add(p)
         else:
             pairs.remove(p)
-        self._share(s, mask & ~bit, delta)
-        deg, root, leaves = self.deg[s], self.roots[s], self.leaves[s]
-        u, v = p
         deg[u] += delta
         deg[v] += delta
-        # only u and v change degree, and (root, x) is held or not only for x in p
-        for x in p:
-            leaf = deg[x] == 1 and _pair(root, x) in pairs
-            if leaf and x not in leaves:
-                leaves.add(x)
-                self.leaf_count[x] += 1
-            elif not leaf and x in leaves:
-                leaves.remove(x)
-                self.leaf_count[x] -= 1
+        for x in {u, v}:
+            count[x] += deg[x] == 1 and _pair(root, x) in pairs
 
     def common_leaves(self) -> set[int]:
         """The vertices that are root-adjacent leaves in every slot."""
@@ -283,7 +276,7 @@ def verify_trace_bounds(
     The replay is incremental (see :class:`_Replay`): a step changes at most
     four pairs of the rewired tree and two of the assembly, and every check
     reads the owner masks, the shared-pair counts, the degree arrays or the
-    root-leaf sets those changes patch. A round costs O(n + k^2), so a trace
+    leaf counts those changes patch. A round costs O(n + k^2), so a trace
     of W trees replays in O(W*n + W^3).
 
     Acyclicity needs no search while the assembly is a spanning tree and the
@@ -305,13 +298,12 @@ def verify_trace_bounds(
             ]
         )
     color_of, partner = coloring.color_of, coloring.partner
-    roots = [forest.trees[0].root]
     replay = _Replay(n)
-    replay.add_star(roots[0])
-    trees, owners, shared, owns = replay.pairs, replay.owners, replay.shared, replay.owns
-    entry_pool = set(range(n)) - {roots[0]}
+    replay.add_star(forest.trees[0].root)
+    roots, trees, shared = replay.roots, replay.pairs, replay.shared
+    owners, owns = replay.owners, replay.owns
     for rt in trace.rounds:
-        k = len(roots) + 1
+        k, entry_pool = len(roots) + 1, replay.common_leaves()
         tag = f"round {k}"
         if rt.k != k or rt.roots != roots:
             failures.append(
@@ -441,7 +433,6 @@ def verify_trace_bounds(
                 failures.append(f"{final_tag}: new tree shares an edge with tree {a + 1}")
         if not (pendant or _acyclic(n, partial)):
             failures.append(f"{final_tag}: new tree contains a cycle")
-        roots, entry_pool = roots + [rt.r_k], replay.common_leaves()
     else:  # the replay ran to its end
         claimed = list(zip(forest.roots, forest.tree_pairs))
         if len(trees) != len(claimed):

@@ -58,7 +58,7 @@ def common_root_leaves(n, trees):
 def entry_pools(coloring, policy=ctor.MIN_INDEX):
     """The common leaf pool each round of a run enters with, counted from
     the edge lists of the trees the previous round left."""
-    state = ctor.start_construction(coloring, policy, trace_on=False)
+    state = ctor.start_construction(coloring, policy)
     pools = []
     while len(state.trees) < ctor.omega(coloring.m):
         trees = [(t.root, t.value().edges) for t in state.trees]
@@ -165,13 +165,13 @@ def corrupt_hangers(monkeypatch, k, corrupt):
 
 
 def miscount_root_children(monkeypatch, k):
-    """Once tree k is built, add one to the child count of its root."""
+    """Once tree k is built, add one to its root degree."""
     original = ctor.finalize_kth
 
     def miscounted(state):
         tree = original(state)
         if state.k == k:
-            tree.child_count[tree.root] += 1
+            tree.root_degree += 1
         return tree
 
     monkeypatch.setattr(ctor, "finalize_kth", miscounted)

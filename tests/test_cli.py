@@ -50,6 +50,14 @@ def test_gen_m_zero_is_usage_error():
     assert run_cli(["gen", "--m", "0"]) == 2
 
 
+def test_gen_non_integer_m_is_usage_error(capsys):
+    assert run_cli(["gen", "--m", "abc"]) == 2
+    err = capsys.readouterr().err
+    # argparse prints its usage block, then one line naming the fault
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith("argument --m: 'abc' is not an integer")
+
+
 def test_gen_rejects_unknown_scheme():
     assert run_cli(["gen", "--m", "3", "--scheme", "fancy"]) == 2
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import tracemalloc
+from enum import IntEnum
 
 import pytest
 from hypothesis import assume, given, settings
@@ -299,6 +300,28 @@ def test_parse_of_a_short_document_reports_without_the_table():
         parse_coloring(json.dumps(doc))
     with pytest.raises(SchemaError, match="integer triple"):
         parse_coloring(json.dumps({"n": 4, "edges": [[0, 1, True]]}))
+
+
+def test_partner_table_holds_one_int_per_vertex():
+    # every row is inverted against one shared vertex list; a fresh int per
+    # cell above 256 would keep about 4.4 MiB here
+    tracemalloc.start()
+    try:
+        coloring = round_robin(200)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert coloring.n == 400
+    assert retained < 3.5 * 2**20
+
+
+def test_int_subclass_colors_read_as_plain_ints():
+    plain = round_robin(3)
+    Color = IntEnum("Color", {f"c{c}": c for c in range(plain.n - 1)})
+    coloring = validate_proper({(u, v): Color(c) for u, v, c in plain.edges()}, 3)
+    assert coloring == plain
+    assert coloring.digest() == plain.digest()
+    assert all(type(coloring.color_of(u, v)) is int for u, v, _ in plain.edges())
 
 
 def _peak_bytes(call):

@@ -306,10 +306,10 @@ def test_root_degrees_after_every_round(m):
     n = 2 * m
     for k in range(2, omega(m) + 1):
         step(state)
-        assert state.trees[0].child_count[state.roots[0]] == (n - 1) - 2 * (k - 1)
+        assert state.trees[0].root_degree == (n - 1) - 2 * (k - 1)
         for i in range(2, k + 1):
             tree = state.trees[i - 1]
-            assert tree.child_count[state.roots[i - 1]] == (n - 1) - i - 2 * (k - i)
+            assert tree.root_degree == (n - 1) - i - 2 * (k - i)
 
 
 def test_new_edges_per_revision_are_exactly_the_replacements():
@@ -405,6 +405,34 @@ def test_max_policy_roots():
 def test_unknown_policy_rejected():
     with pytest.raises(ValueError):
         build_forest(round_robin(5), policy=SelectionPolicy("best"))
+
+
+def test_policy_is_checked_when_made():
+    with pytest.raises(ValueError, match="unknown selection policy 'best'"):
+        SelectionPolicy("best")
+
+
+@pytest.mark.parametrize("seed", [None, True, 2.0, "3"], ids=["none", "bool", "float", "str"])
+def test_random_policy_needs_an_int_seed(seed):
+    # an unseeded random policy would build a different forest on every run
+    with pytest.raises(ValueError, match="random policy needs an int seed"):
+        SelectionPolicy("random", seed)
+
+
+@pytest.mark.parametrize("kind", ["min", "max"])
+def test_min_and_max_policies_take_no_seed(kind):
+    with pytest.raises(ValueError, match=f"policy '{kind}' takes no seed"):
+        SelectionPolicy(kind, 3)
+
+
+def test_admissible_candidates_needs_an_open_round_and_a_tree_index():
+    state = start_construction(round_robin(12))
+    with pytest.raises(ValueError, match="no round in progress"):
+        admissible_candidates(state, 1)
+    begin_round(state)
+    for i in (0, state.k):
+        with pytest.raises(ValueError, match=f"tree index {i} out of range for round 2"):
+            admissible_candidates(state, i)
 
 
 def test_never_builds_beyond_omega():

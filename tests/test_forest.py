@@ -53,7 +53,7 @@ def test_apply_swap_m2_example():
     assert out.root == 3
     assert verify_rainbow_spanning_tree(round_robin(2), out.value()).passed
     # root degree drops by exactly 2
-    assert out.child_count[3] == star_m2().child_count[3] - 2
+    assert out.root_degree == star_m2().root_degree - 2
     # by the defining formula no root-adjacent leaf remains: vertex 2 now has degree 3
     assert out.root_leaves == frozenset()
 
@@ -115,14 +115,14 @@ def test_partner_matched_swaps_preserve_everything(m, root, seed):
     for _ in range(3):
         if len(tree.root_leaves) < 2:
             break
-        before_deg = tree.child_count[tree.root]
+        before_deg = tree.root_degree
         before_colors = sorted(col for _, _, col in tree.value().edges)
         try:
             tree = partner_swap(tree, rng)
         except DegenerateSwap:
             continue  # replacement edge already present; skip this draw
         assert verify_rainbow_spanning_tree(c, tree.value()).passed
-        assert tree.child_count[tree.root] == before_deg - 2
+        assert tree.root_degree == before_deg - 2
         # the exchange replaces colors one for one
         assert sorted(col for _, _, col in tree.value().edges) == before_colors
         # incremental leaf bookkeeping equals recomputation from the edges
@@ -245,5 +245,5 @@ def test_apply_swap_is_exact_on_every_argument_tuple(m):
             assert (out.root, out.value().edges) == (tree.root, want)
             leaves, root_degree = _root_profile(out.root, {(a, b) for a, b, _ in want})
             assert set(out.root_leaves) == leaves
-            assert out.child_count[out.root] == root_degree
+            assert out.root_degree == root_degree
         assert (tree.value().edges, set(tree.root_leaves)) == snapshot

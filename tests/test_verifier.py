@@ -182,6 +182,40 @@ def test_corrupted_trace_definition_break_needs_the_coloring():
     assert verify_all(c, forest, bad).trace_bounds == res
 
 
+def _tree_1_rehangs_its_own_leaf(rounds):
+    # round 2 step 1 attaches (r_k, v_1) and (v_1, r_k): one edge, not two
+    rnd = rounds[0]
+    rnd.steps[0].w_i, rnd.steps[0].v_prime = rnd.steps[0].chosen, rnd.r_k
+
+
+def _assembly_swaps_its_hangers(rounds):
+    # round 3 re-hangs w_1 under w_2 and w_2 under w_1: one edge, not two
+    first, second = rounds[1].steps
+    first.w_prime, second.w_prime = second.w_i, first.w_i
+
+
+def _finish_repeats_a_hanging_edge(rounds):
+    # round 3 re-hangs w_2 under w_k and closes with (w_k, w_2) again
+    rnd = rounds[1]
+    rnd.steps[1].w_prime, rnd.w_k_prime = rnd.w_k, rnd.steps[1].w_i
+
+
+@pytest.mark.parametrize(
+    "edit, failure",
+    [
+        (_tree_1_rehangs_its_own_leaf, "(k=2, i=1): rewired tree 1 does not keep 45 edges"),
+        (_assembly_swaps_its_hangers, "(k=3, i=2): assembly stage does not keep 45 edges"),
+        (_finish_repeats_a_hanging_edge, "round 3 finish: new tree does not keep 45 edges"),
+    ],
+    ids=["rewired", "assembly", "finish"],
+)
+def test_replay_counts_the_edges_of_every_stage(edit, failure):
+    c = permuted_round_robin(23, 1)
+    forest, trace = build_forest(c)
+    edit(trace.rounds)
+    assert failure in verify_trace_bounds(c, trace, forest).failures
+
+
 def test_malformed_trace_fails_cleanly():
     # nonsense step numbering must produce a failure result, not a crash
     c = round_robin(12)
@@ -336,7 +370,7 @@ def _past_omega(coloring, policy):
     """Step the engine until a round fails; the forest and trace of the rounds
     that closed. A failing round has already rewired some trees, so its
     state is dropped."""
-    state = ctor.start_construction(coloring, policy, trace_on=True)
+    state = ctor.start_construction(coloring, policy)
     closed = [t.value() for t in state.trees]
     with pytest.raises((SwapError, InternalInvariantError)):
         while True:
