@@ -22,12 +22,10 @@ from .coloring import (
     serialize_coloring,
 )
 from .constructor import (
-    MAX_INDEX,
     MIN_INDEX,
     SelectionPolicy,
     build_forest,
     omega,
-    random_policy,
     slack,
     trace_from_jsonl,
     trace_to_jsonl,
@@ -58,12 +56,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _policy_from_args(args) -> SelectionPolicy:
-    if args.policy == "min":
-        return MIN_INDEX
-    if args.policy == "max":
-        return MAX_INDEX
-    return random_policy(args.seed if args.seed is not None else 0)
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one line on stderr, without the
+    usage block; subparsers are made of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
 def _write(path: str | None, payload: bytes) -> None:
@@ -90,8 +88,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_build(args) -> int:
+    try:
+        # --seed belongs to --policy random, and that policy needs one
+        policy = SelectionPolicy(args.policy, args.seed)
+    except ValueError as exc:
+        print(f"rainbowtrees build: error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     coloring = parse_coloring(_read(args.input))
-    policy = _policy_from_args(args)
     try:
         forest, trace = build_forest(coloring, policy=policy, trace_on=True)
     except (SwapError, InternalInvariantError) as exc:
@@ -166,7 +169,7 @@ def cmd_bench(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rainbowtrees",
         description="Pack edge-disjoint rainbow spanning trees out of properly "
         "edge-colored complete graphs, and verify the result exactly.",

@@ -1,10 +1,13 @@
 """Exhaustive ground truth on tiny instances.
 
-Enumerates every rainbow spanning tree of a colored complete graph by
-backtracking over the sorted edge list, pruning branches that close a cycle
-or repeat a color, and computes the best edge-disjoint packing of those
-trees. Caps are configuration, not promises of speed; exceeding one is an
-explicit error.
+A proper coloring of K_n has n-1 colors and a spanning tree has n-1 edges,
+so a rainbow spanning tree takes exactly one edge of every color class. The
+enumeration backtracks over the colors in order, trying each edge of the
+class that joins two components of the edges chosen so far (components are
+vertex bitmasks); the packing runs an exact branch-and-bound over bitsets
+of the enumerated trees. Both recurse through module-level functions with
+explicit arguments, so a call leaves no reference cycle behind. Caps are
+configuration, not promises of speed; exceeding one is an explicit error.
 """
 
 from __future__ import annotations
@@ -17,41 +20,39 @@ DEFAULT_ENUMERATION_CAP = 10  # vertices
 DEFAULT_PACKING_CAP = 8
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+def _grow(classes, c: int, comp: list[int], chosen: list, out: list) -> None:
+    """Append to ``out`` every extension of ``chosen``, one edge of each
+    color below c, by one edge of each color from c on; ``comp[x]`` is the
+    bitmask of x's component in the edges chosen so far."""
+    if c == len(classes) - 1:
+        # the last color closes the tree: no components are needed after it
+        for edge in classes[c]:
+            u, v, _ = edge
+            if not comp[u] >> v & 1:
+                out.append(tuple(sorted([*chosen, edge])))
+        return
+    for edge in classes[c]:
+        u, v, _ = edge
+        cu = comp[u]
+        if cu >> v & 1:
+            continue
+        merged = cu | comp[v]
+        chosen.append(edge)
+        _grow(classes, c + 1, [merged if k & merged else k for k in comp], chosen, out)
+        chosen.pop()
 
 
 def _rainbow_tree_edge_sets(coloring: EdgeColoring) -> list[tuple[tuple[int, int, int], ...]]:
-    """All rainbow spanning trees as edge-triple tuples, in the lexicographic
-    order induced by the sorted edge list."""
-    n = coloring.n
-    edges = [(u, v, c) for u, v, c in coloring.edges()]
-    need = n - 1
+    """All rainbow spanning trees as sorted edge-triple tuples, in
+    lexicographic order."""
+    n, partner = coloring.n, coloring.partner
+    classes = [
+        [(v, w, c) for v in range(n) for w in (partner(c, v),) if v < w]
+        for c in range(coloring.n_colors)
+    ]
     out: list[tuple[tuple[int, int, int], ...]] = []
-    chosen: list[tuple[int, int, int]] = []
-
-    def grow(start: int, parent: list[int], used_colors: int) -> None:
-        if len(chosen) == need:
-            out.append(tuple(chosen))
-            return
-        # leave enough edges to finish
-        for idx in range(start, len(edges) - (need - len(chosen)) + 1):
-            u, v, c = edges[idx]
-            if used_colors >> c & 1:
-                continue
-            ru, rv = _find(parent, u), _find(parent, v)
-            if ru == rv:
-                continue
-            branch = parent.copy()
-            branch[ru] = rv
-            chosen.append(edges[idx])
-            grow(idx + 1, branch, used_colors | (1 << c))
-            chosen.pop()
-
-    grow(0, list(range(n)), 0)
+    _grow(classes, 0, [1 << x for x in range(n)], [], out)
+    out.sort()
     return out
 
 
@@ -67,46 +68,90 @@ def enumerate_rainbow_spanning_trees(
         raise InstanceTooLarge(
             f"enumeration needs n = {coloring.n} <= {max_vertices} vertices"
         )
-    return [
-        RainbowTree.from_edges(0, edges)
-        for edges in _rainbow_tree_edge_sets(coloring)
-    ]
+    # the triples are already ordered u < v and sorted, as from_edges makes them
+    return [RainbowTree(0, edges) for edges in _rainbow_tree_edge_sets(coloring)]
+
+
+def _pack(cand: int, free: int, depth: int, best: int, index) -> int:
+    """The larger of ``best`` and the largest packing that adds trees of
+    ``cand`` (bit t: tree t) to the ``depth`` trees packed so far, using
+    only edges of ``free`` (bit e: edge e)."""
+    trees_with, tree_edges, class_masks, cap = index
+    if depth > best:
+        best = depth
+    if best >= cap:
+        return best
+    # an edge no candidate holds can take no further tree; when no free edge
+    # is held, branch stays -1 and the bound below returns
+    branch, fewest, rest = -1, 0, free
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        e = low.bit_length() - 1
+        held = (cand & trees_with[e]).bit_count()
+        if not held:
+            free ^= low
+        elif branch < 0 or held < fewest:
+            branch, fewest = e, held
+    if depth + min((free & mask).bit_count() for mask in class_masks) <= best:
+        return best
+    hold = cand & trees_with[branch]
+    while hold:
+        low = hold & -hold
+        hold ^= low
+        conflict = used = 0
+        for e in tree_edges[low.bit_length() - 1]:
+            conflict |= trees_with[e]
+            used |= 1 << e
+        best = _pack(cand & ~conflict, free & ~used, depth + 1, best, index)
+        if best >= cap:
+            return best
+    return _pack(cand & ~trees_with[branch], free & ~(1 << branch), depth, best, index)
+
+
+def _packing_index(coloring: EdgeColoring):
+    """What :func:`_pack` reads: the bitset of the trees holding each edge,
+    each tree's edge ids (tree t is the t-th enumerated tree, edge e the e-th
+    of ``coloring.edges()``), the bitset of the edges of each color and the
+    packing's ceiling m."""
+    edge_id = {}
+    class_masks = [0] * coloring.n_colors
+    for u, v, c in coloring.edges():
+        class_masks[c] |= 1 << len(edge_id)
+        edge_id[(u, v)] = len(edge_id)
+    trees_with = [0] * len(edge_id)
+    tree_edges = []
+    for t, edges in enumerate(_rainbow_tree_edge_sets(coloring)):
+        ids = [edge_id[(u, v)] for u, v, _ in edges]
+        for e in ids:
+            trees_with[e] |= 1 << t
+        tree_edges.append(ids)
+    return trees_with, tree_edges, class_masks, coloring.m
 
 
 def max_disjoint_rainbow_trees(
     coloring: EdgeColoring, max_vertices: int = DEFAULT_PACKING_CAP
 ) -> int:
     """Largest pairwise edge-disjoint subfamily of the full enumeration,
-    found by backtracking with edge-conflict pruning."""
+    found by an exact branch-and-bound over tree bitsets.
+
+    A search node holds the trees packed so far, the candidate trees (those
+    disjoint from every packed tree and avoiding every excluded edge) and
+    the free edges (in no packed tree and not excluded). It branches on the
+    free edge e that the fewest candidates hold: first once for each
+    candidate t holding e, packing t, then once more with e excluded. In a
+    packing that extends the node, at most one tree holds e, because its
+    trees are disjoint; so each such packing extends exactly one child, and
+    the search misses none. A free edge no candidate holds is dropped, which
+    loses no packing either. Each tree takes one edge of every color, so k
+    more disjoint trees need k free edges of each color c: a node whose
+    depth plus the fewest free edges of any color is at most the best
+    packing found cannot beat it, and is pruned. m(2m-1) edges host at most
+    m trees of 2m-1 edges, so the search stops once it packs m.
+    """
     n = coloring.n
     if n > max_vertices:
         raise InstanceTooLarge(f"packing needs n = {n} <= {max_vertices} vertices")
-    edge_id = {}
-    for u, v, _ in coloring.edges():
-        edge_id[(u, v)] = len(edge_id)
-    masks = []
-    for edges in _rainbow_tree_edge_sets(coloring):
-        mask = 0
-        for u, v, _ in edges:
-            mask |= 1 << edge_id[(u, v)]
-        masks.append(mask)
-    cap = coloring.m  # m(2m-1) edges can host at most m trees of 2m-1 edges
-    best = 0
-
-    def search(start: int, used: int, depth: int) -> None:
-        nonlocal best
-        if depth > best:
-            best = depth
-        if best >= cap:
-            return
-        if depth + (len(masks) - start) <= best:
-            return
-        for idx in range(start, len(masks)):
-            if masks[idx] & used:
-                continue
-            search(idx + 1, used | masks[idx], depth + 1)
-            if best >= cap:
-                return
-
-    search(0, 0, 0)
-    return best
+    index = _packing_index(coloring)
+    trees_with, tree_edges, _, _ = index
+    return _pack((1 << len(tree_edges)) - 1, (1 << len(trees_with)) - 1, 0, 0, index)

@@ -52,10 +52,26 @@ def test_gen_m_zero_is_usage_error():
 
 def test_gen_non_integer_m_is_usage_error(capsys):
     assert run_cli(["gen", "--m", "abc"]) == 2
+    # one line naming the fault, without argparse's usage block
     err = capsys.readouterr().err
-    # argparse prints its usage block, then one line naming the fault
-    errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and errors[0].endswith("argument --m: 'abc' is not an integer")
+    assert err.splitlines() == ["rainbowtrees gen: error: argument --m: 'abc' is not an integer"]
+
+
+@pytest.mark.parametrize(
+    "policy_args, fault",
+    [
+        (["--policy", "min", "--seed", "5"], "policy 'min' takes no seed, not 5"),
+        (["--policy", "random"], "a random policy needs an int seed, not None"),
+    ],
+    ids=["seed-without-random", "random-without-seed"],
+)
+def test_build_policy_follows_the_library_rules(tmp_path, capsys, policy_args, fault):
+    col = tmp_path / "c.json"
+    forest = tmp_path / "f.json"
+    assert run_cli(["gen", "--m", "3", "-o", str(col)]) == 0
+    assert run_cli(["build", "-i", str(col), "-o", str(forest), *policy_args]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"rainbowtrees build: error: {fault}"]
+    assert not forest.exists()
 
 
 def test_gen_rejects_unknown_scheme():

@@ -1,3 +1,4 @@
+import gc
 from itertools import combinations
 
 import pytest
@@ -144,3 +145,18 @@ def test_caps_are_enforced():
     assert len(enumerate_rainbow_spanning_trees(round_robin(2), max_vertices=4)) == 4
     with pytest.raises(InstanceTooLarge):
         enumerate_rainbow_spanning_trees(round_robin(2), max_vertices=2)
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # a search that calls itself through a closure leaves the closure, its
+    # cells and what they hold as cyclic garbage after every call
+    c = permuted_round_robin(4, 16)
+    gc.collect()
+    gc.disable()
+    try:
+        max_disjoint_rainbow_trees(c)
+        assert gc.collect() == 0
+        enumerate_rainbow_spanning_trees(c)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
