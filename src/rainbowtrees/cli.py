@@ -35,8 +35,7 @@ from .forest import forest_to_json, parse_forest
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_PACKING_CAP,
-    enumerate_rainbow_spanning_trees,
-    max_disjoint_rainbow_trees,
+    count_and_pack,
 )
 from .verifier import verify_all
 
@@ -131,12 +130,8 @@ def cmd_oracle(args) -> int:
     coloring = parse_coloring(_read(args.input))
     enum_cap = args.cap if args.cap is not None else DEFAULT_ENUMERATION_CAP
     pack_cap = args.cap if args.cap is not None else DEFAULT_PACKING_CAP
-    # the packing cap is the tighter one; let it reject before any search runs
-    packing = max_disjoint_rainbow_trees(coloring, max_vertices=pack_cap)
-    trees = enumerate_rainbow_spanning_trees(coloring, max_vertices=enum_cap)
-    sys.stdout.buffer.write(
-        canonical_json_bytes({"count": len(trees), "max_disjoint": packing})
-    )
+    count, packing = count_and_pack(coloring, enum_cap, pack_cap)
+    sys.stdout.buffer.write(canonical_json_bytes({"count": count, "max_disjoint": packing}))
     sys.stdout.buffer.flush()
     return EXIT_OK
 

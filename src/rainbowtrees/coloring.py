@@ -91,6 +91,10 @@ class EdgeColoring:
         """The unique vertex joined to v by the edge of color c at v."""
         return self._partner[v][c]
 
+    def partner_row(self, v: Vertex) -> list[Vertex]:
+        """A copy of v's partners by color: entry c is partner(c, v)."""
+        return self._partner[v].copy()
+
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All colored edges as (u, v, color) with u < v, in lexicographic order."""
         for u in range(self.n):
@@ -315,7 +319,7 @@ def parse_coloring(data) -> EdgeColoring:
 
 
 # the frame of serialize_coloring's document, and the ",c]" closing each entry
-_CANONICAL_HEAD = b'{"edges":[['
+_CANONICAL_HEAD = b'{"edges":['
 _CANONICAL_TAIL = re.compile(rb'\],"n":([0-9]{1,9})\}\n\Z')
 _CANONICAL_COLOR = re.compile(rb",([0-9]{1,9})\]")
 
@@ -323,42 +327,50 @@ _CANONICAL_COLOR = re.compile(rb",([0-9]{1,9})\]")
 def _parse_canonical(data: bytes) -> EdgeColoring | None:
     """The valid coloring whose canonical document is ``data``, else None.
 
-    One regex pass takes the colors out, and two slice assignments per
-    vertex fill its row and its column. The result stands only if it
-    serializes back to ``data``, which makes it the coloring the json path
-    reads from ``data`` and sha256(data) its digest. The table is allocated
-    only after the document has shown one color per pair, so its size is
-    bounded by the input's. Never raises: an invalid coloring gives None, and
-    the json path reports it.
+    The document is read row by row: row u is the run of entries
+    [u,v,c] for v = u+1..n-1, which ends where the entry [u+1,u+2,...
+    starts, and the last row ends at the frame's tail. One regex pass over
+    the row takes its colors out, and the row stands only if its bytes are
+    exactly the row serialize_coloring writes for those colors; then one
+    slice assignment fills row u right of the diagonal and one C-speed
+    scatter fills column u below it. Rows that tile the document between
+    its head and its tail, each exact, make ``data`` the canonical document
+    of the coloring read, so the json path reads the same coloring from it
+    and sha256(data) is its digest. Every entry takes at least 8 bytes, so
+    a document too short to hold n(n-1)/2 of them is refused before the n x n
+    table is allocated, and the table's size is bounded by the input's. Never
+    raises: an invalid coloring gives None, and the json path reports it.
     """
     tail = _CANONICAL_TAIL.search(data, max(0, len(data) - 20))
     if tail is None or not data.startswith(_CANONICAL_HEAD):
         return None
     n = int(tail[1])
-    if n < 2 or n % 2:
-        return None
-    found = _CANONICAL_COLOR.findall(data)
-    if len(found) != n * (n - 1) // 2:
+    if n < 2 or n % 2 or tail[1] != b"%d" % n or len(data) < 8 * (n * (n - 1) // 2):
         return None
     # the spelling of each color, so one int object serves all of its cells
-    spelled = {str(c).encode(): c for c in range(n - 1)}
-    try:
-        colors = list(map(spelled.__getitem__, found))
-    except KeyError:  # a color out of range or with a leading zero
-        return None
-    del found
-    flat = [-1] * (n * n)
-    start = 0
+    spelled = {str(c).encode(): c for c in range(n - 1)}.__getitem__
+    text = [str(x) for x in range(n)]
+    cell_end = [f",{x}]" for x in text].__getitem__
+    color = [[-1] * n for _ in range(n)]
+    pos = len(_CANONICAL_HEAD)
     for u in range(n - 1):
-        seg = colors[start:start + n - 1 - u]  # (u, v) for v = u+1..n-1
-        start += n - 1 - u
-        flat[u * n + u + 1:(u + 1) * n] = seg  # row u right of the diagonal
-        flat[(u + 1) * n + u::n] = seg  # column u below it
+        end = tail.start() if u == n - 2 else data.find(b",[%d,%d," % (u + 1, u + 2), pos)
+        found = _CANONICAL_COLOR.findall(data, pos, end)
+        if end < 0 or len(found) != n - 1 - u:
+            return None
+        try:
+            row = list(map(spelled, found))
+        except KeyError:  # a color out of range or with a leading zero
+            return None
+        cells = ",".join(map("".join, zip(repeat(f"[{u},"), text[u + 1:], map(cell_end, row))))
+        if len(cells) != end - pos or not data.startswith(cells.encode(), pos):
+            return None
+        color[u][u + 1:] = row
+        _drain(map(setitem, color[u + 1:], repeat(u), row))
+        pos = end + 1
     try:
-        coloring = _checked(n // 2, [flat[i:i + n] for i in range(0, n * n, n)])
+        coloring = _checked(n // 2, color)
     except InputError:
-        return None
-    if serialize_coloring(coloring) != data:
         return None
     coloring._digest = hashlib.sha256(data).hexdigest()
     return coloring

@@ -208,7 +208,8 @@ class ConstructionState:
 
     Tree k under assembly is not materialized until ``finalize_kth``: the
     state keeps only its root-adjacent leaves, which is all the O(1)
-    acyclicity checks of the star assembly need.
+    acyclicity checks of the star assembly need, and which become the
+    finished tree's.
     """
 
     coloring: EdgeColoring
@@ -392,25 +393,37 @@ def extend_kth_partial(state: ConstructionState, i: int) -> None:
 
 def finalize_kth(state: ConstructionState) -> WorkingTree:
     """Detach w_k from the assembly, close the chain with edge (w_k, w'_k)
-    and build tree k: the star at r_k with each detached leaf re-hung.
+    and build tree k: the star at r_k with its k detached leaves re-hung,
+    patched at those k vertices.
 
-    The result must be spanning (its n - 1 parent edges close no cycle),
-    repeat no color and have root degree exactly (2m-1) - k with at least
-    (2m-1) - 2k root-adjacent leaves.
+    The result must be spanning (checked by :func:`spans` from the re-hung
+    vertices), repeat no color and have root degree exactly (2m-1) - k with
+    at least (2m-1) - 2k root-adjacent leaves. Its root-adjacent leaves are
+    the assembly's; the round close checks them where the re-hangs changed
+    the star.
     """
     col, rnd, k = state.coloring, state.round, state.k
     rk, wk, n = rnd.r_k, rnd.w_k, col.n
     rnd.w_k_prime = _rehang(state, k, wk)
-    parent = [rk] * n
-    parent[rk] = -1
-    for st in rnd.steps:
-        parent[st.w_i] = st.w_prime
-    parent[wk] = rnd.w_k_prime
-    tree = WorkingTree.from_parents(col, rk, parent)
-    if not spans(tree):
+    hung = {st.w_i: st.w_prime for st in rnd.steps}
+    hung[wk] = rnd.w_k_prime
+    tree = base_star(col, rk)
+    parent, index = tree.parent, tree.child_of_color
+    for x, p in hung.items():
+        parent[x] = p
+    if not spans(parent, rk, hung):
         raise CycleDetected("assembled tree is not spanning-connected")
-    if -1 in tree.child_of_color:
+    # the star's index loses the colors of the detached edges and gains those
+    # of the new ones; a color left at -1 is one the new edges did not reuse,
+    # so two edges of the tree share a color
+    for x in hung:
+        index[col.color_of(rk, x)] = -1
+    for x, p in hung.items():
+        index[col.color_of(x, p)] = x
+    if -1 in index:
         raise ColorClash("assembled tree repeats a color")
+    tree.root_degree = parent.count(rk)
+    tree.root_leaves = frozenset(state.assembly_leaves)
     if tree.root_degree != (n - 1) - k:
         raise InternalInvariantError(
             f"new root degree {tree.root_degree} differs from the guaranteed {(n - 1) - k}"
@@ -448,7 +461,15 @@ def _check_structure(state: ConstructionState) -> None:
 
 
 def _close_round(state: ConstructionState) -> None:
-    """Check the incremental leaf sets against the parent arrays, then the structure."""
+    """Check the incremental leaf sets against the parent arrays, then the structure.
+
+    A leaf exchange changes the parent or the children of r_i, r_k, v_i,
+    w_i and v'_i only, and tree k differs from the star at r_k only at r_k,
+    the w_j and the w'_j. Each tree's root-leaf set is checked at these
+    vertices, against the one the previous round left; :func:`build_forest`
+    recomputes every set in full once, after the last round. The common
+    leaves are checked exactly, as the intersection of the kept sets.
+    """
     rnd, k = state.round, state.k
     # every vertex that lost common-leaf status this round, by construction:
     # the anchors, each detached v_i, and each endpoint of a fresh edge
@@ -456,19 +477,26 @@ def _close_round(state: ConstructionState) -> None:
     for st in rnd.steps:
         dropped.update((st.chosen, st.w_i, st.v_prime, st.w_prime))
     incremental = state.common_leaves - dropped
-    scratch = set(range(state.coloring.n))
     for idx, t in enumerate(state.trees, start=1):
-        leaves = root_leaves(t.parent, t.root)
-        if leaves != t.root_leaves:
+        if idx < k:
+            st = rnd.steps[idx - 1]
+            touched = (t.root, rnd.r_k, st.chosen, st.w_i, st.v_prime)
+        else:
+            touched = {rnd.r_k, rnd.w_k, rnd.w_k_prime}.union(
+                *((st.w_i, st.w_prime) for st in rnd.steps)
+            )
+        # x is a root-adjacent leaf when its parent is the root and it is no one's parent
+        parent, root = t.parent, t.root
+        if any((x in t.root_leaves) != (parent[x] == root and x not in parent) for x in touched):
             raise InternalInvariantError(
                 f"round {k}: root-leaf bookkeeping of tree {idx} diverged from recomputation"
             )
-        scratch &= leaves
-    if incremental != scratch:
+    first, *rest = sorted((t.root_leaves for t in state.trees), key=len)
+    if incremental != first.intersection(*rest):
         raise InternalInvariantError(
             f"round {k}: incremental common-leaf update diverged from recomputation"
         )
-    state.common_leaves = scratch
+    state.common_leaves = incremental
     _check_structure(state)
     state.round = None
     state.assembly_leaves = set()
@@ -502,12 +530,21 @@ def build_forest(
     returns None in place of the record. Guarantee violations surface as
     InternalInvariantError or SwapError with the partial trace attached; it
     ends with the round and step in flight, whose unfixed fields hold -1.
+    After the last round every tree's root-leaf set is recounted in full,
+    and a mismatch raises with every round in the trace.
     """
     state = start_construction(coloring, policy)
     target = omega(coloring.m)
     try:
         while len(state.trees) < target:
             step(state)
+        # the round closes checked the root-leaf sets where they changed; once, check them whole
+        for idx, t in enumerate(state.trees, start=1):
+            if root_leaves(t.parent, t.root) != t.root_leaves:
+                raise InternalInvariantError(
+                    f"after round {state.k - 1}: root-leaf bookkeeping of tree {idx}"
+                    " diverged from recomputation"
+                )
     except (SwapError, InternalInvariantError) as exc:
         exc.trace = state.trace
         raise

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 
 from .coloring import EdgeColoring, canonical_json_bytes, read_json
 from .errors import ColorClash, DegenerateSwap, NotPendant, SchemaError
@@ -34,7 +35,9 @@ class RainbowTree:
     @classmethod
     def from_edges(cls, root: int, edges) -> RainbowTree:
         """The value with each pair ordered u < v and the triples sorted."""
-        return cls(root, tuple(sorted((*_pair(u, v), c) for u, v, c in edges)))
+        edges = [(u, v, c) if u < v else (v, u, c) for u, v, c in edges]
+        edges.sort()
+        return cls(root, tuple(edges))
 
     def pairs(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for u, v, _ in self.edges)
@@ -42,8 +45,8 @@ class RainbowTree:
 
 def root_leaves(parent: list[int], root: int) -> frozenset[int]:
     """The root's children that have none, read from a parent array alone."""
-    has_child = set(parent)
-    return frozenset(x for x, p in enumerate(parent) if p == root and x not in has_child)
+    root_children = compress(range(len(parent)), map(root.__eq__, parent))
+    return frozenset(root_children) - set(parent)
 
 
 @dataclass(slots=True)
@@ -65,29 +68,26 @@ class WorkingTree:
     child_of_color: list[int]
     root_leaves: frozenset[int]
 
-    @classmethod
-    def from_parents(cls, coloring: EdgeColoring, root: int, parent: list[int]) -> WorkingTree:
-        """Index a parent array with parent[root] = -1. Where two edges share
-        a color, some color keeps -1 in the color index."""
-        child_of_color = [-1] * (len(parent) - 1)
-        for x, p in enumerate(parent):
-            if p >= 0:
-                child_of_color[coloring.color_of(x, p)] = x
-        leaves = root_leaves(parent, root)
-        return cls(coloring, root, parent, parent.count(root), child_of_color, leaves)
-
     def value(self) -> RainbowTree:
-        """This tree as a plain RainbowTree."""
-        color_of = self.coloring.color_of
-        edges = [(x, p, color_of(x, p)) for x, p in enumerate(self.parent) if p >= 0]
-        return RainbowTree.from_edges(self.root, edges)
+        """This tree as a plain RainbowTree, its edges read from the color
+        index and made as from_edges makes them, one triple each."""
+        child, parent = self.child_of_color, self.parent
+        edges = [
+            (x, p, c) if x < p else (p, x, c)
+            for c, x, p in zip(count(), child, map(parent.__getitem__, child))
+        ]
+        edges.sort()
+        return RainbowTree(self.root, tuple(edges))
 
 
 def base_star(coloring: EdgeColoring, r: int) -> WorkingTree:
-    """Spanning star at r; rainbow because the colors at any vertex are all distinct."""
-    parent = [r] * coloring.n
+    """Spanning star at r; rainbow because the colors at any vertex are all
+    distinct, so its color index is r's partner row."""
+    n = coloring.n
+    parent = [r] * n
     parent[r] = -1
-    return WorkingTree.from_parents(coloring, r, parent)
+    leaves = frozenset(range(n)) - {r}
+    return WorkingTree(coloring, r, parent, n - 1, coloring.partner_row(r), leaves)
 
 
 def tree_edge_of_color(tree: WorkingTree, c: int) -> tuple[int, int, int]:
@@ -96,17 +96,31 @@ def tree_edge_of_color(tree: WorkingTree, c: int) -> tuple[int, int, int]:
     return (*_pair(x, tree.parent[x]), c)
 
 
-def spans(tree: WorkingTree) -> bool:
-    """True when every vertex hangs below the root, so that the n - 1 edges
-    (x, parent[x]) form a spanning tree. O(n)."""
-    children = [[] for _ in tree.parent]
-    for x, p in enumerate(tree.parent):
-        if p >= 0 and x != tree.root:
-            children[p].append(x)
-    reached = [tree.root]
-    for x in reached:
-        reached.extend(children[x])
-    return len(reached) == len(tree.parent)
+def spans(parent: list[int], root: int, rehung) -> bool:
+    """True when the n - 1 edges (x, parent[x]), x != root, form a spanning
+    tree, for a parent array that gives every vertex outside ``rehung``
+    other than the root the parent ``root`` (and the root -1). O(|rehung|).
+
+    The edges form a spanning tree exactly when every vertex's parent chain
+    reaches the root. A vertex outside ``rehung`` reaches it in one step, so
+    only chains from re-hung vertices need walking. Such a chain that never
+    reaches the root cannot pass through a vertex outside ``rehung`` (whose
+    next step is the root) nor through -1, so it stays among the finitely
+    many re-hung vertices and repeats one: a cycle. The walk therefore
+    returns False when a chain meets -1 or a vertex already on it, and
+    marks every vertex of a chain that reached the root, so a later walk
+    stops there; each re-hung vertex is walked once.
+    """
+    reached = {root}
+    for x in rehung:
+        walk = set()
+        while x not in reached:
+            if x < 0 or x in walk:
+                return False
+            walk.add(x)
+            x = parent[x]
+        reached |= walk
+    return True
 
 
 def apply_swap(tree: WorkingTree, r: int, y: int, v: int, w: int, v_prime: int) -> WorkingTree:
@@ -126,7 +140,8 @@ def apply_swap(tree: WorkingTree, r: int, y: int, v: int, w: int, v_prime: int) 
 
     The root loses the children y and v, w and v' gain one each and no
     vertex becomes a root child, so the root-adjacent leaves are the old ones
-    minus {y, v, w, v'}; every round close re-derives them from scratch.
+    minus {y, v, w, v'}; the round close re-derives them at these vertices
+    and the root, and the build re-derives them in full once at its end.
     """
     if r != tree.root:
         raise NotPendant(f"swap pivot {r} is not the root {tree.root}")

@@ -56,6 +56,11 @@ def _rainbow_tree_edge_sets(coloring: EdgeColoring) -> list[tuple[tuple[int, int
     return out
 
 
+def _check_cap(coloring: EdgeColoring, max_vertices: int, search: str) -> None:
+    if coloring.n > max_vertices:
+        raise InstanceTooLarge(f"{search} needs n = {coloring.n} <= {max_vertices} vertices")
+
+
 def enumerate_rainbow_spanning_trees(
     coloring: EdgeColoring, max_vertices: int = DEFAULT_ENUMERATION_CAP
 ) -> list[RainbowTree]:
@@ -64,10 +69,7 @@ def enumerate_rainbow_spanning_trees(
     Trees come back in a deterministic canonical order, rooted at vertex 0
     (the root is arbitrary for enumeration purposes).
     """
-    if coloring.n > max_vertices:
-        raise InstanceTooLarge(
-            f"enumeration needs n = {coloring.n} <= {max_vertices} vertices"
-        )
+    _check_cap(coloring, max_vertices, "enumeration")
     # the triples are already ordered u < v and sorted, as from_edges makes them
     return [RainbowTree(0, edges) for edges in _rainbow_tree_edge_sets(coloring)]
 
@@ -109,11 +111,11 @@ def _pack(cand: int, free: int, depth: int, best: int, index) -> int:
     return _pack(cand & ~trees_with[branch], free & ~(1 << branch), depth, best, index)
 
 
-def _packing_index(coloring: EdgeColoring):
+def _packing_index(coloring: EdgeColoring, trees):
     """What :func:`_pack` reads: the bitset of the trees holding each edge,
-    each tree's edge ids (tree t is the t-th enumerated tree, edge e the e-th
-    of ``coloring.edges()``), the bitset of the edges of each color and the
-    packing's ceiling m."""
+    each tree's edge ids (tree t is the t-th of ``trees``, the edge triples
+    of each tree; edge e is the e-th of ``coloring.edges()``), the bitset of
+    the edges of each color and the packing's ceiling m."""
     edge_id = {}
     class_masks = [0] * coloring.n_colors
     for u, v, c in coloring.edges():
@@ -121,7 +123,7 @@ def _packing_index(coloring: EdgeColoring):
         edge_id[(u, v)] = len(edge_id)
     trees_with = [0] * len(edge_id)
     tree_edges = []
-    for t, edges in enumerate(_rainbow_tree_edge_sets(coloring)):
+    for t, edges in enumerate(trees):
         ids = [edge_id[(u, v)] for u, v, _ in edges]
         for e in ids:
             trees_with[e] |= 1 << t
@@ -149,9 +151,23 @@ def max_disjoint_rainbow_trees(
     packing found cannot beat it, and is pruned. m(2m-1) edges host at most
     m trees of 2m-1 edges, so the search stops once it packs m.
     """
-    n = coloring.n
-    if n > max_vertices:
-        raise InstanceTooLarge(f"packing needs n = {n} <= {max_vertices} vertices")
-    index = _packing_index(coloring)
+    _check_cap(coloring, max_vertices, "packing")
+    return _max_packing(coloring, _rainbow_tree_edge_sets(coloring))
+
+
+def _max_packing(coloring: EdgeColoring, trees) -> int:
+    index = _packing_index(coloring, trees)
     trees_with, tree_edges, _, _ = index
     return _pack((1 << len(tree_edges)) - 1, (1 << len(trees_with)) - 1, 0, 0, index)
+
+
+def count_and_pack(
+    coloring: EdgeColoring, enumeration_cap: int, packing_cap: int
+) -> tuple[int, int]:
+    """The number of rainbow spanning trees and the size of their largest
+    disjoint packing, from one enumeration. The packing cap, the tighter
+    one by default, is checked first, and both before any search runs."""
+    _check_cap(coloring, packing_cap, "packing")
+    _check_cap(coloring, enumeration_cap, "enumeration")
+    trees = _rainbow_tree_edge_sets(coloring)
+    return len(trees), _max_packing(coloring, trees)

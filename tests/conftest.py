@@ -139,6 +139,27 @@ def forget_common_leaf(monkeypatch, k):
     monkeypatch.setattr(ctor, "finalize_kth", forgetful)
 
 
+def misreport_untouched_vertex(monkeypatch, k):
+    """Once tree k is built, count among tree 1's root-adjacent leaves the
+    smallest vertex that is none, that no exchange of round k touched and
+    that some other tree does not count either, so the pool stays exact."""
+    original = ctor.finalize_kth
+
+    def misreported(state):
+        tree = original(state)
+        if state.k == k:
+            rnd, (first, *rest) = state.round, state.trees
+            touched = {first.root, rnd.r_k, rnd.w_k, rnd.w_k_prime}.union(
+                *((st.chosen, st.w_i, st.v_prime, st.w_prime) for st in rnd.steps)
+            )
+            elsewhere = set.intersection(*(set(t.root_leaves) for t in rest))
+            unseen = set(range(state.coloring.n)) - first.root_leaves - touched - elsewhere
+            first.root_leaves |= {min(unseen)}
+        return tree
+
+    monkeypatch.setattr(ctor, "finalize_kth", misreported)
+
+
 def empty_candidate_pool(monkeypatch, k):
     """Leave round k no pool vertex to choose v_i from."""
     original = ctor.begin_round

@@ -10,9 +10,10 @@ from conftest import (
     duplicate_root,
     forget_common_leaf,
     misreport_root_leaves,
+    misreport_untouched_vertex,
     starve_leaf_pool,
 )
-from rainbowtrees import build_forest, round_robin, trace_from_jsonl, trace_to_jsonl
+from rainbowtrees import build_forest, oracle, round_robin, trace_from_jsonl, trace_to_jsonl
 from rainbowtrees.cli import main
 from rainbowtrees.errors import InternalInvariantError, SwapError
 
@@ -164,19 +165,35 @@ def test_policies_accepted(tmp_path):
     )
 
 
-def test_oracle_subcommand(tmp_path, capsys):
+def test_oracle_subcommand(tmp_path, capsys, monkeypatch):
     col = tmp_path / "c.json"
     run_cli(["gen", "--m", "2", "-o", str(col)])
+    # both answers come from one enumeration
+    enumerations = []
+    enumerate_once = oracle._rainbow_tree_edge_sets
+
+    def counted(coloring):
+        enumerations.append(coloring)
+        return enumerate_once(coloring)
+
+    monkeypatch.setattr(oracle, "_rainbow_tree_edge_sets", counted)
     assert run_cli(["oracle", "-i", str(col)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"count": 4, "max_disjoint": 1}
+    assert len(enumerations) == 1
 
 
-def test_oracle_cap_exceeded(tmp_path):
+def test_oracle_cap_exceeded(tmp_path, capsys):
     col = tmp_path / "c.json"
     run_cli(["gen", "--m", "5", "-o", str(col)])
     assert run_cli(["oracle", "-i", str(col)]) == 2  # n = 10 exceeds the packing cap
     assert run_cli(["oracle", "-i", str(col), "--cap", "4"]) == 2
+    # the packing cap rejects first
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        "error: packing needs n = 10 <= 8 vertices",
+        "error: packing needs n = 10 <= 4 vertices",
+    ]
 
 
 def test_bench_csv(tmp_path):
@@ -488,12 +505,15 @@ def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, c
         # the bookkeeping faults surface when round 2 closes, after its last step
         (lambda mp: misreport_root_leaves(mp, 2), 2),
         (lambda mp: forget_common_leaf(mp, 2), 2),
+        # a vertex no exchange touched surfaces in the recount after the last round
+        (lambda mp: misreport_untouched_vertex(mp, 3), 3),
     ],
     ids=[
         "leaf-set-exhausted",
         "f-validation-failed",
         "root-leaf-bookkeeping",
         "common-leaf-update",
+        "untouched-vertex",
     ],
 )
 def test_invariant_faults_exit_three_with_a_v3_dump(tmp_path, monkeypatch, capsys, fault, last_k):
@@ -503,7 +523,9 @@ def test_invariant_faults_exit_three_with_a_v3_dump(tmp_path, monkeypatch, capsy
     dump = tmp_path / "dump.jsonl"
     code = run_cli(["build", "-i", str(col), "-o", str(tmp_path / "f.json"), "--trace", str(dump)])
     assert code == 3
-    assert "internal invariant violated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "internal invariant violated" in err
+    assert err.endswith(f"trace dumped to {dump}\n")
     lines = dump.read_text().splitlines()
     assert lines[0] == '{"m":12,"trace_version":3}'
     assert [json.loads(line)["k"] for line in lines[1:]] == list(range(2, last_k + 1))

@@ -349,6 +349,20 @@ def test_parse_of_a_short_document_stays_within_a_mebibyte(data):
     assert _peak_bytes(short) < 2**20
 
 
+@pytest.mark.parametrize("m", [100, 200])
+def test_canonical_parse_holds_little_beyond_its_tables(m):
+    # read row by row, the document's colors are never all held at once
+    data = serialize_coloring(permuted_round_robin(m, 1))
+    tracemalloc.start()
+    try:
+        coloring = parse_coloring(data)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coloring.digest() == hashlib.sha256(data).hexdigest()
+    assert peak - retained <= 2 * len(data)
+
+
 def test_validate_of_a_short_mapping_reports_without_the_table():
     # the n x n table would take 32 MB at m = 1000 and 1.3 MB at m = 200
     def empty():

@@ -13,6 +13,7 @@ from conftest import (
     empty_candidate_pool,
     entry_pools,
     forget_common_leaf,
+    misreport_untouched_vertex,
     miscount_root_children,
     misreport_root_leaves,
     starve_leaf_pool,
@@ -32,12 +33,14 @@ from rainbowtrees import (
     trace_to_jsonl,
     verify_all,
 )
+import rainbowtrees.constructor as ctor
 from rainbowtrees.constructor import (
     admissible_candidates,
     begin_round,
     select_anchors,
     start_construction,
 )
+from rainbowtrees.forest import root_leaves
 from rainbowtrees.errors import (
     ColorClash,
     CycleDetected,
@@ -585,6 +588,36 @@ def test_bookkeeping_faults_raise_at_the_round_close(monkeypatch, fault, message
     assert type(info.value) is InternalInvariantError
     (closing,) = info.value.trace.rounds
     assert closing.k == 2 and closing.w_k_prime >= 0
+
+
+def test_an_untouched_vertex_fault_is_caught_after_the_last_round(monkeypatch):
+    # round 3 is the last of m=12, and the round closes check only the
+    # vertices an exchange touched: the full recount at the end sees it
+    _, clean = build_forest(round_robin(12))
+    misreport_untouched_vertex(monkeypatch, 3)
+    message = "after round 3: root-leaf bookkeeping of tree 1 diverged from recomputation"
+    with pytest.raises(InternalInvariantError, match=message) as info:
+        build_forest(round_robin(12))
+    assert type(info.value) is InternalInvariantError
+    trace = info.value.trace
+    # every round is in the trace, complete
+    assert trace == clean
+    assert [rnd.k for rnd in trace.rounds] == [2, 3]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_root_leaves_are_recounted_once_per_tree(monkeypatch, seed):
+    # the round closes check the touched vertices only; one full recount per
+    # tree runs after the last round
+    calls = []
+
+    def counted(parent, root):
+        calls.append(root)
+        return root_leaves(parent, root)
+
+    monkeypatch.setattr(ctor, "root_leaves", counted)
+    forest, _ = build_forest(permuted_round_robin(40, seed))
+    assert len(calls) == len(forest.trees) == omega(40)
 
 
 def _hang_in_a_cycle(rnd):

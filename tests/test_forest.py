@@ -23,6 +23,7 @@ from rainbowtrees import (
     tree_edge_of_color,
     verify_rainbow_spanning_tree,
 )
+from rainbowtrees.forest import spans
 
 
 def star_m2():
@@ -247,3 +248,37 @@ def test_apply_swap_is_exact_on_every_argument_tuple(m):
             assert set(out.root_leaves) == leaves
             assert out.root_degree == root_degree
         assert (tree.value().edges, set(tree.root_leaves)) == snapshot
+
+
+def spans_by_search(parent, root):
+    """The O(n) spanning check that the chain walk replaced, kept as its
+    reference: a breadth-first search down the children lists from the root."""
+    children = [[] for _ in parent]
+    for x, p in enumerate(parent):
+        if p >= 0 and x != root:
+            children[p].append(x)
+    reached = [root]
+    for x in reached:
+        reached.extend(children[x])
+    return len(reached) == len(parent)
+
+
+def test_spans_agrees_with_the_search_on_rehung_stars():
+    # stars with k re-hung vertices, whose new parents are drawn mostly among
+    # the re-hung ones, so that chains run through several and cycles, self
+    # loops included, are common
+    rng = random.Random(5)
+    verdicts = Counter()
+    for _ in range(3000):
+        n = rng.randrange(2, 30)
+        root = rng.randrange(n)
+        others = [x for x in range(n) if x != root]
+        rehung = rng.sample(others, rng.randrange(1, len(others) + 1))
+        parent = [root] * n
+        parent[root] = -1
+        for x in rehung:
+            parent[x] = rng.choice(rehung) if rng.random() < 0.7 else rng.randrange(n)
+        verdict = spans(parent, root, rehung)
+        assert verdict == spans_by_search(parent, root)
+        verdicts[verdict] += 1
+    assert min(verdicts.values()) > 300

@@ -23,7 +23,7 @@ from rainbowtrees import (
     round_robin,
     validate_proper,
 )
-from rainbowtrees.oracle import _pack, _packing_index
+from rainbowtrees.oracle import _pack, _packing_index, _rainbow_tree_edge_sets
 
 
 def kempe_switch(coloring, a, b, v):
@@ -120,7 +120,8 @@ def brute_packing(tree_edges):
 def test_packing_is_exact_on_every_subfamily(m, seed, picks):
     # every whole coloring here packs m trees; a subfamily of its trees can
     # pack fewer, which needs the branch that leaves an edge uncovered
-    index = _packing_index(permuted_round_robin(m, seed))
+    coloring = permuted_round_robin(m, seed)
+    index = _packing_index(coloring, _rainbow_tree_edge_sets(coloring))
     trees_with, tree_edges, _, _ = index
     chosen = sorted({p % len(tree_edges) for p in picks})
     cand = sum(1 << t for t in chosen)
