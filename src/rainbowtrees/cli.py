@@ -16,10 +16,10 @@ import time
 
 from .coloring import (
     canonical_json_bytes,
+    coloring_chunks,
     parse_coloring,
     permuted_round_robin,
     round_robin,
-    serialize_coloring,
 )
 from .constructor import (
     MIN_INDEX,
@@ -63,13 +63,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _write(path: str | None, payload: bytes) -> None:
+def _write(path: str | None, chunks) -> None:
+    """Write the byte strings in ``chunks`` to path, or to stdout when it is None."""
     if path is None:
-        sys.stdout.buffer.write(payload)
+        sys.stdout.buffer.writelines(chunks)
         sys.stdout.buffer.flush()
     else:
         with open(path, "wb") as handle:
-            handle.write(payload)
+            handle.writelines(chunks)
 
 
 def _read(path: str) -> bytes:
@@ -82,7 +83,7 @@ def cmd_gen(args) -> int:
         coloring = round_robin(args.m)
     else:
         coloring = permuted_round_robin(args.m, args.permute_seed)
-    _write(args.output, serialize_coloring(coloring))
+    _write(args.output, coloring_chunks(coloring))
     return EXIT_OK
 
 
@@ -104,13 +105,13 @@ def cmd_build(args) -> int:
                 mode="wb", suffix=".trace.jsonl", delete=False
             ) as handle:
                 dump_path = handle.name
-        _write(dump_path, trace_to_jsonl(exc.trace))
+        _write(dump_path, [trace_to_jsonl(exc.trace)])
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         print(f"trace dumped to {dump_path}", file=sys.stderr)
         return EXIT_INTERNAL
-    _write(args.output, forest_to_json(forest))
+    _write(args.output, [forest_to_json(forest)])
     if args.trace is not None:
-        _write(args.trace, trace_to_jsonl(trace))
+        _write(args.trace, [trace_to_jsonl(trace)])
     return EXIT_OK
 
 
@@ -121,8 +122,7 @@ def cmd_verify(args) -> int:
     if args.trace is not None:
         trace = trace_from_jsonl(_read(args.trace), m=coloring.m)
     report = verify_all(coloring, forest, trace)
-    sys.stdout.buffer.write(report.to_json())
-    sys.stdout.buffer.flush()
+    _write(None, [report.to_json()])
     return EXIT_OK if report.verdict else EXIT_VERIFY_FAIL
 
 
@@ -131,8 +131,7 @@ def cmd_oracle(args) -> int:
     enum_cap = args.cap if args.cap is not None else DEFAULT_ENUMERATION_CAP
     pack_cap = args.cap if args.cap is not None else DEFAULT_PACKING_CAP
     count, packing = count_and_pack(coloring, enum_cap, pack_cap)
-    sys.stdout.buffer.write(canonical_json_bytes({"count": count, "max_disjoint": packing}))
-    sys.stdout.buffer.flush()
+    _write(None, [canonical_json_bytes({"count": count, "max_disjoint": packing})])
     return EXIT_OK
 
 
@@ -158,8 +157,7 @@ def cmd_bench(args) -> int:
             f"{m},{omega(m)},{len(forest.trees)},{best_micros},"
             f"{'true' if report.verdict else 'false'},{min_slack}"
         )
-    payload = ("\n".join(rows) + "\n").encode("utf-8")
-    _write(args.csv, payload)
+    _write(args.csv, [("\n".join(rows) + "\n").encode("utf-8")])
     return EXIT_OK
 
 

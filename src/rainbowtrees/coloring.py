@@ -223,6 +223,11 @@ def round_robin(m: int) -> EdgeColoring:
     for i = 1..m-1. So a cycle pair {u, v} has color (u+v)*m mod 2m-1, m
     being the inverse of 2, and row u is row 0 rotated by u.
     """
+    return _checked(m, _round_robin_table(m))
+
+
+def _round_robin_table(m: int) -> list[list[int]]:
+    """round_robin's color table, not yet validated."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     cyc = 2 * m - 1
@@ -234,7 +239,14 @@ def round_robin(m: int) -> EdgeColoring:
         row[u] = -1
         color.append(row)
     color.append(list(range(cyc)) + [-1])
-    return _checked(m, color)
+    return color
+
+
+def _relabel(color: list[list[int]], vp: list[int], cp: list[int]) -> list[list[int]]:
+    """The color table with vertex x renamed vp[x] and color c renamed cp[c]."""
+    inv = sorted(range(len(vp)), key=vp.__getitem__)  # inv[vp[x]] = x
+    recolor = cp + [-1]  # so the diagonal's -1 stays -1 rather than cp[-1]
+    return [list(map(recolor.__getitem__, map(color[u].__getitem__, inv))) for u in inv]
 
 
 def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeColoring:
@@ -246,12 +258,7 @@ def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeCol
         raise NotAPermutation(f"vertex_perm is not a permutation of 0..{n - 1}")
     if sorted(cp) != list(range(n_colors)):
         raise NotAPermutation(f"color_perm is not a permutation of 0..{n_colors - 1}")
-    inv = [0] * n
-    _drain(map(setitem, repeat(inv), vp, range(n)))
-    recolor = cp + [-1]  # so the diagonal's -1 stays -1 rather than cp[-1]
-    old = coloring._color
-    color = [list(map(recolor.__getitem__, map(old[u].__getitem__, inv))) for u in inv]
-    return _checked(coloring.m, color)
+    return _checked(coloring.m, _relabel(coloring._color, vp, cp))
 
 
 def permuted_round_robin(m: int, seed: int) -> EdgeColoring:
@@ -261,23 +268,32 @@ def permuted_round_robin(m: int, seed: int) -> EdgeColoring:
     rng.shuffle(vp)
     cp = list(range(2 * m - 1))
     rng.shuffle(cp)
-    return permute_coloring(round_robin(m), vp, cp)
+    return _checked(m, _relabel(_round_robin_table(m), vp, cp))
+
+
+def _row_encoder(n: int):
+    """The function spelling the bytes of row u of the canonical document, its
+    entries [u,v,c] for v = u+1..n-1, from their colors; writer and reader share it."""
+    text = [str(x) for x in range(n)]
+    cell_end = [f",{x}]" for x in text].__getitem__  # color c closes "[u,v" with ",c]"
+    return lambda u, colors: ",".join(
+        map("".join, zip(repeat(f"[{u},"), text[u + 1:], map(cell_end, colors)))
+    ).encode()
+
+
+def coloring_chunks(coloring: EdgeColoring) -> Iterator[bytes]:
+    """serialize_coloring's bytes, one row of entries at a time."""
+    encode = _row_encoder(coloring.n)
+    for u, row in enumerate(coloring._color[:-1]):
+        yield b"," if u else _CANONICAL_HEAD  # what comes before row u
+        yield encode(u, row[u + 1:])
+    yield b'],"n":%d}\n' % coloring.n
 
 
 def serialize_coloring(coloring: EdgeColoring) -> bytes:
-    """Canonical document {"n": 2m, "edges": [[u, v, c], ...]} sorted by (u, v).
-
-    The bytes are those of canonical_json_bytes on that document, joined row
-    by row from the table.
-    """
-    n = coloring.n
-    text = [str(x) for x in range(n)]
-    cell_end = [f",{x}]" for x in text].__getitem__  # color c closes "[u,v" with ",c]"
-    rows = (
-        ",".join(map("".join, zip(repeat(f"[{u},"), text[u + 1:], map(cell_end, row[u + 1:]))))
-        for u, row in enumerate(coloring._color[:-1])
-    )
-    return f'{{"edges":[{",".join(rows)}],"n":{n}}}\n'.encode("utf-8")
+    """Canonical document {"n": 2m, "edges": [[u, v, c], ...]} sorted by (u, v),
+    the bytes canonical_json_bytes gives it: :func:`coloring_chunks` joined."""
+    return b"".join(coloring_chunks(coloring))
 
 
 def _first_bad_entry(edges: list, n: int) -> None:
@@ -349,8 +365,7 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
         return None
     # the spelling of each color, so one int object serves all of its cells
     spelled = {str(c).encode(): c for c in range(n - 1)}.__getitem__
-    text = [str(x) for x in range(n)]
-    cell_end = [f",{x}]" for x in text].__getitem__
+    encode = _row_encoder(n)
     color = [[-1] * n for _ in range(n)]
     pos = len(_CANONICAL_HEAD)
     for u in range(n - 1):
@@ -362,8 +377,8 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
             row = list(map(spelled, found))
         except KeyError:  # a color out of range or with a leading zero
             return None
-        cells = ",".join(map("".join, zip(repeat(f"[{u},"), text[u + 1:], map(cell_end, row))))
-        if len(cells) != end - pos or not data.startswith(cells.encode(), pos):
+        cells = encode(u, row)
+        if len(cells) != end - pos or not data.startswith(cells, pos):
             return None
         color[u][u + 1:] = row
         _drain(map(setitem, color[u + 1:], repeat(u), row))

@@ -214,14 +214,13 @@ class ConstructionState:
 
     coloring: EdgeColoring
     trees: list[WorkingTree]
-    roots: list[int]
     common_leaves: set[int]
     chooser: _Chooser
     trace: ConstructionTrace
     k: int = 2
     round: Round | None = None
     assembly_leaves: set[int] = field(default_factory=set)
-    lstar: frozenset[int] = frozenset()
+    lstar: set[int] = field(default_factory=set)
 
 
 def start_construction(
@@ -229,9 +228,8 @@ def start_construction(
 ) -> ConstructionState:
     """Base step: one spanning star rooted per policy; state is ready for round 2."""
     chooser = _Chooser(policy)
-    r1 = chooser.root(coloring.n)
-    star, trace = base_star(coloring, r1), ConstructionTrace(m=coloring.m)
-    return ConstructionState(coloring, [star], [r1], set(star.root_leaves), chooser, trace)
+    star, trace = base_star(coloring, chooser.root(coloring.n)), ConstructionTrace(m=coloring.m)
+    return ConstructionState(coloring, [star], set(star.root_leaves), chooser, trace)
 
 
 def select_anchors(state: ConstructionState) -> tuple[int, int]:
@@ -247,7 +245,7 @@ def begin_round(state: ConstructionState) -> None:
     """Open the round's record and append it to the trace, then fix the
     anchors; tree k starts as the spanning star at r_k."""
     k, m = state.k, state.coloring.m
-    rnd = state.round = Round(k=k, roots=list(state.roots), pool=len(state.common_leaves))
+    rnd = state.round = Round(k, [t.root for t in state.trees], len(state.common_leaves))
     state.trace.rounds.append(rnd)
     rnd.r_k, rnd.w_k = select_anchors(state)
     # the structural floors of the previous round guarantee this much pool
@@ -257,7 +255,7 @@ def begin_round(state: ConstructionState) -> None:
             f"round {k}: common leaf pool has {rnd.pool} vertices,"
             f" below the floor {pool_floor}"
         )
-    state.lstar = frozenset(state.common_leaves - {rnd.r_k, rnd.w_k})
+    state.lstar = state.common_leaves - {rnd.r_k, rnd.w_k}
     state.assembly_leaves = set(range(state.coloring.n)) - {rnd.r_k}
 
 
@@ -283,8 +281,7 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
         raise ValueError(f"tree index {i} out of range for round {k}")
     if i > 1 and (len(rnd.steps) < i - 1 or rnd.steps[i - 2].w_prime < 0):
         raise ValueError(f"round {k}: step {i - 1} has not finished")
-    rk, wk, steps = rnd.r_k, rnd.w_k, rnd.steps
-    roots = state.roots
+    rk, wk, steps, roots = rnd.r_k, rnd.w_k, rnd.steps, rnd.roots
     ri = roots[i - 1]
     lstar = state.lstar
     elim: dict[str, set[int]] = {rule: set() for rule in _RULES}
@@ -334,25 +331,24 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
         raise InternalInvariantError(
             f"round {k} step {i}: {len(knocked_out)} eliminations exceed the cap {6 * k - 7}"
         )
-    allowed = set(lstar) - knocked_out
+    allowed = lstar - knocked_out
     if not allowed:
         raise EmptyCandidateSet(f"round {k} step {i}: the filter left no candidate")
     return allowed
 
 
 def revise_tree(state: ConstructionState, i: int, v_i: int) -> WorkingTree:
-    """Rewire tree i around its root, then trade the matching star edge of
-    the tree under assembly."""
+    """Rewire tree i around its root in place, then trade the matching star
+    edge of the tree under assembly."""
     col, rnd = state.coloring, state.round
-    rk, ri = rnd.r_k, state.roots[i - 1]
+    rk, ri = rnd.r_k, rnd.roots[i - 1]
     w_i = col.partner(col.color_of(ri, v_i), rk)
     v_prime = col.partner(col.color_of(ri, rk), v_i)
-    new_tree = apply_swap(state.trees[i - 1], ri, rk, v_i, w_i, v_prime)
-    state.trees[i - 1] = new_tree
+    tree = apply_swap(state.trees[i - 1], ri, rk, v_i, w_i, v_prime)
     st = rnd.steps[i - 1]
     st.chosen, st.w_i, st.v_prime = v_i, w_i, v_prime
     extend_kth_partial(state, i)
-    return new_tree
+    return tree
 
 
 def _handoff(state: ConstructionState, i: int) -> int:
@@ -423,7 +419,7 @@ def finalize_kth(state: ConstructionState) -> WorkingTree:
     if -1 in index:
         raise ColorClash("assembled tree repeats a color")
     tree.root_degree = parent.count(rk)
-    tree.root_leaves = frozenset(state.assembly_leaves)
+    tree.root_leaves = state.assembly_leaves
     if tree.root_degree != (n - 1) - k:
         raise InternalInvariantError(
             f"new root degree {tree.root_degree} differs from the guaranteed {(n - 1) - k}"
@@ -435,7 +431,6 @@ def finalize_kth(state: ConstructionState) -> WorkingTree:
             f" below the floor {(n - 1) - 2 * k}"
         )
     state.trees.append(tree)
-    state.roots.append(rk)
     return tree
 
 
@@ -443,7 +438,7 @@ def _check_structure(state: ConstructionState) -> None:
     """Exact root degrees and leaf floors that every round must restore."""
     n = state.coloring.n
     psi = len(state.trees)
-    if len(set(state.roots)) != psi:
+    if len({t.root for t in state.trees}) != psi:
         raise FValidationFailed("roots are not pairwise distinct")
     for idx, tree in enumerate(state.trees, start=1):
         # the root edges tree idx gave up: idx when it was assembled (none for
@@ -468,29 +463,20 @@ def _close_round(state: ConstructionState) -> None:
     the w_j and the w'_j. Each tree's root-leaf set is checked at these
     vertices, against the one the previous round left; :func:`build_forest`
     recomputes every set in full once, after the last round. The common
-    leaves are checked exactly, as the intersection of the kept sets.
+    leaves lose the touched vertices (no root is one) and are checked
+    against the exact intersection of the kept sets.
     """
-    rnd, k = state.round, state.k
-    # every vertex that lost common-leaf status this round, by construction:
-    # the anchors, each detached v_i, and each endpoint of a fresh edge
-    dropped = {rnd.r_k, rnd.w_k, rnd.w_k_prime}
-    for st in rnd.steps:
-        dropped.update((st.chosen, st.w_i, st.v_prime, st.w_prime))
-    incremental = state.common_leaves - dropped
-    for idx, t in enumerate(state.trees, start=1):
-        if idx < k:
-            st = rnd.steps[idx - 1]
-            touched = (t.root, rnd.r_k, st.chosen, st.w_i, st.v_prime)
-        else:
-            touched = {rnd.r_k, rnd.w_k, rnd.w_k_prime}.union(
-                *((st.w_i, st.w_prime) for st in rnd.steps)
-            )
+    rnd, k, rk = state.round, state.k, state.round.r_k
+    touched = [(t.root, rk, st.chosen, st.w_i, st.v_prime) for t, st in zip(state.trees, rnd.steps)]
+    touched.append({rk, rnd.w_k, rnd.w_k_prime}.union(*((st.w_i, st.w_prime) for st in rnd.steps)))
+    for idx, (t, xs) in enumerate(zip(state.trees, touched), start=1):
         # x is a root-adjacent leaf when its parent is the root and it is no one's parent
         parent, root = t.parent, t.root
-        if any((x in t.root_leaves) != (parent[x] == root and x not in parent) for x in touched):
+        if any((x in t.root_leaves) != (parent[x] == root and x not in parent) for x in xs):
             raise InternalInvariantError(
                 f"round {k}: root-leaf bookkeeping of tree {idx} diverged from recomputation"
             )
+    incremental = state.common_leaves.difference(*touched)
     first, *rest = sorted((t.root_leaves for t in state.trees), key=len)
     if incremental != first.intersection(*rest):
         raise InternalInvariantError(
@@ -499,8 +485,8 @@ def _close_round(state: ConstructionState) -> None:
     state.common_leaves = incremental
     _check_structure(state)
     state.round = None
-    state.assembly_leaves = set()
-    state.lstar = frozenset()
+    state.assembly_leaves = set()  # tree k now owns the old one
+    state.lstar = set()
 
 
 def step(state: ConstructionState) -> ConstructionState:

@@ -5,7 +5,7 @@ its file formats.
 :class:`RainbowTree` is a plain value: what a :class:`Forest` holds, what
 :func:`parse_forest` and the oracle return and what the verifier checks.
 :class:`WorkingTree` is the constructor's tree, a parent array with the
-indexes the construction reads; :func:`apply_swap` patches copies of it.
+indexes the construction reads; :func:`apply_swap` patches it in place.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class WorkingTree:
     parent: list[int]
     root_degree: int
     child_of_color: list[int]
-    root_leaves: frozenset[int]
+    root_leaves: set[int]
 
     def value(self) -> RainbowTree:
         """This tree as a plain RainbowTree, its edges read from the color
@@ -86,7 +86,7 @@ def base_star(coloring: EdgeColoring, r: int) -> WorkingTree:
     n = coloring.n
     parent = [r] * n
     parent[r] = -1
-    leaves = frozenset(range(n)) - {r}
+    leaves = set(range(n)) - {r}
     return WorkingTree(coloring, r, parent, n - 1, coloring.partner_row(r), leaves)
 
 
@@ -124,8 +124,8 @@ def spans(parent: list[int], root: int, rehung) -> bool:
 
 
 def apply_swap(tree: WorkingTree, r: int, y: int, v: int, w: int, v_prime: int) -> WorkingTree:
-    """Return tree - ry - rv + yw + vv' as a new tree: copies of the input's
-    lists with O(1) entries patched.
+    """Turn tree into tree - ry - rv + yw + vv' in place, at O(1) entries,
+    and return it.
 
     No search is needed. y and v must be distinct root-adjacent leaves, so
     without ry and rv the other n - 2 vertices still form a spanning tree
@@ -136,7 +136,8 @@ def apply_swap(tree: WorkingTree, r: int, y: int, v: int, w: int, v_prime: int) 
     A rainbow spanning tree uses every color once, so the result is rainbow
     exactly when the new edges reuse the two freed colors (the construction
     picks w and v' as the matching partners); else ColorClash. Errors are
-    checked in the order NotPendant, DegenerateSwap, ColorClash.
+    checked in the order NotPendant, DegenerateSwap, ColorClash, all before
+    the first write, so a swap that raises leaves the tree as it was.
 
     The root loses the children y and v, w and v' gain one each and no
     vertex becomes a root child, so the root-adjacent leaves are the old ones
@@ -163,12 +164,11 @@ def apply_swap(tree: WorkingTree, r: int, y: int, v: int, w: int, v_prime: int) 
         raise ColorClash(
             f"replacement colors {sorted({c_yw, c_vv})} do not match freed colors {sorted(freed)}"
         )
-    parent = tree.parent.copy()
-    parent[y], parent[v] = w, v_prime
-    child_of_color = tree.child_of_color.copy()
-    child_of_color[c_yw], child_of_color[c_vv] = y, v
-    leaves = tree.root_leaves - {y, v, w, v_prime}
-    return WorkingTree(col, r, parent, tree.root_degree - 2, child_of_color, leaves)
+    tree.parent[y], tree.parent[v] = w, v_prime
+    tree.child_of_color[c_yw], tree.child_of_color[c_vv] = y, v
+    tree.root_leaves.difference_update((y, v, w, v_prime))
+    tree.root_degree -= 2
+    return tree
 
 
 @dataclass(frozen=True)

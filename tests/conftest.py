@@ -104,7 +104,7 @@ def duplicate_root(monkeypatch, k):
     def duplicated(state):
         tree = original(state)
         if state.k == k:
-            state.roots[-1] = state.roots[0]
+            tree.root = state.trees[0].root
         return tree
 
     monkeypatch.setattr(ctor, "finalize_kth", duplicated)
@@ -122,6 +122,24 @@ def misreport_root_leaves(monkeypatch, k):
         return tree
 
     monkeypatch.setattr(ctor, "revise_tree", misreported)
+
+
+def drop_untouched_root_leaf(monkeypatch, k):
+    """Once tree k is built, drop from tree 1's root-adjacent leaves the
+    smallest one that tree 1's exchange did not touch and that is no
+    root-adjacent leaf of tree k, so the round close's leaf checks, which
+    look at touched vertices and at the common leaves, cannot see it."""
+    original = ctor.finalize_kth
+
+    def dropped(state):
+        tree = original(state)
+        if state.k == k:
+            rnd, first, st = state.round, state.trees[0], state.round.steps[0]
+            touched = {first.root, rnd.r_k, st.chosen, st.w_i, st.v_prime}
+            first.root_leaves.discard(min(first.root_leaves - touched - tree.root_leaves))
+        return tree
+
+    monkeypatch.setattr(ctor, "finalize_kth", dropped)
 
 
 def forget_common_leaf(monkeypatch, k):

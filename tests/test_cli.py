@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -13,7 +14,15 @@ from conftest import (
     misreport_untouched_vertex,
     starve_leaf_pool,
 )
-from rainbowtrees import build_forest, oracle, round_robin, trace_from_jsonl, trace_to_jsonl
+from rainbowtrees import (
+    build_forest,
+    oracle,
+    permuted_round_robin,
+    round_robin,
+    serialize_coloring,
+    trace_from_jsonl,
+    trace_to_jsonl,
+)
 from rainbowtrees.cli import main
 from rainbowtrees.errors import InternalInvariantError, SwapError
 
@@ -45,6 +54,26 @@ def test_verify_without_trace(tmp_path, capsys):
     assert run_cli(["build", "-i", str(col), "-o", str(forest)]) == 0
     assert run_cli(["verify", "-i", str(col), "-f", str(forest)]) == 0
     assert json.loads(capsys.readouterr().out)["trace_bounds"] is None
+
+
+def test_gen_without_output_writes_the_document_to_stdout(capsysbinary):
+    assert run_cli(["gen", "--m", "3"]) == 0
+    assert capsysbinary.readouterr().out == serialize_coloring(round_robin(3))
+
+
+def test_gen_writes_its_document_a_row_at_a_time(tmp_path):
+    # the coloring's two tables take about 2.5 times the document; gen never
+    # holds the whole document beside them
+    out = tmp_path / "c.json"
+    tracemalloc.start()
+    try:
+        assert run_cli(["gen", "--m", "200", "--permute-seed", "1", "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    data = out.read_bytes()
+    assert data == serialize_coloring(permuted_round_robin(200, 1))
+    assert peak <= 3.5 * len(data)
 
 
 def test_gen_m_zero_is_usage_error():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import tracemalloc
 from enum import IntEnum
 
@@ -159,6 +160,40 @@ def test_permuted_round_robin_stays_proper(m, seed):
     c = permuted_round_robin(m, seed)
     # revalidation from the raw table is the properness oracle
     assert validate_proper(raw_table(c), m) == c
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("m", [2, 5, 12])
+def test_permuted_round_robin_is_permute_coloring_of_round_robin(m, seed):
+    # the same shuffles, applied to the raw round-robin table instead
+    rng = random.Random(seed)
+    vp, cp = list(range(2 * m)), list(range(2 * m - 1))
+    rng.shuffle(vp)
+    rng.shuffle(cp)
+    want, got = permute_coloring(round_robin(m), vp, cp), permuted_round_robin(m, seed)
+    assert got == want
+    assert [got.partner_row(v) for v in range(2 * m)] == [want.partner_row(v) for v in range(2 * m)]
+    assert got.digest() == want.digest()
+
+
+def test_permuted_round_robin_builds_one_coloring():
+    # the raw round-robin table is relabelled and validated once, so no
+    # round-robin coloring and its partner table stay alive beside the result
+    tracemalloc.start()
+    try:
+        coloring = permuted_round_robin(200, 1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert coloring.n == 400
+    assert peak <= 1.25 * retained
+
+
+def test_colorings_need_a_positive_m():
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        round_robin(0)
+    with pytest.raises(ValueError, match="m must be a positive integer"):
+        validate_proper({}, 0)
 
 
 def test_permuted_round_robin_is_seed_deterministic():

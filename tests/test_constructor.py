@@ -9,6 +9,7 @@ from conftest import (
     common_root_leaves,
     corrupt_assembly_step,
     corrupt_hangers,
+    drop_untouched_root_leaf,
     duplicate_root,
     empty_candidate_pool,
     entry_pools,
@@ -24,6 +25,7 @@ from rainbowtrees import (
     MIN_INDEX,
     SelectionPolicy,
     build_forest,
+    forest_to_json,
     omega,
     permuted_round_robin,
     random_policy,
@@ -84,7 +86,7 @@ def test_omega_is_exact_integer_floor(m):
 
 def test_anchor_selection_after_base_step_m5():
     state = start_construction(round_robin(5))
-    assert state.roots == [0]
+    assert [t.root for t in state.trees] == [0]
     assert sorted(state.common_leaves) == list(range(1, 10))
     assert select_anchors(state) == (1, 2)
 
@@ -400,6 +402,25 @@ def test_random_policy_is_seed_deterministic():
     assert a.trees == b.trees
 
 
+@pytest.mark.parametrize(
+    "policy", [MIN_INDEX, MAX_INDEX, random_policy(3)], ids=["min", "max", "random"]
+)
+def test_builds_leave_their_coloring_as_it_was(policy):
+    # the working trees are patched in place; a star's color index must be a
+    # copy of its root's partner row, so a build writes nothing into the
+    # coloring and a second build on it gives the same bytes
+    c = permuted_round_robin(40, 2)
+    partners = [c.partner_row(v) for v in range(c.n)]
+    colors = [[c.color_of(u, v) for v in range(c.n) if v != u] for u in range(c.n)]
+    runs = []
+    for _ in range(2):
+        forest, trace = build_forest(c, policy=policy)
+        runs.append((forest_to_json(forest), trace_to_jsonl(trace)))
+    assert runs[0] == runs[1]
+    assert [c.partner_row(v) for v in range(c.n)] == partners
+    assert [[c.color_of(u, v) for v in range(c.n) if v != u] for u in range(c.n)] == colors
+
+
 def test_max_policy_roots():
     forest, _ = build_forest(round_robin(5), policy=MAX_INDEX)
     assert forest.trees[0].root == 9
@@ -654,3 +675,13 @@ def test_guarantee_checks_fire_under_fault_injection(monkeypatch, fault, error, 
         build_forest(round_robin(12))
     assert type(info.value) is error
     assert info.value.trace.rounds[-1].k == 3
+
+
+def test_leaf_floor_check_fires_under_fault_injection(monkeypatch):
+    # round 2 at m = 12 leaves tree 1 exactly at its floor of 19 root-adjacent
+    # leaves, so one leaf fewer is below it
+    drop_untouched_root_leaf(monkeypatch, 2)
+    with pytest.raises(FValidationFailed) as info:
+        build_forest(round_robin(12))
+    assert str(info.value) == "tree 1: 18 root-adjacent leaves, below the floor 19"
+    assert [rnd.k for rnd in info.value.trace.rounds] == [2]

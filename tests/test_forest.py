@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import random
@@ -215,39 +216,57 @@ def _surgery(tree, r, y, v, w, v_prime):
     return edges
 
 
+def _copy(tree):
+    """A tree equal to ``tree`` that shares no container with it."""
+    return dataclasses.replace(
+        tree,
+        parent=tree.parent.copy(),
+        child_of_color=tree.child_of_color.copy(),
+        root_leaves=set(tree.root_leaves),
+    )
+
+
 def _first_partner_swap(tree):
     col, r = tree.coloring, tree.root
     for y, v in itertools.permutations(sorted(tree.root_leaves), 2):
         w = col.partner(col.color_of(r, v), y)
         v_prime = col.partner(col.color_of(r, y), v)
         if not isinstance(_surgery(tree, r, y, v, w, v_prime), type):
-            return apply_swap(tree, r, y, v, w, v_prime)
+            return apply_swap(_copy(tree), r, y, v, w, v_prime)
     return None
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_apply_swap_is_exact_on_every_argument_tuple(m):
-    # every (r, y, v, w, v') on a star and on a partner-swapped tree; at
-    # m <= 3 the latter keeps at most one root leaf, so on it every tuple
-    # raises NotPendant
+    # every (r, y, v, w, v') on a star and on a partner-swapped tree; a swap
+    # patches its tree in place, so each valid tuple gets a fresh copy, and
+    # the tuples that raise must leave the tree as it was. At m <= 3 the
+    # swapped tree keeps at most one root leaf, so on it every tuple raises
+    # NotPendant
     n = 2 * m
     star = base_star(permuted_round_robin(m, 7), n - 1)
     swapped = _first_partner_swap(star)
     assert (swapped is None) == (m == 1)
-    for tree in (star, swapped) if swapped is not None else (star,):
-        snapshot = (tree.value().edges, set(tree.root_leaves))
+    cases = [(star, {1: 0, 2: 6, 3: 20}[m])] + ([(swapped, 0)] if swapped is not None else [])
+    for tree, want_valid in cases:
+        snapshot = (tree.value().edges, set(tree.root_leaves), tree.root_degree)
+        valid = 0
         for args in itertools.product(range(n), repeat=5):
             want = _surgery(tree, *args)
             if isinstance(want, type):
                 with pytest.raises(want):
                     apply_swap(tree, *args)
                 continue
-            out = apply_swap(tree, *args)
+            valid += 1
+            fresh = _copy(tree)
+            out = apply_swap(fresh, *args)
+            assert out is fresh
             assert (out.root, out.value().edges) == (tree.root, want)
             leaves, root_degree = _root_profile(out.root, {(a, b) for a, b, _ in want})
             assert set(out.root_leaves) == leaves
             assert out.root_degree == root_degree
-        assert (tree.value().edges, set(tree.root_leaves)) == snapshot
+        assert (tree.value().edges, set(tree.root_leaves), tree.root_degree) == snapshot
+        assert valid == want_valid
 
 
 def spans_by_search(parent, root):

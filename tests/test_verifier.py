@@ -285,6 +285,15 @@ def test_a_long_trace_that_fails_early_allocates_little():
     assert peak < 1 << 20
 
 
+def test_structure_check_reports_an_out_of_range_edge():
+    # vertex 9 is outside K_4, so no degree is counted: failures, not a raise
+    forest = Forest(m=2, trees=(RainbowTree.from_edges(3, [(3, 9, 0)]),))
+    assert verify_structure_f(forest).failures == [
+        "tree 1: root degree -1, expected exactly 3",
+        "tree 1: 0 root-adjacent leaves, floor is 3",
+    ]
+
+
 def test_empty_forest_fails_verification():
     # without a trace nothing else counts the trees
     empty = Forest(m=5, trees=())
