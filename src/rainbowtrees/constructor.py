@@ -107,34 +107,26 @@ def random_policy(seed: int) -> SelectionPolicy:
 
 
 class _Chooser:
-    """Per-run choice maker; holds the seeded generator for random policies."""
+    """Per-run choice maker: each choice takes the first (min), the last (max)
+    or a seeded random one of the options it is offered in ascending order."""
 
     def __init__(self, policy: SelectionPolicy):
         self.kind = policy.kind
         self._rng = random.Random(policy.seed) if policy.kind == "random" else None
 
+    def candidate(self, cands: list[int] | range) -> int:
+        if self._rng is not None:
+            return self._rng.choice(cands)
+        return cands[0] if self.kind == "min" else cands[-1]
+
     def root(self, n: int) -> int:
-        if self.kind == "min":
-            return 0
-        if self.kind == "max":
-            return n - 1
-        return self._rng.randrange(n)
+        return self.candidate(range(n))
 
     def anchors(self, leaves: list[int]) -> tuple[int, int]:
-        # leaves arrives sorted ascending
-        if self.kind == "min":
-            return leaves[0], leaves[1]
-        if self.kind == "max":
-            return leaves[-1], leaves[-2]
-        pick = self._rng.sample(leaves, 2)
-        return pick[0], pick[1]
-
-    def candidate(self, cands: list[int]) -> int:
-        if self.kind == "min":
-            return cands[0]
-        if self.kind == "max":
-            return cands[-1]
-        return self._rng.choice(cands)
+        if self._rng is not None:
+            return tuple(self._rng.sample(leaves, 2))
+        r = self.candidate(leaves)
+        return r, self.candidate([x for x in leaves if x != r])
 
 
 @dataclass

@@ -45,6 +45,8 @@ class InstanceTooLarge(InputError):
 class SwapError(RainbowTreesError):
     """A leaf exchange was attempted with arguments violating its preconditions."""
 
+    trace = None  # raised out of build_forest: the trace recorded up to the failure
+
 
 class NotPendant(SwapError):
     """A vertex required to be a root-adjacent leaf is not one."""
@@ -63,12 +65,10 @@ class InternalInvariantError(RainbowTreesError):
 
     These errors indicate implementation bugs, never bad input; they are
     raised loudly and carry the construction trace recorded up to the
-    failure in ``trace`` when one is available.
+    failure in ``trace`` when build_forest raises them, else None.
     """
 
-    def __init__(self, message: str, trace=None):
-        super().__init__(message)
-        self.trace = trace
+    trace = None
 
 
 class EmptyCandidateSet(InternalInvariantError):

@@ -141,18 +141,16 @@ def verify_structure_f(forest: Forest) -> CheckResult:
         if not all(0 <= x < n for x in degrees):
             degrees = None
         deg = -1 if degrees is None else degrees[tree.root]
-        if idx == 1:
-            want_deg = (n - 1) - 2 * (psi - 1)
-            leaf_floor = (n - 1) - 4 * (psi - 1)
-        else:
-            want_deg = (n - 1) - idx - 2 * (psi - idx)
-            leaf_floor = (n - 1) - 2 * idx - 4 * (psi - idx)
+        # the root edges tree idx gave up: idx when it was assembled (none for
+        # the first star), then two per later round; each costs at most two leaves
+        lost = (idx if idx > 1 else 0) + 2 * (psi - idx)
+        want_deg, leaf_floor = (n - 1) - lost, max((n - 1) - 2 * lost, 0)
         if deg != want_deg:
             failures.append(f"tree {idx}: root degree {deg}, expected exactly {want_deg}")
         leaves = set() if degrees is None else _root_adjacent_leaves(pairs, tree.root, degrees)
-        if len(leaves) < max(leaf_floor, 0):
+        if len(leaves) < leaf_floor:
             failures.append(
-                f"tree {idx}: {len(leaves)} root-adjacent leaves, floor is {max(leaf_floor, 0)}"
+                f"tree {idx}: {len(leaves)} root-adjacent leaves, floor is {leaf_floor}"
             )
     return _result(failures)
 
@@ -321,6 +319,8 @@ def verify_trace_bounds(
             failures.append(f"{tag}: record mentions a vertex outside [0, {n - 1}]")
             break
         pool_floor = 2 * m - 3 * k * k + 6 * k - 1
+        # never fires: round 2 enters at its floor n - 1, and round j removes from the pool only
+        # r_j, w_j, w'_j and four vertices per step, 4j - 1 at most, while the floor falls 6j - 3
         if len(entry_pool) < pool_floor:
             failures.append(f"{tag}: leaf pool {len(entry_pool)} below floor {pool_floor}")
         if rt.r_k not in entry_pool or rt.w_k not in entry_pool or rt.r_k == rt.w_k:
