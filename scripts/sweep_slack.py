@@ -12,8 +12,6 @@ always equals the minimum candidate count and is not reported separately.
 Usage: python scripts/sweep_slack.py [--m-from 5] [--m-to 40] [--seeds 3]
 """
 
-import argparse
-
 from rainbowtrees import (
     MAX_INDEX,
     MIN_INDEX,
@@ -24,6 +22,7 @@ from rainbowtrees import (
     slack,
     verify_all,
 )
+from rainbowtrees.cli import _Parser, _positive_int
 
 POLICIES = [("min", MIN_INDEX), ("max", MAX_INDEX), ("rand", random_policy(2718))]
 
@@ -50,10 +49,11 @@ def run(m_from: int, m_to: int, seeds: int) -> None:
 
 
 def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--m-from", type=int, default=5)
-    parser.add_argument("--m-to", type=int, default=40)
-    parser.add_argument("--seeds", type=int, default=3)
+    # a bad value is one line on stderr and exit 2, as in the CLI
+    parser = _Parser(description=__doc__.splitlines()[0])
+    parser.add_argument("--m-from", type=_positive_int, default=5)
+    parser.add_argument("--m-to", type=_positive_int, default=40)
+    parser.add_argument("--seeds", type=_positive_int, default=3)
     args = parser.parse_args()
     run(args.m_from, args.m_to, args.seeds)
 

@@ -2,9 +2,10 @@
 
 Subcommands: gen (emit a coloring), build (pack trees from a coloring),
 verify (referee a coloring/forest/trace triple), oracle (exhaustive counts on
-tiny instances), bench (timing sweep). Exit status: 0 success or pass, 1
-verification failure, 2 usage or input error, 3 internal-invariant violation
-(a bug; the partial trace is dumped and its path printed).
+tiny instances), bench (timing sweep), dot (render a forest as Graphviz DOT).
+Exit status: 0 success or pass, 1 verification failure, 2 usage or input
+error, 3 internal-invariant violation (a bug; the partial trace is dumped and
+its path printed).
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .constructor import (
     trace_to_jsonl,
 )
 from .errors import InputError, InternalInvariantError, SwapError
-from .forest import forest_to_json, parse_forest
+from .forest import forest_to_dot, forest_to_json, parse_forest
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     DEFAULT_PACKING_CAP,
@@ -92,8 +93,7 @@ def cmd_build(args) -> int:
         # --seed belongs to --policy random, and that policy needs one
         policy = SelectionPolicy(args.policy, args.seed)
     except ValueError as exc:
-        print(f"rainbowtrees build: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args.usage_error(str(exc))
     coloring = parse_coloring(_read(args.input))
     try:
         forest, trace = build_forest(coloring, policy=policy, trace_on=True)
@@ -137,8 +137,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_bench(args) -> int:
     if args.m_to < args.m_from:
-        print("error: --m-to must be at least --m-from", file=sys.stderr)
-        return EXIT_INPUT
+        args.usage_error("--m-to must be at least --m-from")
     rows = ["m,omega,trees_built,build_micros,verify_pass,min_candidate_slack"]
     for m in range(args.m_from, args.m_to + 1):
         coloring = round_robin(m)
@@ -158,6 +157,11 @@ def cmd_bench(args) -> int:
             f"{'true' if report.verdict else 'false'},{min_slack}"
         )
     _write(args.csv, [("\n".join(rows) + "\n").encode("utf-8")])
+    return EXIT_OK
+
+
+def cmd_dot(args) -> int:
+    _write(args.output, [forest_to_dot(parse_forest(_read(args.forest))).encode()])
     return EXIT_OK
 
 
@@ -194,7 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("--seed", type=int, default=None, help="seed for --policy random")
     p_build.add_argument("--trace", default=None, help="also write the trace (JSON lines)")
-    p_build.set_defaults(func=cmd_build)
+    p_build.set_defaults(func=cmd_build, usage_error=p_build.error)
 
     p_verify = sub.add_parser("verify", help="referee a coloring/forest/trace triple")
     p_verify.add_argument("-i", "--input", required=True, help="coloring document")
@@ -218,7 +222,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--m-to", type=_positive_int, required=True)
     p_bench.add_argument("--reps", type=_positive_int, default=1)
     p_bench.add_argument("--csv", default=None, help="CSV output path (default stdout)")
-    p_bench.set_defaults(func=cmd_bench)
+    p_bench.set_defaults(func=cmd_bench, usage_error=p_bench.error)
+
+    p_dot = sub.add_parser("dot", help="render a forest as Graphviz DOT, one graph per tree")
+    p_dot.add_argument("-f", "--forest", required=True, help="forest document")
+    p_dot.add_argument("-o", "--output", default=None, help="output path (default stdout)")
+    p_dot.set_defaults(func=cmd_dot)
 
     return parser
 

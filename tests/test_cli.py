@@ -5,6 +5,8 @@ import sys
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     corrupt_assembly_step,
@@ -16,7 +18,10 @@ from conftest import (
 )
 from rainbowtrees import (
     build_forest,
+    forest_to_dot,
+    forest_to_json,
     oracle,
+    parse_forest,
     permuted_round_robin,
     round_robin,
     serialize_coloring,
@@ -238,8 +243,21 @@ def test_bench_csv(tmp_path):
     assert row1[1] == "1" and row1[5] == ""
 
 
-def test_bench_bad_range():
+def test_bench_bad_range(capsys):
     assert run_cli(["bench", "--m-from", "5", "--m-to", "3"]) == 2
+    assert capsys.readouterr().err == "rainbowtrees bench: error: --m-to must be at least --m-from\n"
+
+
+def test_dot_writes_the_forest_as_graphviz_to_stdout_or_a_file(tmp_path, capsysbinary):
+    _, forest, _ = _built_trace(tmp_path)
+    expected = forest_to_dot(parse_forest(forest.read_bytes())).encode()
+    capsysbinary.readouterr()
+    assert run_cli(["dot", "-f", str(forest)]) == 0
+    assert capsysbinary.readouterr().out == expected
+    out = tmp_path / "f.dot"
+    assert run_cli(["dot", "-f", str(forest), "-o", str(out)]) == 0
+    assert out.read_bytes() == expected
+    assert capsysbinary.readouterr().out == b""
 
 
 def test_internal_invariant_exits_three_and_dumps_trace(tmp_path, monkeypatch, capsys):
@@ -425,8 +443,8 @@ def test_trace_of_another_run_is_verification_failure(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "command, document",
-    [("build", "coloring"), ("verify", "forest"), ("verify-trace", "trace")],
-    ids=["build", "verify", "verify-trace"],
+    [("build", "coloring"), ("verify", "forest"), ("verify-trace", "trace"), ("dot", "forest")],
+    ids=["build", "verify", "verify-trace", "dot"],
 )
 def test_non_utf8_input_file_is_input_error(tmp_path, capsys, command, document):
     col, forest, _ = _built_trace(tmp_path)
@@ -436,6 +454,8 @@ def test_non_utf8_input_file_is_input_error(tmp_path, capsys, command, document)
         argv = ["build", "-i", str(junk), "-o", str(tmp_path / "out.json")]
     elif command == "verify":
         argv = ["verify", "-i", str(col), "-f", str(junk)]
+    elif command == "dot":
+        argv = ["dot", "-f", str(junk)]
     else:
         argv = ["verify", "-i", str(col), "-f", str(forest), "-t", str(junk)]
     capsys.readouterr()
@@ -444,13 +464,20 @@ def test_non_utf8_input_file_is_input_error(tmp_path, capsys, command, document)
     assert err.startswith(f"error: {document} is not UTF-8: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("flag", ["-i", "-f", "-t"])
-def test_deeply_nested_json_is_input_error(tmp_path, capsys, flag):
+@pytest.mark.parametrize(
+    "command, flag",
+    [("verify", "-i"), ("verify", "-f"), ("verify", "-t"), ("dot", "-f")],
+    ids=["-i", "-f", "-t", "dot-f"],
+)
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command, flag):
     # json.loads gives up on deep nesting with a RecursionError
     col, forest, trace = _built_trace(tmp_path)
     files = {"-i": col, "-f": forest, "-t": trace}
     files[flag].write_text("[" * 200000)
-    argv = ["verify"] + [str(x) for pair in files.items() for x in pair]
+    if command == "dot":
+        argv = ["dot", "-f", str(forest)]
+    else:
+        argv = ["verify"] + [str(x) for pair in files.items() for x in pair]
     capsys.readouterr()
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
@@ -614,6 +641,9 @@ def test_malformed_document_shape_is_input_error(tmp_path, capsys, flag, doc, me
     capsys.readouterr()
     assert run_cli(["verify", "-i", str(col), "-f", str(forest)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+    if flag == "-f":
+        assert run_cli(["dot", "-f", str(forest)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_blank_trace_lines_are_skipped(tmp_path, capsys):
@@ -686,3 +716,96 @@ def test_forest_for_a_larger_m_is_verification_failure(tmp_path, capsys):
     failures = [f for tree in report["trees"] for f in tree["failures"]]
     assert any(f.endswith(",11) is not a valid vertex pair") for f in failures)
     assert report["digest_match"] is False and report["verdict"] == "fail"
+
+
+def _valid_triple():
+    coloring = permuted_round_robin(5, 1)
+    forest, trace = build_forest(coloring)
+    return {
+        "coloring": serialize_coloring(coloring),
+        "forest": forest_to_json(forest),
+        "trace": trace_to_jsonl(trace),
+    }
+
+
+VALID_TRIPLE = _valid_triple()
+# the documents each command reads, and so may find edited
+READS = {"build": ["coloring"], "verify": ["coloring", "forest", "trace"], "dot": ["forest"]}
+BYTE_EDITS = ("truncate", "overwrite", "delete_span", "digit")
+
+
+def _byte_edit(doc, kind, draw):
+    if kind == "digit":
+        at = draw(st.sampled_from([i for i, b in enumerate(doc) if b in b"0123456789"]), label="at")
+        other = draw(st.sampled_from(b"0123456789".replace(doc[at : at + 1], b"")), label="digit")
+        return doc[:at] + bytes([other]) + doc[at + 1 :]
+    at = draw(st.integers(0, len(doc) - 1), label="at")
+    if kind == "truncate":
+        return doc[:at]
+    if kind == "overwrite":
+        return doc[:at] + bytes([draw(st.integers(0, 255), label="byte")]) + doc[at + 1 :]
+    return doc[:at] + doc[at + draw(st.integers(1, 40), label="span") :]  # delete_span
+
+
+def _json_edit(doc, draw):
+    lines = doc.splitlines(keepends=True)
+    at = draw(st.integers(0, len(lines) - 1), label="line")
+    value = json.loads(lines[at])
+    # walk down from the root, so the shallow values that shape checks read
+    # are edited about as often as the many edge entries below them
+    container = value
+    while True:
+        keys = list(container) if isinstance(container, dict) else range(len(container))
+        key = draw(st.sampled_from(keys), label="key")
+        child = container[key]
+        if not (isinstance(child, (dict, list)) and child and draw(st.booleans(), label="deeper")):
+            break
+        container = child
+    new = draw(
+        st.sampled_from(["drop", None, True, False, 1.5, "x", str(child), [], [child], 2**70]),
+        label="value",
+    )
+    if new == "drop":  # a key, or a list entry
+        del container[key]
+    else:
+        container[key] = new
+    lines[at] = (json.dumps(value) + "\n").encode()
+    return b"".join(lines)
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    command=st.sampled_from(sorted(READS)),
+    edit=st.sampled_from(BYTE_EDITS + ("json",)),
+    data=st.data(),
+)
+def test_edited_documents_exit_0_1_or_2_with_one_line_errors(tmp_path, capsys, command, edit, data):
+    # one byte edit or one JSON edit of one document of a valid triple: the
+    # command ends with a status, never an exception, and a refused input is
+    # one line on stderr
+    docs = dict(VALID_TRIPLE)
+    name = data.draw(st.sampled_from(READS[command]), label="document")
+    if edit == "json":
+        docs[name] = _json_edit(docs[name], data.draw)
+    else:
+        docs[name] = _byte_edit(docs[name], edit, data.draw)
+    paths = {}
+    for doc_name, doc in docs.items():
+        paths[doc_name] = tmp_path / doc_name
+        paths[doc_name].write_bytes(doc)
+    argv = {
+        "build": ["build", "-i", str(paths["coloring"]), "-o", str(tmp_path / "out.json")],
+        "verify": ["verify", "-i", str(paths["coloring"]), "-f", str(paths["forest"]),
+                   "-t", str(paths["trace"])],
+        "dot": ["dot", "-f", str(paths["forest"])],
+    }[command]
+    capsys.readouterr()
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.endswith("\n") and err.count("\n") == 1
+    else:
+        assert err == ""
