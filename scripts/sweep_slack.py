@@ -55,6 +55,8 @@ def main() -> None:
     parser.add_argument("--m-to", type=_positive_int, default=40)
     parser.add_argument("--seeds", type=_positive_int, default=3)
     args = parser.parse_args()
+    if args.m_to < args.m_from:
+        parser.error("--m-to must be at least --m-from")
     run(args.m_from, args.m_to, args.seeds)
 
 

@@ -4,8 +4,11 @@ K_{2m} admits proper edge colorings with 2m-1 colors, and in every such
 coloring each color appears at every vertex exactly once, so each color class
 is a perfect matching. Equivalently, each row of the n x n color table (with
 -1 on the diagonal) is a permutation of -1..n-2; that one row check is what
-every EdgeColoring passes, and each row's inverse is the (vertex, color) ->
-partner table the tree construction looks up.
+every EdgeColoring passes. The rows are typed ``array`` rows, 2 bytes per
+cell while n <= 32768, so the garbage collector never walks them. A row's
+inverse is the vertex's color -> partner row the tree construction looks
+up; it is a typed row too, built when first asked for, since a build or a
+verify reads the partners of only a few vertices.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import hashlib
 import json
 import random
 import re
+from array import array
 from collections import deque
 from itertools import chain, repeat
 from operator import lt, setitem
@@ -63,22 +67,25 @@ def read_json(data, where: str):
 class EdgeColoring:
     """A validated proper (2m-1)-edge-coloring of K_{2m}.
 
-    Holds the n x n color table (-1 on the diagonal) and, per vertex, the
-    inverse of its row (color -> partner). Instances are immutable after
-    validation and safe to share across threads, which is why the digest is
-    computed once and cached. Obtain them from :func:`validate_proper`,
-    :func:`round_robin`, :func:`permuted_round_robin`, or
-    :func:`parse_coloring` rather than calling the constructor directly.
+    Holds the n x n color table (-1 on the diagonal) as typed rows and, per
+    vertex, the inverse of its row (color -> partner), computed from the row
+    the first time it is asked for and kept. Instances are immutable after
+    validation. Filling in a partner row, stored only once complete, or the
+    digest is an idempotent write of a value the table fixes: two threads
+    racing on it store equal values, so instances stay safe to share across
+    threads. Obtain them from :func:`validate_proper`, :func:`round_robin`,
+    :func:`permuted_round_robin`, or :func:`parse_coloring` rather than
+    calling the constructor directly.
     """
 
     __slots__ = ("m", "n", "n_colors", "_color", "_partner", "_digest")
 
-    def __init__(self, m: int, color_table, partner_table):
+    def __init__(self, m: int, color_rows: list[array]):
         self.m = m
         self.n = 2 * m
         self.n_colors = 2 * m - 1
-        self._color = color_table
-        self._partner = partner_table
+        self._color = color_rows
+        self._partner: list[array | None] = [None] * self.n
         self._digest = None
 
     def color_of(self, u: Vertex, v: Vertex) -> Color:
@@ -89,11 +96,26 @@ class EdgeColoring:
 
     def partner(self, c: Color, v: Vertex) -> Vertex:
         """The unique vertex joined to v by the edge of color c at v."""
-        return self._partner[v][c]
+        row = self._partner[v]
+        if row is None:
+            row = self._invert(v)
+        return row[c]
 
     def partner_row(self, v: Vertex) -> list[Vertex]:
         """A copy of v's partners by color: entry c is partner(c, v)."""
-        return self._partner[v].copy()
+        row = self._partner[v]
+        if row is None:
+            row = self._invert(v)
+        return row.tolist()
+
+    def _invert(self, v: Vertex) -> array:
+        """v's partner row, the inverse of its color row, stored once complete."""
+        row = self._color[v]
+        inverse = array(row.typecode, [0]) * self.n
+        _drain(map(setitem, repeat(inverse), row, range(self.n)))
+        inverse.pop()  # the slot of -1, the diagonal
+        self._partner[v] = inverse
+        return inverse
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All colored edges as (u, v, color) with u < v, in lexicographic order."""
@@ -130,35 +152,34 @@ _MISSING = object()
 _CONFLICT = object()
 
 
-def _checked(m: int, color: list[list]) -> EdgeColoring:
+def _typecode(n: int) -> str:
+    """The signed array typecode holding -1..n-1, the cells of both kinds of row."""
+    return "h" if n <= 32768 else "i"
+
+
+def _checked(m: int, color: list) -> EdgeColoring:
     """The row check every EdgeColoring passes.
 
-    ``color`` holds n symmetric rows with -1 on the diagonal. The coloring is
-    proper iff every row is a permutation of -1..n-2 over ints: one type
-    check over the table, then one set comparison per row, which is both the
-    range check and the distinctness check. The partner table is then each
-    row's inverse. Only when the check fails does :func:`_raise_first_fault`
-    scan pair by pair.
+    ``color`` holds n symmetric rows of ints with -1 on the diagonal: typed
+    rows, or list rows whose cells are ints or of an int subclass. The
+    coloring is proper iff every row is a permutation of -1..n-2: one set
+    comparison per row, which is both the range check and the distinctness
+    check. Only when it fails does :func:`_raise_first_fault` scan pair by
+    pair. Once the rows pass, list rows are typed in place, one row at a
+    time, so the two tables never coexist.
     """
     n = 2 * m
     row_set = set(range(-1, n - 1))
-    if set(map(type, chain.from_iterable(color))) != {int} or not all(
-        map(row_set.__eq__, map(set, color))
-    ):
+    if not all(map(row_set.__eq__, map(set, color))):
         _raise_first_fault(color)
-        # no fault after all: the colors are of an int subclass (IntEnum)
-        color = [list(map(int, row)) for row in color]
-    vertices = list(range(n))  # one int object per vertex, shared by every row
-    partner = []
-    for row in color:
-        inverse = [0] * n
-        _drain(map(setitem, repeat(inverse), row, vertices))
-        inverse.pop()  # the slot of -1, the diagonal
-        partner.append(inverse)
-    return EdgeColoring(m, color, partner)
+    if type(color[0]) is list:
+        typecode = _typecode(n)
+        for u, row in enumerate(color):
+            color[u] = array(typecode, row)
+    return EdgeColoring(m, color)
 
 
-def _raise_first_fault(color: list[list]) -> None:
+def _raise_first_fault(color: list) -> None:
     """Raise the first violation: the first pair fault, then per vertex, in
     order, the first color met twice (AdjacentClash)."""
     _raise_first_pair_fault(len(color), lambda u, v: color[u][v])
@@ -212,6 +233,10 @@ def validate_proper(raw_table: Mapping[tuple[int, int], int], m: int) -> EdgeCol
     for u in range(n):
         for v in range(u + 1, n):
             color[u][v] = color[v][u] = lookup(u, v)
+    # a cell may be any object: a non-int, or a bool or float equal to a
+    # color, is a fault, and an int subclass (IntEnum) reads as its int
+    if set(map(type, chain.from_iterable(color))) != {int}:
+        _raise_first_fault(color)
     return _checked(m, color)
 
 
@@ -226,27 +251,31 @@ def round_robin(m: int) -> EdgeColoring:
     return _checked(m, _round_robin_table(m))
 
 
-def _round_robin_table(m: int) -> list[list[int]]:
-    """round_robin's color table, not yet validated."""
+def _round_robin_table(m: int) -> list[array]:
+    """round_robin's typed color table, not yet validated."""
     if m < 1:
         raise ValueError("m must be a positive integer")
     cyc = 2 * m - 1
-    row0 = [v * m % cyc for v in range(cyc)]
+    typecode = _typecode(2 * m)
+    row0 = array(typecode, [v * m % cyc for v in range(cyc)])
     color = []
     for u in range(cyc):
         row = row0[u:] + row0[:u]
         row.append(u)
         row[u] = -1
         color.append(row)
-    color.append(list(range(cyc)) + [-1])
+    color.append(array(typecode, [*range(cyc), -1]))
     return color
 
 
-def _relabel(color: list[list[int]], vp: list[int], cp: list[int]) -> list[list[int]]:
-    """The color table with vertex x renamed vp[x] and color c renamed cp[c]."""
+def _relabel(color: list[array], vp: list[int], cp: list[int]) -> list[array]:
+    """The typed color table with vertex x renamed vp[x] and color c renamed cp[c]."""
+    typecode = color[0].typecode
     inv = sorted(range(len(vp)), key=vp.__getitem__)  # inv[vp[x]] = x
     recolor = cp + [-1]  # so the diagonal's -1 stays -1 rather than cp[-1]
-    return [list(map(recolor.__getitem__, map(color[u].__getitem__, inv))) for u in inv]
+    return [
+        array(typecode, map(recolor.__getitem__, map(color[u].__getitem__, inv))) for u in inv
+    ]
 
 
 def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeColoring:
@@ -348,7 +377,7 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     starts, and the last row ends at the frame's tail. One regex pass over
     the row takes its colors out, and the row stands only if its bytes are
     exactly the row serialize_coloring writes for those colors; then one
-    slice assignment fills row u right of the diagonal and one C-speed
+    slice assignment fills typed row u right of the diagonal and one C-speed
     scatter fills column u below it. Rows that tile the document between
     its head and its tail, each exact, make ``data`` the canonical document
     of the coloring read, so the json path reads the same coloring from it
@@ -363,10 +392,11 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     n = int(tail[1])
     if n < 2 or n % 2 or tail[1] != b"%d" % n or len(data) < 8 * (n * (n - 1) // 2):
         return None
-    # the spelling of each color, so one int object serves all of its cells
+    # each color by its spelling
     spelled = {str(c).encode(): c for c in range(n - 1)}.__getitem__
     encode = _row_encoder(n)
-    color = [[-1] * n for _ in range(n)]
+    typecode = _typecode(n)
+    color = [array(typecode, [-1]) * n for _ in range(n)]
     pos = len(_CANONICAL_HEAD)
     for u in range(n - 1):
         end = tail.start() if u == n - 2 else data.find(b",[%d,%d," % (u + 1, u + 2), pos)
@@ -380,7 +410,7 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
         cells = encode(u, row)
         if len(cells) != end - pos or not data.startswith(cells, pos):
             return None
-        color[u][u + 1:] = row
+        color[u][u + 1:] = array(typecode, row)
         _drain(map(setitem, color[u + 1:], repeat(u), row))
         pos = end + 1
     try:

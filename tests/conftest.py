@@ -1,7 +1,39 @@
 """Shared helpers for the test suite."""
 
 import rainbowtrees.constructor as ctor
-from rainbowtrees import Forest, RainbowTree
+from rainbowtrees import Forest, RainbowTree, build_forest
+
+
+def assert_partner_rows_invert(make):
+    """Check on colorings from ``make`` that partner(c, v) inverts v's color
+    row for every (c, v) and that partner_row(v) lists those partners.
+
+    A partner row is built on first use, by either method, so each order
+    runs on a fresh coloring: every partner asked for first, then every row,
+    and the other way round. A build reads the rows and must leave them as
+    they were.
+    """
+    for partner_first in (True, False):
+        coloring = make()
+        n, colors = coloring.n, range(coloring.n_colors)
+
+        def partners():
+            return [[coloring.partner(c, v) for c in colors] for v in range(n)]
+
+        def rows():
+            return [coloring.partner_row(v) for v in range(n)]
+
+        if partner_first:
+            got, want = partners(), rows()
+        else:
+            want, got = rows(), partners()
+        assert got == want
+        assert {type(row) for row in want} == {list}
+        assert {type(w) for row in want for w in row} == {int}
+        for v, row in enumerate(want):
+            assert [coloring.color_of(v, w) for w in row] == list(colors)
+        build_forest(coloring, policy=ctor.MIN_INDEX)
+        assert rows() == want
 
 
 def mutate_forest(forest, coloring, rng):

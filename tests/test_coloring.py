@@ -2,9 +2,11 @@ import hashlib
 import json
 import random
 import tracemalloc
+from array import array
 from enum import IntEnum
 
 import pytest
+from conftest import assert_partner_rows_invert
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -177,16 +179,17 @@ def test_permuted_round_robin_is_permute_coloring_of_round_robin(m, seed):
 
 
 def test_permuted_round_robin_builds_one_coloring():
-    # the raw round-robin table is relabelled and validated once, so no
-    # round-robin coloring and its partner table stay alive beside the result
+    # the raw round-robin table is typed from the start and relabelled and
+    # validated once: at its peak two typed tables of 0.3 MiB are alive, and
+    # no list table (1.3 MiB) or partner row ever is
     tracemalloc.start()
     try:
         coloring = permuted_round_robin(200, 1)
-        retained, peak = tracemalloc.get_traced_memory()
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert coloring.n == 400
-    assert peak <= 1.25 * retained
+    assert peak <= 2**20
 
 
 def test_colorings_need_a_positive_m():
@@ -338,16 +341,21 @@ def test_parse_of_a_short_document_reports_without_the_table():
 
 
 def test_partner_table_holds_one_int_per_vertex():
-    # every row is inverted against one shared vertex list; a fresh int per
-    # cell above 256 would keep about 4.4 MiB here
+    # the color rows are typed at 2 bytes per cell and no partner row exists
+    # until it is asked for; pointer rows would keep 1.3 MiB per table here
     tracemalloc.start()
     try:
         coloring = round_robin(200)
         retained = tracemalloc.get_traced_memory()[0]
+        for v in range(coloring.n):
+            coloring.partner(0, v)
+        with_partners = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert coloring.n == 400
-    assert retained < 3.5 * 2**20
+    assert retained <= 0.5 * 2**20
+    # the partner rows are typed as well
+    assert with_partners <= 2**20
 
 
 def test_int_subclass_colors_read_as_plain_ints():
@@ -357,6 +365,55 @@ def test_int_subclass_colors_read_as_plain_ints():
     assert coloring == plain
     assert coloring.digest() == plain.digest()
     assert all(type(coloring.color_of(u, v)) is int for u, v, _ in plain.edges())
+
+
+_Color5 = IntEnum("_Color5", {f"c{c}": c for c in range(9)})
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: round_robin(1),
+        lambda: round_robin(5),
+        lambda: permuted_round_robin(12, 3),
+        # partners above 256, which typed rows box afresh on every read
+        lambda: permuted_round_robin(200, 1),
+        lambda: validate_proper(
+            {(u, v): _Color5(c) for u, v, c in round_robin(5).edges()}, 5
+        ),
+    ],
+    ids=["rr1", "rr5", "prr12-s3", "prr200-s1", "intenum5"],
+)
+def test_partner_rows_invert_the_color_rows(make):
+    assert_partner_rows_invert(make)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: round_robin(6),
+        lambda: permuted_round_robin(6, 1),
+        lambda: validate_proper(raw_table(round_robin(6)), 6),
+        lambda: parse_coloring(serialize_coloring(round_robin(6))),
+        lambda: parse_coloring(json.dumps(json.loads(serialize_coloring(round_robin(6))))),
+    ],
+    ids=["round_robin", "permuted", "validate", "canonical", "json"],
+)
+def test_every_path_holds_typed_rows(make):
+    rows = make()._color
+    assert {type(row) for row in rows} == {array}
+    assert {row.typecode for row in rows} == {"h"}
+
+
+def test_rows_take_two_bytes_up_to_n_32768():
+    # cells run from -1 (the diagonal) to n-1 (a partner), so 'h' holds them
+    # up to n = 32768 and not beyond; no table is built, since one for
+    # n = 32770 would take about 4 GB
+    assert coloring_module._typecode(32768) == "h"
+    assert coloring_module._typecode(32770) == "i"
+    assert array("h", [-1, 32768 - 1]).tolist() == [-1, 32767]
+    with pytest.raises(OverflowError):
+        array("h", [32770 - 1])
 
 
 def _peak_bytes(call):

@@ -49,6 +49,13 @@ GOLDEN = [
         "42c49276ca7cef0e86a4e75a75b81785e45f6ec8338bb7025ae379f984822d5a",
         "24fc0f322574dec33b9e95e1f468a6ac8b1feaf1a8bf7108861b75dab2f41935",
     ),
+    # n = 400: cells above 256, which typed rows box afresh on every read
+    (
+        200, 1, "min", MIN_INDEX,
+        "925fdc4d564a739cd18c9885cb9d18671beb36fa28fbe8974780225771a5dfd2",
+        "e17c329769b25f07c0dfc0187cb906fd7a7ab32cbd18abb71e0f5a5ae47a4f5a",
+        "8ef970fce0886edae47464639465a7d76ea4355f61124d7fe74cecdcb841f7c3",
+    ),
 ]
 
 

@@ -10,6 +10,8 @@ trees, so the packing search also runs on subfamilies of the trees, where
 it must find what plain backtracking finds.
 """
 
+import pytest
+from conftest import assert_partner_rows_invert
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference_oracle import enumerate_rainbow_spanning_trees as reference_enumeration
@@ -94,6 +96,16 @@ def test_kempe_switches_reach_three_isomorphism_classes_of_k8():
         for start, switches in (("rr4", [(0, 1, 0)]), ("xor8", []), ("xor8", THIRD_CLASS))
     ]
     assert counts == [2318, 2304, 2312]
+
+
+@pytest.mark.parametrize(
+    "start, switches",
+    [("rr4", [(0, 1, 0)]), ("xor8", []), ("xor8", THIRD_CLASS)],
+    ids=["rr4-switched", "xor8", "third-class"],
+)
+def test_partner_rows_invert_kempe_switched_colorings(start, switches):
+    # validate_proper makes these, from a mapping rather than a generator
+    assert_partner_rows_invert(lambda: switched(start, switches))
 
 
 def brute_packing(tree_edges):
