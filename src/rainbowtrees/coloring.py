@@ -125,10 +125,12 @@ class EdgeColoring:
                 yield u, v, row[v]
 
     def digest(self) -> str:
-        """Content hash of the canonical serialization, computed on first use;
-        parse_coloring sets it from canonical bytes it read."""
+        """Content hash of the canonical serialization, hashed a row at a time
+        on first use; parse_coloring sets it from canonical bytes it read."""
         if self._digest is None:
-            self._digest = hashlib.sha256(serialize_coloring(self)).hexdigest()
+            digest = hashlib.sha256()
+            _drain(map(digest.update, coloring_chunks(self)))
+            self._digest = digest.hexdigest()
         return self._digest
 
     def __eq__(self, other):

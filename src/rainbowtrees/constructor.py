@@ -260,9 +260,9 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
     R1 is membership in the pool itself (the common leaves minus the two
     anchors). Every other rule forbids specific colors on one of v's edges,
     so each knocks out at most one pool vertex per forbidden color; the
-    partner table turns each forbidden color directly into the vertex it
-    eliminates. Trees 1..i-1 have already been rewired this round, trees
-    i..k-1 have not, which is exactly the mix the lookups in R8/R9 need.
+    other endpoint's partner row turns each forbidden color into the
+    vertex it eliminates. Trees 1..i-1 have already been rewired this round,
+    trees i..k-1 have not, which is exactly the mix the lookups in R8/R9 need.
     The per-rule eliminations are written to round.steps[i-1], replacing any
     earlier attempt at this i.
     """

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
+from itertools import chain, permutations, repeat
 
 from .coloring import EdgeColoring, canonical_json_bytes
 from .constructor import ConstructionTrace
@@ -34,24 +34,16 @@ def _result(failures: list[str]) -> CheckResult:
 
 
 def _component_count(n: int, pairs) -> int:
-    adjacency: dict[int, list[int]] = {x: [] for x in range(n)}
+    # union-find with path halving; a self-loop or a repeated pair merges nothing
+    parent, comps = list(range(n)), n
     for u, v in pairs:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    seen = [False] * n
-    comps = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        comps += 1
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adjacency[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[u] = v
+            comps -= 1
     return comps
 
 
@@ -60,14 +52,13 @@ def _acyclic(n: int, pairs) -> bool:
     return _component_count(n, pairs) == n - len(pairs)
 
 
-def _root_adjacent_leaves(pairs, root: int, deg: Counter) -> set[int]:
-    out = set()
-    for u, v in pairs:
-        if u == root and deg[v] == 1:
-            out.add(v)
-        elif v == root and deg[u] == 1:
-            out.add(u)
-    return out
+def _repeated_pairs(tree_pairs) -> dict[tuple[int, int], int]:
+    """The pairs held by more than one tree, with the number of trees holding each."""
+    seen, again = set(), Counter()  # per pair, the trees that find it already seen
+    for pairs in tree_pairs:
+        again.update(pairs & seen)
+        seen |= pairs
+    return {p: k + 1 for p, k in again.items()}
 
 
 def verify_rainbow_spanning_tree(coloring: EdgeColoring, tree: RainbowTree) -> CheckResult:
@@ -109,10 +100,7 @@ def verify_rainbow_spanning_tree(coloring: EdgeColoring, tree: RainbowTree) -> C
 
 def verify_edge_disjoint(forest: Forest) -> CheckResult:
     """Pass iff no unordered vertex pair occurs in two different trees."""
-    counts: Counter = Counter()
-    for pairs in forest.tree_pairs:
-        counts.update(pairs)
-    repeated = sorted((p, k) for p, k in counts.items() if k > 1)
+    repeated = sorted(_repeated_pairs(forest.tree_pairs).items())
     return _result([f"edge {p} appears in {k} trees" for p, k in repeated])
 
 
@@ -147,11 +135,12 @@ def verify_structure_f(forest: Forest) -> CheckResult:
         want_deg, leaf_floor = (n - 1) - lost, max((n - 1) - 2 * lost, 0)
         if deg != want_deg:
             failures.append(f"tree {idx}: root degree {deg}, expected exactly {want_deg}")
-        leaves = set() if degrees is None else _root_adjacent_leaves(pairs, tree.root, degrees)
-        if len(leaves) < leaf_floor:
-            failures.append(
-                f"tree {idx}: {len(leaves)} root-adjacent leaves, floor is {leaf_floor}"
-            )
+        # a root-adjacent leaf: degree 1, and its one pair is the one with the root
+        leaves = 0
+        if degrees is not None:
+            leaves = sum(d == 1 and _pair(tree.root, x) in pairs for x, d in degrees.items())
+        if leaves < leaf_floor:
+            failures.append(f"tree {idx}: {leaves} root-adjacent leaves, floor is {leaf_floor}")
     return _result(failures)
 
 
@@ -496,11 +485,18 @@ def verify_all(
     digest_match: bool | None = None
     if forest.coloring_digest is not None:
         digest_match = forest.coloring_digest == coloring.digest()
+    # each tree's size on the diagonal; off it, only the pairs held more than
+    # once count, one for each ordered pair of trees holding them
     tree_pairs = forest.tree_pairs
-    shared = [
-        [len(a & b) if i != j else len(a) for j, b in enumerate(tree_pairs)]
-        for i, a in enumerate(tree_pairs)
-    ]
+    holders: dict[tuple[int, int], list[int]] = {p: [] for p in _repeated_pairs(tree_pairs)}
+    shared = [[0] * len(tree_pairs) for _ in tree_pairs]
+    for i, pairs in enumerate(tree_pairs):
+        shared[i][i] = len(pairs)
+        for p in holders.keys() & pairs:
+            holders[p].append(i)
+    for trees in holders.values():
+        for i, j in permutations(trees, 2):
+            shared[i][j] += 1
     return VerificationReport(
         m=forest.m,
         tree_checks=tree_checks,

@@ -258,7 +258,21 @@ def test_digest_of_a_canonical_document_is_the_sha256_of_its_bytes(monkeypatch):
         raise AssertionError("the digest serialized the coloring again")
 
     monkeypatch.setattr(coloring_module, "serialize_coloring", no_serialization)
+    monkeypatch.setattr(coloring_module, "coloring_chunks", no_serialization)
     assert coloring.digest() == hashlib.sha256(data).hexdigest()
+
+
+def test_digest_hashes_the_document_a_row_at_a_time():
+    # the document of round_robin(200) is 1 MiB; the digest never holds it whole
+    coloring = round_robin(200)
+    tracemalloc.start()
+    try:
+        digest = coloring.digest()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(serialize_coloring(coloring)).hexdigest()
+    assert peak <= 2**18
 
 
 def test_validate_rejects_two_colors_for_one_pair():

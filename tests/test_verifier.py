@@ -294,6 +294,27 @@ def test_structure_check_reports_an_out_of_range_edge():
     ]
 
 
+@pytest.mark.parametrize(
+    "m, trees, failure",
+    [
+        # the chord (1,2) keeps the root's degree at 3 but leaves only 3 a leaf
+        (2, [(0, [(0, 1), (0, 2), (0, 3), (1, 2)])], "tree 1: 1 root-adjacent leaves, floor is 3"),
+        # 4 and 5 have degree 1 but are not the root's neighbors
+        (
+            3,
+            [
+                (0, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3), (4, 5)]),
+                (5, [(2, 5), (3, 5), (4, 5), (1, 4), (0, 1)]),
+            ],
+            "tree 1: 0 root-adjacent leaves, floor is 1",
+        ),
+    ],
+)
+def test_structure_check_counts_only_root_neighbors_of_degree_one(m, trees, failure):
+    trees = tuple(RainbowTree.from_edges(r, [(u, v, 0) for u, v in pairs]) for r, pairs in trees)
+    assert verify_structure_f(Forest(m=m, trees=trees)).failures == [failure]
+
+
 def test_empty_forest_fails_verification():
     # without a trace nothing else counts the trees
     empty = Forest(m=5, trees=())
