@@ -4,11 +4,12 @@ K_{2m} admits proper edge colorings with 2m-1 colors, and in every such
 coloring each color appears at every vertex exactly once, so each color class
 is a perfect matching. Equivalently, each row of the n x n color table (with
 -1 on the diagonal) is a permutation of -1..n-2; that one row check is what
-every EdgeColoring passes. The rows are typed ``array`` rows, 2 bytes per
-cell while n <= 32768, so the garbage collector never walks them. A row's
-inverse is the vertex's color -> partner row the tree construction looks
-up; it is a typed row too, built when first asked for, since a build or a
-verify reads the partners of only a few vertices.
+every EdgeColoring passes. The table is one flat typed ``array`` of n*n
+cells, row u at [u*n:(u+1)*n], 2 bytes per cell while n <= 32768, so the
+garbage collector never walks it. A row's inverse is the vertex's color ->
+partner row the tree construction looks up; it is a typed row too, built
+when first asked for, since a build or a verify reads the partners of only
+a few vertices.
 """
 
 from __future__ import annotations
@@ -67,24 +68,24 @@ def read_json(data, where: str):
 class EdgeColoring:
     """A validated proper (2m-1)-edge-coloring of K_{2m}.
 
-    Holds the n x n color table (-1 on the diagonal) as typed rows and, per
-    vertex, the inverse of its row (color -> partner), computed from the row
-    the first time it is asked for and kept. Instances are immutable after
-    validation. Filling in a partner row, stored only once complete, or the
-    digest is an idempotent write of a value the table fixes: two threads
-    racing on it store equal values, so instances stay safe to share across
-    threads. Obtain them from :func:`validate_proper`, :func:`round_robin`,
-    :func:`permuted_round_robin`, or :func:`parse_coloring` rather than
-    calling the constructor directly.
+    Holds the n x n color table (-1 on the diagonal) as one flat typed array,
+    cell (u, v) at u*n + v, and, per vertex, the inverse of its row (color ->
+    partner), computed from the row the first time it is asked for and kept.
+    Instances are immutable after validation. Filling in a partner row,
+    stored only once complete, or the digest is an idempotent write of a
+    value the table fixes: two threads racing on it store equal values, so
+    instances stay safe to share across threads. Obtain them from
+    :func:`validate_proper`, :func:`round_robin`, :func:`permuted_round_robin`,
+    or :func:`parse_coloring` rather than calling the constructor directly.
     """
 
     __slots__ = ("m", "n", "n_colors", "_color", "_partner", "_digest")
 
-    def __init__(self, m: int, color_rows: list[array]):
+    def __init__(self, m: int, color: array):
         self.m = m
         self.n = 2 * m
         self.n_colors = 2 * m - 1
-        self._color = color_rows
+        self._color = color
         self._partner: list[array | None] = [None] * self.n
         self._digest = None
 
@@ -92,7 +93,7 @@ class EdgeColoring:
         """Color of edge {u, v}; symmetric in its arguments."""
         if u == v:
             raise SelfLoop(f"no edge joins vertex {u} to itself")
-        return self._color[u][v]
+        return self._color[u * self.n + v]
 
     def partner(self, c: Color, v: Vertex) -> Vertex:
         """The unique vertex joined to v by the edge of color c at v."""
@@ -110,18 +111,19 @@ class EdgeColoring:
 
     def _invert(self, v: Vertex) -> array:
         """v's partner row, the inverse of its color row, stored once complete."""
-        row = self._color[v]
-        inverse = array(row.typecode, [0]) * self.n
-        _drain(map(setitem, repeat(inverse), row, range(self.n)))
+        n = self.n
+        inverse = array(self._color.typecode, [0]) * n
+        _drain(map(setitem, repeat(inverse), self._color[v * n:(v + 1) * n], range(n)))
         inverse.pop()  # the slot of -1, the diagonal
         self._partner[v] = inverse
         return inverse
 
     def edges(self) -> Iterator[tuple[int, int, int]]:
         """All colored edges as (u, v, color) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            row = self._color[u]
-            for v in range(u + 1, self.n):
+        n = self.n
+        for u in range(n):
+            row = self._color[u * n:(u + 1) * n]
+            for v in range(u + 1, n):
                 yield u, v, row[v]
 
     def digest(self) -> str:
@@ -155,29 +157,39 @@ _CONFLICT = object()
 
 
 def _typecode(n: int) -> str:
-    """The signed array typecode holding -1..n-1, the cells of both kinds of row."""
+    """The signed array typecode holding -1..n-1, the cells of the color table
+    and of the partner rows."""
     return "h" if n <= 32768 else "i"
 
 
-def _checked(m: int, color: list) -> EdgeColoring:
+def _rows(color: array, n: int) -> Iterator[array]:
+    """The n rows of a flat n x n table, each a slice of it."""
+    return map(color.__getitem__, map(slice, range(0, n * n, n), range(n, n * n + 1, n)))
+
+
+def _checked(m: int, color: array | list[list]) -> EdgeColoring:
     """The row check every EdgeColoring passes.
 
-    ``color`` holds n symmetric rows of ints with -1 on the diagonal: typed
-    rows, or list rows whose cells are ints or of an int subclass. The
-    coloring is proper iff every row is a permutation of -1..n-2: one set
-    comparison per row, which is both the range check and the distinctness
-    check. Only when it fails does :func:`_raise_first_fault` scan pair by
-    pair. Once the rows pass, list rows are typed in place, one row at a
-    time, so the two tables never coexist.
+    ``color`` is the symmetric n x n table of ints with -1 on the diagonal:
+    a flat typed array, or n list rows whose cells are ints or of an int
+    subclass. The coloring is proper iff every row is a permutation of
+    -1..n-2: one set comparison per row, which is both the range check and
+    the distinctness check. Only when it fails does
+    :func:`_raise_first_fault` scan pair by pair. Once list rows pass, they
+    are typed into the flat table one row at a time, each dropped once
+    copied, so the two tables never coexist.
     """
     n = 2 * m
+    typed = isinstance(color, array)
+    rows = _rows(color, n) if typed else color
     row_set = set(range(-1, n - 1))
-    if not all(map(row_set.__eq__, map(set, color))):
-        _raise_first_fault(color)
-    if type(color[0]) is list:
-        typecode = _typecode(n)
-        for u, row in enumerate(color):
-            color[u] = array(typecode, row)
+    if not all(map(row_set.__eq__, map(set, rows))):
+        _raise_first_fault(list(_rows(color, n)) if typed else color)
+    if not typed:
+        color = array(_typecode(n))
+        for u, row in enumerate(rows):
+            color.fromlist(row)
+            rows[u] = None
     return EdgeColoring(m, color)
 
 
@@ -253,31 +265,33 @@ def round_robin(m: int) -> EdgeColoring:
     return _checked(m, _round_robin_table(m))
 
 
-def _round_robin_table(m: int) -> list[array]:
-    """round_robin's typed color table, not yet validated."""
+def _round_robin_table(m: int) -> array:
+    """round_robin's flat typed color table, not yet validated."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    cyc = 2 * m - 1
-    typecode = _typecode(2 * m)
-    row0 = array(typecode, [v * m % cyc for v in range(cyc)])
-    color = []
+    n, cyc = 2 * m, 2 * m - 1
+    typecode = _typecode(n)
+    row0 = array(typecode, [v * m % cyc for v in range(cyc)]) * 2
+    color = array(typecode)
     for u in range(cyc):
-        row = row0[u:] + row0[:u]
-        row.append(u)
-        row[u] = -1
-        color.append(row)
-    color.append(array(typecode, [*range(cyc), -1]))
+        color += row0[u:u + cyc]  # row 0 rotated by u
+        color.append(u)
+    color.extend(range(cyc))
+    color.append(-1)
+    color[::n + 1] = array(typecode, [-1]) * n  # the diagonal
     return color
 
 
-def _relabel(color: list[array], vp: list[int], cp: list[int]) -> list[array]:
-    """The typed color table with vertex x renamed vp[x] and color c renamed cp[c]."""
-    typecode = color[0].typecode
-    inv = sorted(range(len(vp)), key=vp.__getitem__)  # inv[vp[x]] = x
+def _relabel(color: array, vp: list[int], cp: list[int]) -> array:
+    """The flat color table with vertex x renamed vp[x] and color c renamed cp[c]."""
+    n = len(vp)
+    inv = sorted(range(n), key=vp.__getitem__)  # inv[vp[x]] = x
     recolor = cp + [-1]  # so the diagonal's -1 stays -1 rather than cp[-1]
-    return [
-        array(typecode, map(recolor.__getitem__, map(color[u].__getitem__, inv))) for u in inv
-    ]
+    relabelled = array(color.typecode)
+    for u in inv:
+        row = color[u * n:(u + 1) * n]
+        relabelled.extend(map(recolor.__getitem__, map(row.__getitem__, inv)))
+    return relabelled
 
 
 def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeColoring:
@@ -302,23 +316,19 @@ def permuted_round_robin(m: int, seed: int) -> EdgeColoring:
     return _checked(m, _relabel(_round_robin_table(m), vp, cp))
 
 
-def _row_encoder(n: int):
-    """The function spelling the bytes of row u of the canonical document, its
-    entries [u,v,c] for v = u+1..n-1, from their colors; writer and reader share it."""
+def coloring_chunks(coloring: EdgeColoring) -> Iterator[bytes]:
+    """serialize_coloring's bytes, one row of entries at a time: row u is the
+    entries [u,v,c] for v = u+1..n-1."""
+    n, color = coloring.n, coloring._color
     text = [str(x) for x in range(n)]
     cell_end = [f",{x}]" for x in text].__getitem__  # color c closes "[u,v" with ",c]"
-    return lambda u, colors: ",".join(
-        map("".join, zip(repeat(f"[{u},"), text[u + 1:], map(cell_end, colors)))
-    ).encode()
-
-
-def coloring_chunks(coloring: EdgeColoring) -> Iterator[bytes]:
-    """serialize_coloring's bytes, one row of entries at a time."""
-    encode = _row_encoder(coloring.n)
-    for u, row in enumerate(coloring._color[:-1]):
+    for u in range(n - 1):
         yield b"," if u else _CANONICAL_HEAD  # what comes before row u
-        yield encode(u, row[u + 1:])
-    yield b'],"n":%d}\n' % coloring.n
+        colors = color[u * n + u + 1:(u + 1) * n]
+        yield ",".join(
+            map("".join, zip(repeat(f"[{u},"), text[u + 1:], map(cell_end, colors)))
+        ).encode()
+    yield b'],"n":%d}\n' % n
 
 
 def serialize_coloring(coloring: EdgeColoring) -> bytes:
@@ -365,10 +375,9 @@ def parse_coloring(data) -> EdgeColoring:
     return _parse_json(data)
 
 
-# the frame of serialize_coloring's document, and the ",c]" closing each entry
+# the frame of serialize_coloring's document
 _CANONICAL_HEAD = b'{"edges":['
 _CANONICAL_TAIL = re.compile(rb'\],"n":([0-9]{1,9})\}\n\Z')
-_CANONICAL_COLOR = re.compile(rb",([0-9]{1,9})\]")
 
 
 def _parse_canonical(data: bytes) -> EdgeColoring | None:
@@ -376,17 +385,23 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
 
     The document is read row by row: row u is the run of entries
     [u,v,c] for v = u+1..n-1, which ends where the entry [u+1,u+2,...
-    starts, and the last row ends at the frame's tail. One regex pass over
-    the row takes its colors out, and the row stands only if its bytes are
-    exactly the row serialize_coloring writes for those colors; then one
-    slice assignment fills typed row u right of the diagonal and one C-speed
-    scatter fills column u below it. Rows that tile the document between
-    its head and its tail, each exact, make ``data`` the canonical document
-    of the coloring read, so the json path reads the same coloring from it
-    and sha256(data) is its digest. Every entry takes at least 8 bytes, so
-    a document too short to hold n(n-1)/2 of them is refused before the n x n
-    table is allocated, and the table's size is bounded by the input's. Never
-    raises: an invalid coloring gives None, and the json path reports it.
+    starts, and the last row ends at the frame's tail. The row's bytes are
+    split once on ",", into tokens "[u", "v" and "c]" per entry, and the row
+    stands only if each token is the one serialize_coloring writes: every
+    head is "[u" (one count), the columns are u+1..n-1 in order (one list
+    comparison) and every color maps through the dict of the spellings of
+    0..n-2, so a leading zero or a color out of range refuses it. The tokens
+    joined by "," are the row's bytes, so these are exactly the row the
+    writer spells for the colors read. One slice assignment puts them right
+    of the diagonal of the flat table, and once every row stands, one
+    strided slice per vertex copies its column above the diagonal into its
+    row left of it. Rows that tile the document between its head and its
+    tail, each exact, make ``data`` the canonical document of the coloring
+    read, so the json path reads the same coloring from it and sha256(data)
+    is its digest. Every entry takes at least 8 bytes, so a document too
+    short to hold n(n-1)/2 of them is refused before the n x n table is
+    allocated, and the table's size is bounded by the input's. Never raises:
+    an invalid coloring gives None, and the json path reports it.
     """
     tail = _CANONICAL_TAIL.search(data, max(0, len(data) - 20))
     if tail is None or not data.startswith(_CANONICAL_HEAD):
@@ -394,27 +409,32 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     n = int(tail[1])
     if n < 2 or n % 2 or tail[1] != b"%d" % n or len(data) < 8 * (n * (n - 1) // 2):
         return None
-    # each color by its spelling
-    spelled = {str(c).encode(): c for c in range(n - 1)}.__getitem__
-    encode = _row_encoder(n)
+    column = [b"%d" % v for v in range(n)]
+    # each color by its spelling, closed by the "]" of its entry
+    spelled = {b"%d]" % c: c for c in range(n - 1)}.__getitem__
     typecode = _typecode(n)
-    color = [array(typecode, [-1]) * n for _ in range(n)]
+    color = array(typecode, [-1]) * (n * n)
     pos = len(_CANONICAL_HEAD)
     for u in range(n - 1):
         end = tail.start() if u == n - 2 else data.find(b",[%d,%d," % (u + 1, u + 2), pos)
-        found = _CANONICAL_COLOR.findall(data, pos, end)
-        if end < 0 or len(found) != n - 1 - u:
+        if end < 0:
+            return None
+        tokens = data[pos:end].split(b",")
+        k = n - 1 - u
+        if (
+            len(tokens) != 3 * k
+            or tokens[0::3].count(b"[%d" % u) != k
+            or tokens[1::3] != column[u + 1:]
+        ):
             return None
         try:
-            row = list(map(spelled, found))
+            colors = list(map(spelled, tokens[2::3]))
         except KeyError:  # a color out of range or with a leading zero
             return None
-        cells = encode(u, row)
-        if len(cells) != end - pos or not data.startswith(cells, pos):
-            return None
-        color[u][u + 1:] = array(typecode, row)
-        _drain(map(setitem, color[u + 1:], repeat(u), row))
+        color[u * n + u + 1:(u + 1) * n] = array(typecode, colors)
         pos = end + 1
+    for v in range(1, n):
+        color[v * n:v * n + v] = color[v:v * n:n]
     try:
         coloring = _checked(n // 2, color)
     except InputError:

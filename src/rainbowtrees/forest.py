@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count
+from itertools import chain, compress, count
+from operator import ne
 
 from .coloring import EdgeColoring, canonical_json_bytes, read_json
 from .errors import ColorClash, DegenerateSwap, NotPendant, SchemaError
@@ -191,10 +192,8 @@ def forest_to_json(forest: Forest) -> bytes:
     """Canonical document {"m": ..., "trees": [{"root": r, "edges": [[u,v,c], ...]}, ...]}."""
     doc = {
         "m": forest.m,
-        "trees": [
-            {"root": t.root, "edges": [[u, v, c] for u, v, c in t.edges]}
-            for t in forest.trees
-        ],
+        # json writes each edge tuple as the array [u,v,c], with no list made for it
+        "trees": [{"root": t.root, "edges": t.edges} for t in forest.trees],
     }
     if forest.coloring_digest is not None:
         doc["coloring_digest"] = forest.coloring_digest
@@ -205,7 +204,9 @@ def parse_forest(data) -> Forest:
     """Read a forest document.
 
     Only the document shape is enforced here; validity of the trees is the
-    verifier's job, so corrupt forests stay representable.
+    verifier's job, so corrupt forests stay representable. Each tree's edges
+    are screened at C speed; :func:`_first_bad_edge` names the first fault
+    of a tree whose screen fails.
     """
     doc = read_json(data, "forest")
     if not isinstance(doc, dict):
@@ -230,20 +231,36 @@ def parse_forest(data) -> Forest:
             raise SchemaError(f"tree {idx} root must be a vertex in [0, {n - 1}]")
         if not isinstance(edges, list):
             raise SchemaError(f'tree {idx} "edges" must be a list')
-        triples = []
-        for e in edges:
-            if (
-                not isinstance(e, list)
-                or len(e) != 3
-                or any(not isinstance(x, int) or isinstance(x, bool) for x in e)
-            ):
-                raise SchemaError(f"tree {idx} edge {e!r} is not an integer triple")
-            u, v, c = e
-            if not (0 <= u < n and 0 <= v < n) or u == v:
-                raise SchemaError(f"tree {idx} edge ({u},{v}) is not a vertex pair")
-            triples.append((u, v, c))
-        trees.append(RainbowTree.from_edges(root, triples))
+        if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {3}:
+            _first_bad_edge(idx, edges, n)
+        flat = list(chain.from_iterable(edges))
+        us, vs = flat[0::3], flat[1::3]
+        ends = us + vs
+        # json.loads makes exact ints, so a type screen of {int} leaves bools out
+        if (
+            not set(map(type, flat)) <= {int}
+            or min(ends, default=0) < 0
+            or max(ends, default=0) >= n
+            or not all(map(ne, us, vs))
+        ):
+            _first_bad_edge(idx, edges, n)
+        trees.append(RainbowTree.from_edges(root, edges))
     return Forest(m=m, trees=tuple(trees), coloring_digest=digest)
+
+
+def _first_bad_edge(idx: int, edges: list, n: int) -> None:
+    """Raise SchemaError for the first edge of tree idx that is not an
+    integer triple [u, v, c] of a vertex pair u != v in [0, n-1]."""
+    for e in edges:
+        if (
+            not isinstance(e, list)
+            or len(e) != 3
+            or any(not isinstance(x, int) or isinstance(x, bool) for x in e)
+        ):
+            raise SchemaError(f"tree {idx} edge {e!r} is not an integer triple")
+        u, v, _ = e
+        if not (0 <= u < n and 0 <= v < n) or u == v:
+            raise SchemaError(f"tree {idx} edge ({u},{v}) is not a vertex pair")
 
 
 def forest_to_dot(forest: Forest) -> str:

@@ -402,21 +402,51 @@ def test_partner_rows_invert_the_color_rows(make):
     assert_partner_rows_invert(make)
 
 
+def _reference(m, seed=None):
+    """The flat color table of round_robin(m), relabelled as permuted_round_robin
+    relabels it for ``seed`` and spelled from the round-robin formula cell by
+    cell, and the sha256 of its document as json.dumps spells it."""
+    n, cyc = 2 * m, 2 * m - 1
+    vp, cp = list(range(n)), list(range(cyc))
+    if seed is not None:
+        rng = random.Random(seed)
+        rng.shuffle(vp)
+        rng.shuffle(cp)
+    table = [-1] * (n * n)
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                c = v if u == cyc else u if v == cyc else (u + v) * m % cyc
+                table[vp[u] * n + vp[v]] = cp[c]
+    edges = [[u, v, table[u * n + v]] for u in range(n) for v in range(u + 1, n)]
+    doc = json.dumps({"n": n, "edges": edges}, sort_keys=True, separators=(",", ":")) + "\n"
+    return array("h", table), hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _respelled(coloring):
+    """The coloring's document as json.dumps spells it, with spaces, so the
+    json path reads it."""
+    return json.dumps(json.loads(serialize_coloring(coloring)))
+
+
 @pytest.mark.parametrize(
-    "make",
+    "make, seed",
     [
-        lambda: round_robin(6),
-        lambda: permuted_round_robin(6, 1),
-        lambda: validate_proper(raw_table(round_robin(6)), 6),
-        lambda: parse_coloring(serialize_coloring(round_robin(6))),
-        lambda: parse_coloring(json.dumps(json.loads(serialize_coloring(round_robin(6))))),
+        (lambda: round_robin(200), None),
+        (lambda: permuted_round_robin(200, 1), 1),
+        (lambda: validate_proper(raw_table(permuted_round_robin(200, 1)), 200), 1),
+        (lambda: parse_coloring(serialize_coloring(permuted_round_robin(200, 1))), 1),
+        (lambda: parse_coloring(_respelled(permuted_round_robin(200, 1))), 1),
     ],
     ids=["round_robin", "permuted", "validate", "canonical", "json"],
 )
-def test_every_path_holds_typed_rows(make):
-    rows = make()._color
-    assert {type(row) for row in rows} == {array}
-    assert {row.typecode for row in rows} == {"h"}
+def test_every_path_holds_typed_rows(make, seed):
+    # the rows are the n slices of one flat typed array, whichever path built it
+    coloring = make()
+    table, digest = _reference(200, seed)
+    assert type(coloring._color) is array and coloring._color.typecode == "h"
+    assert coloring._color == table and len(table) == 400 * 400
+    assert coloring.digest() == digest
 
 
 def test_rows_take_two_bytes_up_to_n_32768():

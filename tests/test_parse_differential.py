@@ -6,8 +6,12 @@ must agree: an equal coloring with an equal digest, or the same error class
 with the same message. The mutations start from the canonical document of a
 relabelled round-robin coloring and change its frame (whitespace, key
 order, newline, BOM, trailing bytes, str instead of bytes), the spelling of
-one number, or one entry.
+one number, or one entry. Raw byte edits insert, delete or substitute one
+or two bytes anywhere in the document, including inside the commas and
+brackets that bound its rows.
 """
+
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +124,71 @@ def test_parse_coloring_agrees_with_the_json_path(m, seed, entry_kinds, frame_ki
     if not entry_kinds and not frame_kinds:
         assert doc == serialize_coloring(coloring)
         assert _parse_canonical(doc) == coloring
+
+
+# bytes an edit writes: those that spell the document, and any other
+EDIT_BYTES = st.sampled_from(b'0123456789,[]"n:{} ') | st.integers(0, 255)
+
+
+def edit_bytes(doc, data):
+    """``doc`` after one or two single-byte insertions, deletions or
+    substitutions, each anywhere or next to a comma or a bracket, where the
+    rows and entries meet."""
+    for _ in range(data.draw(st.integers(1, 2), label="edits")):
+        marks = [mark.start() for mark in re.finditer(rb"[,\[\]]", doc)]
+        at = data.draw(
+            st.integers(0, len(doc))
+            | st.builds(int.__add__, st.sampled_from(marks), st.integers(0, 1)),
+            label="at",
+        )
+        kind = data.draw(st.sampled_from(["insert", "delete", "substitute"]), label="kind")
+        new = bytes([data.draw(EDIT_BYTES, label="byte")])
+        if kind == "insert":
+            doc = doc[:at] + new + doc[at:]
+        else:
+            doc = doc[:at] + (new if kind == "substitute" else b"") + doc[at + 1:]
+    return doc
+
+
+def assert_paths_agree(doc):
+    """parse_coloring agrees with the json path on ``doc``, and the fast path
+    reads a coloring only where the json path reads an equal one and digest."""
+    slow = outcome(_parse_json, doc)
+    assert outcome(parse_coloring, doc) == slow
+    fast = _parse_canonical(doc)
+    if fast is not None:
+        assert slow == ("ok", fast, fast.digest())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_byte_edits_agree_with_the_json_path(m, seed, data):
+    assert_paths_agree(edit_bytes(serialize_coloring(permuted_round_robin(m, seed)), data))
+
+
+# n = 120: rows, columns and colors past 99 take three digits
+_DOCUMENT_60 = serialize_coloring(permuted_round_robin(60, 7))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_byte_edits_agree_with_the_json_path_at_three_digits(data):
+    assert_paths_agree(edit_bytes(_DOCUMENT_60, data))
+
+
+def test_every_single_byte_edit_agrees_with_the_json_path():
+    # n = 12 spells vertices 10 and 11 and color 10 with two digits; every
+    # position gets each edit with bytes that keep the document close to JSON
+    doc = serialize_coloring(permuted_round_robin(6, 3))
+    for at in range(len(doc) + 1):
+        assert_paths_agree(doc[:at] + doc[at + 1:])
+        for new in (bytes([b]) for b in b"019,[] "):
+            assert_paths_agree(doc[:at] + new + doc[at:])
+            assert_paths_agree(doc[:at] + new + doc[at + 1:])
 
 
 def _in_place_of_another(entries):
