@@ -20,8 +20,8 @@ import random
 import re
 from array import array
 from collections import deque
-from itertools import chain, repeat
-from operator import lt, setitem
+from itertools import chain, islice, repeat
+from operator import add, lt, mul, setitem
 from typing import Iterator, Mapping
 
 from .errors import (
@@ -43,6 +43,17 @@ def canonical_json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode("utf-8")
 
 
+def _text(data, where: str) -> str:
+    """Text as given, or UTF-8 bytes decoded; other bytes raise SchemaError,
+    whose message starts with ``where``."""
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{where} is not UTF-8: {exc}") from exc
+    return data
+
+
 def read_json(data, where: str):
     """Parse one JSON document from text or UTF-8 bytes.
 
@@ -50,13 +61,8 @@ def read_json(data, where: str):
     parser and integer literals too long to convert raise SchemaError, whose
     message starts with ``where``.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"{where} is not UTF-8: {exc}") from exc
     try:
-        return json.loads(data)
+        return json.loads(_text(data, where))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{where}: malformed JSON: {exc}") from exc
     except RecursionError as exc:
@@ -167,43 +173,33 @@ def _rows(color: array, n: int) -> Iterator[array]:
     return map(color.__getitem__, map(slice, range(0, n * n, n), range(n, n * n + 1, n)))
 
 
-def _checked(m: int, color: array | list[list]) -> EdgeColoring:
+def _checked(m: int, color: array) -> EdgeColoring:
     """The row check every EdgeColoring passes.
 
-    ``color`` is the symmetric n x n table of ints with -1 on the diagonal:
-    a flat typed array, or n list rows whose cells are ints or of an int
-    subclass. The coloring is proper iff every row is a permutation of
+    ``color`` is a flat typed n x n table whose cells right of the diagonal
+    hold the colors and whose diagonal holds -1; every path that builds a
+    coloring fills only those cells. One strided slice per vertex copies its
+    column above the diagonal into its row left of it, making the table
+    symmetric. The coloring is proper iff every row is then a permutation of
     -1..n-2: one set comparison per row, which is both the range check and
-    the distinctness check. Only when it fails does
-    :func:`_raise_first_fault` scan pair by pair. Once list rows pass, they
-    are typed into the flat table one row at a time, each dropped once
-    copied, so the two tables never coexist.
+    the distinctness check. Only when it fails are the pairs scanned, in
+    (u, v) order, and then per vertex, in order, for the first color met
+    twice (AdjacentClash).
     """
     n = 2 * m
-    typed = isinstance(color, array)
-    rows = _rows(color, n) if typed else color
+    for v in range(1, n):
+        color[v * n:v * n + v] = color[v:v * n:n]
     row_set = set(range(-1, n - 1))
-    if not all(map(row_set.__eq__, map(set, rows))):
-        _raise_first_fault(list(_rows(color, n)) if typed else color)
-    if not typed:
-        color = array(_typecode(n))
-        for u, row in enumerate(rows):
-            color.fromlist(row)
-            rows[u] = None
+    if not all(map(row_set.__eq__, map(set, _rows(color, n)))):
+        _raise_first_pair_fault(n, lambda u, v: color[u * n + v])
+        for v, row in enumerate(_rows(color, n)):
+            seen = set()
+            for u, c in enumerate(row):
+                if u != v:
+                    if c in seen:
+                        raise AdjacentClash(v, c)
+                    seen.add(c)
     return EdgeColoring(m, color)
-
-
-def _raise_first_fault(color: list) -> None:
-    """Raise the first violation: the first pair fault, then per vertex, in
-    order, the first color met twice (AdjacentClash)."""
-    _raise_first_pair_fault(len(color), lambda u, v: color[u][v])
-    for v, row in enumerate(color):
-        seen = set()
-        for u, c in enumerate(row):
-            if u != v:
-                if c in seen:
-                    raise AdjacentClash(v, c)
-                seen.add(c)
 
 
 def _raise_first_pair_fault(n: int, color_of) -> None:
@@ -228,7 +224,10 @@ def validate_proper(raw_table: Mapping[tuple[int, int], int], m: int) -> EdgeCol
     Raises SchemaError (two colors for one pair), MissingPair,
     ColorOutOfRange, or AdjacentClash on the first violation found. A
     mapping with fewer keys than pairs lacks a pair, so its first fault is
-    found without the n x n table.
+    found without the n x n table. The colors are read in (u, v) order and
+    screened at C speed as ints in [0, 2m-2] before they fill the table
+    right of its diagonal; only when the screen fails are they checked pair
+    by pair, to name the fault.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -243,14 +242,16 @@ def validate_proper(raw_table: Mapping[tuple[int, int], int], m: int) -> EdgeCol
 
     if len(raw_table) < n * (n - 1) // 2:
         _raise_first_pair_fault(n, lookup)
-    color = [[-1] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u + 1, n):
-            color[u][v] = color[v][u] = lookup(u, v)
-    # a cell may be any object: a non-int, or a bool or float equal to a
+    colors = [lookup(u, v) for u in range(n) for v in range(u + 1, n)]
+    # a color may be any object: a non-int, or a bool or float equal to a
     # color, is a fault, and an int subclass (IntEnum) reads as its int
-    if set(map(type, chain.from_iterable(color))) != {int}:
-        _raise_first_fault(color)
+    if not (set(map(type, colors)) <= {int} and min(colors) >= 0 and max(colors) <= n - 2):
+        _raise_first_pair_fault(n, lookup)
+    typecode = _typecode(n)
+    color = array(typecode, [-1]) * (n * n)
+    cells = iter(colors)
+    for u in range(n - 1):
+        color[u * n + u + 1:(u + 1) * n] = array(typecode, islice(cells, n - 1 - u))
     return _checked(m, color)
 
 
@@ -272,25 +273,24 @@ def _round_robin_table(m: int) -> array:
     n, cyc = 2 * m, 2 * m - 1
     typecode = _typecode(n)
     row0 = array(typecode, [v * m % cyc for v in range(cyc)]) * 2
-    color = array(typecode)
+    color = array(typecode, [-1]) * (n * n)
     for u in range(cyc):
-        color += row0[u:u + cyc]  # row 0 rotated by u
-        color.append(u)
-    color.extend(range(cyc))
-    color.append(-1)
-    color[::n + 1] = array(typecode, [-1]) * n  # the diagonal
+        color[u * n + u + 1:u * n + cyc] = row0[2 * u + 1:u + cyc]  # row 0 rotated by u
+    color[cyc:cyc * n:n] = array(typecode, range(cyc))  # the hub's column
     return color
 
 
 def _relabel(color: array, vp: list[int], cp: list[int]) -> array:
-    """The flat color table with vertex x renamed vp[x] and color c renamed cp[c]."""
+    """The flat color table with vertex x renamed vp[x] and color c renamed
+    cp[c], both read and written right of the diagonal only."""
     n = len(vp)
     inv = sorted(range(n), key=vp.__getitem__)  # inv[vp[x]] = x
-    recolor = cp + [-1]  # so the diagonal's -1 stays -1 rather than cp[-1]
-    relabelled = array(color.typecode)
-    for u in inv:
-        row = color[u * n:(u + 1) * n]
-        relabelled.extend(map(recolor.__getitem__, map(row.__getitem__, inv)))
+    relabelled = array(color.typecode, [-1]) * (n * n)
+    for a, u in enumerate(inv):
+        row = color[u:u * n:n] + color[u * n + u:(u + 1) * n]  # u's column, then its row
+        relabelled[a * n + a + 1:(a + 1) * n] = array(
+            color.typecode, map(cp.__getitem__, map(row.__getitem__, inv[a + 1:]))
+        )
     return relabelled
 
 
@@ -337,10 +337,11 @@ def serialize_coloring(coloring: EdgeColoring) -> bytes:
     return b"".join(coloring_chunks(coloring))
 
 
-def _first_bad_entry(edges: list, n: int) -> None:
+def _raise_first_entry_fault(edges: list, n: int) -> None:
     """Raise SchemaError for the first edge entry that is not an integer
-    triple [u, v, c] with 0 <= u < v < n or repeats a pair."""
-    seen = set()
+    triple [u, v, c] with 0 <= u < v < n or repeats a pair; else raise the
+    first pair fault, if any, of the colors the entries give."""
+    given = {}
     for entry in edges:
         if (
             not isinstance(entry, list)
@@ -348,12 +349,13 @@ def _first_bad_entry(edges: list, n: int) -> None:
             or any(not isinstance(x, int) or isinstance(x, bool) for x in entry)
         ):
             raise SchemaError(f"edge entry {entry!r} is not an integer triple [u, v, c]")
-        u, v, _ = entry
+        u, v, c = entry
         if not 0 <= u < v < n:
             raise SchemaError(f"edge ({u},{v}) must satisfy 0 <= u < v < n")
-        if (u, v) in seen:
+        if (u, v) in given:
             raise SchemaError(f"pair ({u},{v}) appears more than once")
-        seen.add((u, v))
+        given[u, v] = c
+    _raise_first_pair_fault(n, lambda u, v: given.get((u, v), _MISSING))
 
 
 def parse_coloring(data) -> EdgeColoring:
@@ -393,12 +395,11 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     0..n-2, so a leading zero or a color out of range refuses it. The tokens
     joined by "," are the row's bytes, so these are exactly the row the
     writer spells for the colors read. One slice assignment puts them right
-    of the diagonal of the flat table, and once every row stands, one
-    strided slice per vertex copies its column above the diagonal into its
-    row left of it. Rows that tile the document between its head and its
-    tail, each exact, make ``data`` the canonical document of the coloring
-    read, so the json path reads the same coloring from it and sha256(data)
-    is its digest. Every entry takes at least 8 bytes, so a document too
+    of the diagonal of the flat table, which :func:`_checked` mirrors and
+    checks once every row stands. Rows that tile the document between its
+    head and its tail, each exact, make ``data`` the canonical document of
+    the coloring read, so the json path reads the same coloring from it and
+    sha256(data) is its digest. Every entry takes at least 8 bytes, so a document too
     short to hold n(n-1)/2 of them is refused before the n x n table is
     allocated, and the table's size is bounded by the input's. Never raises:
     an invalid coloring gives None, and the json path reports it.
@@ -433,8 +434,6 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
             return None
         color[u * n + u + 1:(u + 1) * n] = array(typecode, colors)
         pos = end + 1
-    for v in range(1, n):
-        color[v * n:v * n + v] = color[v:v * n:n]
     try:
         coloring = _checked(n // 2, color)
     except InputError:
@@ -457,14 +456,15 @@ def _parse_json(data) -> EdgeColoring:
         raise SchemaError(f'"n" must be even, got {n}')
     if not isinstance(edges, list):
         raise SchemaError('"edges" must be a list')
-    if len(edges) != n * (n - 1) // 2:
-        # more entries than pairs repeat one, which _first_bad_entry reports
-        _first_bad_entry(edges, n)
-        given = {(u, v): c for u, v, c in edges}
-        _raise_first_pair_fault(n, lambda u, v: given.get((u, v), _MISSING))
-    # C-speed screening; _first_bad_entry names the entry when one fails
-    if not set(map(type, edges)) <= {list} or not set(map(len, edges)) <= {3}:
-        _first_bad_entry(edges, n)
+    # C-speed screens, so that only ints in [0, n-2] fill the table; the
+    # entries are checked one by one only to name the fault when one fails
+    # (more entries than pairs repeat one)
+    if (
+        len(edges) != n * (n - 1) // 2
+        or not set(map(type, edges)) <= {list}
+        or not set(map(len, edges)) <= {3}
+    ):
+        _raise_first_entry_fault(edges, n)
     flat = list(chain.from_iterable(edges))
     us, vs, cs = flat[0::3], flat[1::3], flat[2::3]
     if (
@@ -472,15 +472,16 @@ def _parse_json(data) -> EdgeColoring:
         or min(us) < 0
         or max(vs) >= n
         or not all(map(lt, us, vs))
+        or min(cs) < 0
+        or max(cs) > n - 2
     ):
-        _first_bad_entry(edges, n)
-    color = [[-1] * n for _ in range(n)]
-    _drain(map(setitem, map(color.__getitem__, us), vs, cs))
-    _drain(map(setitem, map(color.__getitem__, vs), us, cs))
+        _raise_first_entry_fault(edges, n)
+    color = array(_typecode(n), [-1]) * (n * n)
+    _drain(map(setitem, repeat(color), map(add, map(mul, us, repeat(n)), vs), cs))
     try:
         return _checked(n // 2, color)
     except InputError:
         # a repeated pair leaves another one at -1; the repeat is a schema
         # error and outranks what the table shows
-        _first_bad_entry(edges, n)
+        _raise_first_entry_fault(edges, n)
         raise

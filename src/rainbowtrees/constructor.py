@@ -42,7 +42,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .coloring import EdgeColoring, canonical_json_bytes, read_json
+from .coloring import EdgeColoring, _text, canonical_json_bytes, read_json
 from .errors import (
     ColorClash,
     CycleDetected,
@@ -584,12 +584,7 @@ def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
     it. Every type and shape is checked here and violations raise
     SchemaError; what the values mean is left to the verifier.
     """
-    if isinstance(data, (bytes, bytearray)):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SchemaError(f"trace is not UTF-8: {exc}") from exc
-    lines = data.splitlines()
+    lines = _text(data, "trace").splitlines()
     header = read_json(lines[0], "trace line 1") if lines else None
     if not isinstance(header, dict) or header.get("trace_version") != TRACE_VERSION:
         raise SchemaError(

@@ -718,19 +718,26 @@ def test_forest_for_a_larger_m_is_verification_failure(tmp_path, capsys):
     assert report["digest_match"] is False and report["verdict"] == "fail"
 
 
-def _valid_triple():
+def _valid_documents():
     coloring = permuted_round_robin(5, 1)
     forest, trace = build_forest(coloring)
     return {
         "coloring": serialize_coloring(coloring),
         "forest": forest_to_json(forest),
         "trace": trace_to_jsonl(trace),
+        # the oracle's packing search refuses n = 10
+        "small_coloring": serialize_coloring(permuted_round_robin(4, 3)),
     }
 
 
-VALID_TRIPLE = _valid_triple()
+VALID_DOCUMENTS = _valid_documents()
 # the documents each command reads, and so may find edited
-READS = {"build": ["coloring"], "verify": ["coloring", "forest", "trace"], "dot": ["forest"]}
+READS = {
+    "build": ["coloring"],
+    "verify": ["coloring", "forest", "trace"],
+    "dot": ["forest"],
+    "oracle": ["small_coloring"],
+}
 BYTE_EDITS = ("truncate", "overwrite", "delete_span", "digit")
 
 
@@ -774,7 +781,7 @@ def _json_edit(doc, draw):
 
 
 @settings(
-    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
 @given(
     command=st.sampled_from(sorted(READS)),
@@ -782,10 +789,10 @@ def _json_edit(doc, draw):
     data=st.data(),
 )
 def test_edited_documents_exit_0_1_or_2_with_one_line_errors(tmp_path, capsys, command, edit, data):
-    # one byte edit or one JSON edit of one document of a valid triple: the
+    # one byte edit or one JSON edit of one document a command reads: the
     # command ends with a status, never an exception, and a refused input is
-    # one line on stderr
-    docs = dict(VALID_TRIPLE)
+    # one line on stderr; the oracle verifies nothing, so it never exits 1
+    docs = dict(VALID_DOCUMENTS)
     name = data.draw(st.sampled_from(READS[command]), label="document")
     if edit == "json":
         docs[name] = _json_edit(docs[name], data.draw)
@@ -800,11 +807,12 @@ def test_edited_documents_exit_0_1_or_2_with_one_line_errors(tmp_path, capsys, c
         "verify": ["verify", "-i", str(paths["coloring"]), "-f", str(paths["forest"]),
                    "-t", str(paths["trace"])],
         "dot": ["dot", "-f", str(paths["forest"])],
+        "oracle": ["oracle", "-i", str(paths["small_coloring"])],
     }[command]
     capsys.readouterr()
     code = main(argv)
     err = capsys.readouterr().err
-    assert code in (0, 1, 2)
+    assert code in ((0, 2) if command == "oracle" else (0, 1, 2))
     if code == 2:
         assert err.endswith("\n") and err.count("\n") == 1
     else:

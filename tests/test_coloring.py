@@ -325,6 +325,25 @@ def test_one_corrupted_cell_raises_its_error_class(m, seed, kind, data):
     assert type(err.value) is from_document
 
 
+@pytest.mark.parametrize("value", [32767, 32768, 2**63, -1, -(2**40), True, False])
+def test_a_color_outside_the_typed_cells_is_named_on_every_path(value):
+    # array('h') overflows at 32768, so each path screens its colors before
+    # they fill the typed table; a bool is no integer in a document's schema
+    table = raw_table(permuted_round_robin(3, 2))
+    table[(1, 4)] = value
+    doc = {"n": 6, "edges": [[u, v, c] for (u, v), c in sorted(table.items())]}
+    spellings = [json.dumps(doc), coloring_module.canonical_json_bytes(doc)]
+    with pytest.raises(ColorOutOfRange, match=rf"color {value} on pair \(1,4\) is outside"):
+        validate_proper(table, 3)
+    for data in spellings:
+        if isinstance(value, bool):
+            with pytest.raises(SchemaError, match=r"edge entry \[1, 4, (True|False)\] is not"):
+                parse_coloring(data)
+        else:
+            with pytest.raises(ColorOutOfRange, match=rf"color {value} on pair \(1,4\)"):
+                parse_coloring(data)
+
+
 def test_parse_rejects_a_pair_repeated_in_place_of_another():
     # the edge count is right, so only the repeat tells; it outranks the
     # out-of-range color on an earlier pair, as the entries come first
@@ -468,6 +487,13 @@ def _peak_bytes(call):
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
     return peak
+
+
+def test_validate_fills_one_typed_table():
+    # the colors in (u, v) order and the typed table peak at 3.8 MiB here;
+    # a table of n list rows of pointers would peak at 5.0 MiB
+    table = raw_table(round_robin(400))
+    assert _peak_bytes(lambda: validate_proper(table, 400)) <= 4.5 * 2**20
 
 
 @pytest.mark.parametrize(
