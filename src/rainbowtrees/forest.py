@@ -41,7 +41,8 @@ class RainbowTree:
         return cls(root, tuple(edges))
 
     def pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset((u, v) for u, v, _ in self.edges)
+        """The vertex pairs, each ordered u < v however its edge is written."""
+        return frozenset((u, v) if u < v else (v, u) for u, v, _ in self.edges)
 
 
 def root_leaves(parent: list[int], root: int) -> frozenset[int]:

@@ -145,17 +145,16 @@ def verify_structure_f(forest: Forest) -> CheckResult:
 
 
 class _Replay:
-    """The trees of a replay, indexed for O(1) work per changed edge.
+    """The trees of a replay, indexed for O(k) work per changed edge.
 
     Slot a holds tree a + 1 and, while a round runs, its last slot holds the
     assembly of the new tree. Per slot: the root, the vertex pairs and the
     degree array, from which a vertex x is a root-adjacent leaf when
-    deg[x] = 1 and (root, x) is held. ``owners`` maps each pair to the bit
-    mask of the slots holding it, ``shared[a][b]`` counts the pairs slots a
-    and b both hold and ``leaf_count[x]`` the slots in which x is a
-    root-adjacent leaf. Each new slot adds one row and one column to
-    ``shared``, so a trace that fails early allocates nothing for the rounds
-    it never reaches.
+    deg[x] = 1 and (root, x) is held. ``shared[a][b]`` counts the pairs slots
+    a and b both hold (0 on the diagonal) and ``leaf_count[x]`` the slots in
+    which x is a root-adjacent leaf. Each new slot adds one row and one
+    column to ``shared``, so a trace that fails early allocates nothing for
+    the rounds it never reaches.
     """
 
     def __init__(self, n: int):
@@ -164,15 +163,17 @@ class _Replay:
         self.pairs: list[set[tuple[int, int]]] = []
         self.deg: list[list[int]] = []
         self.leaf_count = [0] * n
-        self.owners: dict[tuple[int, int], int] = {}
         self.shared: list[list[int]] = []
-
-    def owns(self, a: int, p: tuple[int, int]) -> bool:
-        return bool(self.owners.get(p, 0) >> a & 1)
 
     def add_star(self, root: int) -> None:
         """A new last slot holding the spanning star at root."""
-        s, n = len(self.pairs), self.n
+        n = self.n
+        # the star shares with slot a the pairs a holds at root: deg[root] of
+        # them, less a self-loop (root, root) of a corrupt trace, counted twice
+        row = [d[root] - 2 * ((root, root) in held) for d, held in zip(self.deg, self.pairs)]
+        for counts, c in zip(self.shared, row):
+            counts.append(c)
+        self.shared.append(row + [0])
         pairs = set(zip(range(root), repeat(root))) | set(zip(repeat(root), range(root + 1, n)))
         deg = [1] * n
         deg[root] = n - 1
@@ -181,15 +182,6 @@ class _Replay:
         self.deg.append(deg)
         self.leaf_count = [c + 1 for c in self.leaf_count]
         self.leaf_count[root] -= 1
-        for row in self.shared:
-            row.append(0)
-        self.shared.append([0] * (s + 1))
-        bit, owners = 1 << s, self.owners
-        held = pairs & owners.keys()
-        owners.update(dict.fromkeys(pairs - held, bit))
-        for p in held:
-            self._share(s, owners[p], 1)
-            owners[p] |= bit
 
     def exchange(self, s: int, removed, fresh) -> None:
         """Slot s's pairs become (pairs - removed) | fresh; removed must be held."""
@@ -199,24 +191,13 @@ class _Replay:
             if p not in self.pairs[s]:
                 self._toggle(s, p, 1)
 
-    def _share(self, s: int, others: int, delta: int) -> None:
-        """Add delta to the counts of pairs slot s shares with each slot in others."""
-        while others:
-            low = others & -others
-            others ^= low
-            a = low.bit_length() - 1
-            self.shared[s][a] += delta
-            self.shared[a][s] += delta
-
     def _toggle(self, s: int, p: tuple[int, int], delta: int) -> None:
         """Add (delta = 1) or remove (delta = -1) pair p in slot s and patch every index."""
-        bit = 1 << s
-        mask = self.owners.get(p, 0) ^ bit
-        if mask:
-            self.owners[p] = mask
-        else:
-            del self.owners[p]
-        self._share(s, mask & ~bit, delta)
+        shared = self.shared
+        for a, held in enumerate(self.pairs):
+            if p in held and a != s:
+                shared[s][a] += delta
+                shared[a][s] += delta
         pairs, deg, root, count = self.pairs[s], self.deg[s], self.roots[s], self.leaf_count
         u, v = p  # u = v in a corrupt trace: a set of endpoints counts it once
         for x in {u, v}:  # only u and v change degree or root adjacency
@@ -261,10 +242,10 @@ def verify_trace_bounds(
     equations go unchecked.
 
     The replay is incremental (see :class:`_Replay`): a step changes at most
-    four pairs of the rewired tree and two of the assembly, and every check
-    reads the owner masks, the shared-pair counts, the degree arrays or the
-    leaf counts those changes patch. A round costs O(n + k^2), so a trace
-    of W trees replays in O(W*n + W^3).
+    four pairs of the rewired tree and two of the assembly, each patched in
+    O(k), and every check reads the trees' pair sets, the shared-pair
+    counts, the degree arrays or the leaf counts those changes patch. A
+    round costs O(n + k^2), so a trace of W trees replays in O(W*n + W^3).
 
     Acyclicity needs no search while the assembly is a spanning tree and the
     step re-hangs a pendant leaf: if w is a leaf whose only neighbor is r_k
@@ -288,7 +269,6 @@ def verify_trace_bounds(
     replay = _Replay(n)
     replay.add_star(forest.trees[0].root)
     roots, trees, shared = replay.roots, replay.pairs, replay.shared
-    owners, owns = replay.owners, replay.owns
     for rt in trace.rounds:
         k, entry_pool = len(roots) + 1, replay.common_leaves()
         tag = f"round {k}"
@@ -353,19 +333,16 @@ def verify_trace_bounds(
                     failures.append(
                         f"{step_tag}: v'_i does not satisfy color(v_i, v'_i) = color(r_i, r_k)"
                     )
-            fresh_owners = 0
-            for p in fresh:
-                fresh_owners |= owners.get(p, 0)
             row = shared[i - 1]
             for a in range(k - 1):  # trees 1..i-1 are rewired, i+1..k-1 await it
                 if a == i - 1:
                     continue
-                if fresh_owners >> a & 1:
+                if not fresh.isdisjoint(trees[a]):
                     where = "reappears in rewired" if a < i - 1 else "already sits in"
                     failures.append(f"{step_tag}: fresh edge {where} tree {a + 1}")
                 # removed <= tree i, so the retained edges meet tree a in row[a]
                 # pairs minus the removed ones tree a holds
-                if row[a] and row[a] > sum(owns(a, p) for p in removed):
+                if row[a] > len(removed & trees[a]):
                     where = "rewired tree" if a < i - 1 else "tree"
                     failures.append(f"{step_tag}: retained edges collide with {where} {a + 1}")
             replay.exchange(i - 1, removed, fresh)
@@ -391,7 +368,7 @@ def verify_trace_bounds(
                     )
             for b0 in range(i, k - 1):
                 root_edge = _pair(rt.r_k, rt.roots[b0])
-                if not (shared[asm][b0] == 1 and owns(asm, root_edge) and owns(b0, root_edge)):
+                if not (shared[asm][b0] == 1 and root_edge in partial and root_edge in trees[b0]):
                     failures.append(
                         f"{step_tag}: assembly stage shares {sorted(partial & trees[b0])} with"
                         f" tree {b0 + 1}, expected only the root-to-root edge"
@@ -416,7 +393,7 @@ def verify_trace_bounds(
         if len(partial) != n - 1:
             failures.append(f"{final_tag}: new tree does not keep {n - 1} edges")
         for a in range(k - 1):
-            if owns(a, closing):
+            if closing in trees[a]:
                 failures.append(f"{final_tag}: closing edge sits in tree {a + 1}")
             if shared[asm][a]:
                 failures.append(f"{final_tag}: new tree shares an edge with tree {a + 1}")

@@ -285,6 +285,49 @@ def test_a_long_trace_that_fails_early_allocates_little():
     assert peak < 1 << 20
 
 
+def test_the_replay_keeps_each_pair_once():
+    # which tree holds a pair is read from the trees' own pair sets, with no
+    # second map from every pair to its trees; the forest's pairs are derived
+    # before the measured replay
+    c = permuted_round_robin(400, 1)
+    forest, trace = build_forest(c, policy=ctor.MIN_INDEX)
+    assert len(forest.tree_pairs) == 16
+    tracemalloc.start()
+    try:
+        res = verify_trace_bounds(c, trace, forest)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.passed
+    assert peak < 1.9 * (1 << 20)
+
+
+def _written_v_u(tree):
+    # the same tree with every edge written (v, u, c); from_edges would order it
+    return RainbowTree(tree.root, tuple((v, u, c) for u, v, c in tree.edges))
+
+
+def test_a_tree_written_v_u_holds_the_pairs_it_shares():
+    c = round_robin(6)
+    first = build_forest(c)[0].trees[0]
+    twins = Forest(m=6, trees=(first, _written_v_u(first)))
+    assert twins.tree_pairs[0] == twins.tree_pairs[1]
+    failures = verify_edge_disjoint(twins).failures
+    assert len(failures) == 11 and all(f.endswith("appears in 2 trees") for f in failures)
+    assert verify_all(c, twins).shared_edges == [[11, 11], [11, 11]]
+
+
+def test_a_forest_written_v_u_verifies_as_it_does_written_u_v():
+    c = round_robin(12)
+    forest, trace = build_forest(c)
+    trees = list(forest.trees)
+    trees[1] = _written_v_u(trees[1])
+    flipped = Forest(m=12, trees=tuple(trees), coloring_digest=forest.coloring_digest)
+    report = verify_all(c, flipped, trace)
+    assert report.verdict
+    assert report.to_json() == verify_all(c, forest, trace).to_json()
+
+
 def test_structure_check_reports_an_out_of_range_edge():
     # vertex 9 is outside K_4, so no degree is counted: failures, not a raise
     forest = Forest(m=2, trees=(RainbowTree.from_edges(3, [(3, 9, 0)]),))
