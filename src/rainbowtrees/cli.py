@@ -3,9 +3,9 @@
 Subcommands: gen (emit a coloring), build (pack trees from a coloring),
 verify (referee a coloring/forest/trace triple), oracle (exhaustive counts on
 tiny instances), bench (timing sweep), dot (render a forest as Graphviz DOT).
-Exit status: 0 success or pass, 1 verification failure, 2 usage or input
-error, 3 internal-invariant violation (a bug; the partial trace is dumped and
-its path printed).
+Exit status: 0 success or pass, 1 verification failure (verify, or any bench
+row), 2 usage or input error or out of memory, 3 internal-invariant violation
+(a bug; the partial trace is dumped and its path printed).
 """
 
 from __future__ import annotations
@@ -33,11 +33,7 @@ from .constructor import (
 )
 from .errors import InputError, InternalInvariantError, SwapError
 from .forest import forest_to_dot, forest_to_json, parse_forest
-from .oracle import (
-    DEFAULT_ENUMERATION_CAP,
-    DEFAULT_PACKING_CAP,
-    count_and_pack,
-)
+from .oracle import DEFAULT_PACKING_CAP, count_and_pack
 from .verifier import verify_all
 
 EXIT_OK = 0
@@ -128,9 +124,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     coloring = parse_coloring(_read(args.input))
-    enum_cap = args.cap if args.cap is not None else DEFAULT_ENUMERATION_CAP
-    pack_cap = args.cap if args.cap is not None else DEFAULT_PACKING_CAP
-    count, packing = count_and_pack(coloring, enum_cap, pack_cap)
+    count, packing = count_and_pack(coloring, args.cap)
     _write(None, [canonical_json_bytes({"count": count, "max_disjoint": packing})])
     return EXIT_OK
 
@@ -139,6 +133,7 @@ def cmd_bench(args) -> int:
     if args.m_to < args.m_from:
         args.usage_error("--m-to must be at least --m-from")
     rows = ["m,omega,trees_built,build_micros,verify_pass,min_candidate_slack"]
+    all_pass = True
     for m in range(args.m_from, args.m_to + 1):
         coloring = round_robin(m)
         best_micros = None
@@ -150,6 +145,7 @@ def cmd_bench(args) -> int:
             if best_micros is None or micros < best_micros:
                 best_micros = micros
         report = verify_all(coloring, forest, trace)
+        all_pass &= report.verdict
         run_slack = slack(trace)
         min_slack = "" if run_slack is None else str(run_slack[0] - 1)
         rows.append(
@@ -157,7 +153,7 @@ def cmd_bench(args) -> int:
             f"{'true' if report.verdict else 'false'},{min_slack}"
         )
     _write(args.csv, [("\n".join(rows) + "\n").encode("utf-8")])
-    return EXIT_OK
+    return EXIT_OK if all_pass else EXIT_VERIFY_FAIL
 
 
 def cmd_dot(args) -> int:
@@ -211,9 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--cap",
         type=_positive_int,
-        default=None,
-        help="vertex cap for both searches (defaults: "
-        f"{DEFAULT_ENUMERATION_CAP} enumeration, {DEFAULT_PACKING_CAP} packing)",
+        default=DEFAULT_PACKING_CAP,
+        help=f"vertex cap for the searches (default {DEFAULT_PACKING_CAP})",
     )
     p_oracle.set_defaults(func=cmd_oracle)
 
@@ -239,6 +234,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -8,8 +8,8 @@ every EdgeColoring passes. The table is one flat typed ``array`` of n*n
 cells, row u at [u*n:(u+1)*n], 2 bytes per cell while n <= 32768, so the
 garbage collector never walks it. A row's inverse is the vertex's color ->
 partner row the tree construction looks up; it is a typed row too, built
-when first asked for, since a build or a verify reads the partners of only
-a few vertices.
+when first asked for, since a build reads the partners of only a few
+vertices (the verifier reads none).
 """
 
 from __future__ import annotations
@@ -176,22 +176,20 @@ def _rows(color: array, n: int) -> Iterator[array]:
 def _checked(m: int, color: array) -> EdgeColoring:
     """The row check every EdgeColoring passes.
 
-    ``color`` is a flat typed n x n table whose cells right of the diagonal
-    hold the colors and whose diagonal holds -1; every path that builds a
-    coloring fills only those cells. One strided slice per vertex copies its
-    column above the diagonal into its row left of it, making the table
-    symmetric. The coloring is proper iff every row is then a permutation of
-    -1..n-2: one set comparison per row, which is both the range check and
-    the distinctness check. Only when it fails are the pairs scanned, in
-    (u, v) order, and then per vertex, in order, for the first color met
-    twice (AdjacentClash).
+    ``color`` is a flat typed n x n table whose diagonal holds -1 and every
+    cell right of it a color in [0, n-2]; every path that builds a coloring
+    fills those cells, and only those, having checked their colors. One
+    strided slice per vertex copies its column above the diagonal into its
+    row left of it, making the table symmetric. The coloring is proper iff
+    every row is then a permutation of -1..n-2: one set comparison per row.
+    Only when it fails are the rows scanned, per vertex, in order, for the
+    first color met twice (AdjacentClash).
     """
     n = 2 * m
     for v in range(1, n):
         color[v * n:v * n + v] = color[v:v * n:n]
     row_set = set(range(-1, n - 1))
     if not all(map(row_set.__eq__, map(set, _rows(color, n)))):
-        _raise_first_pair_fault(n, lambda u, v: color[u * n + v])
         for v, row in enumerate(_rows(color, n)):
             seen = set()
             for u, c in enumerate(row):
@@ -478,10 +476,8 @@ def _parse_json(data) -> EdgeColoring:
         _raise_first_entry_fault(edges, n)
     color = array(_typecode(n), [-1]) * (n * n)
     _drain(map(setitem, repeat(color), map(add, map(mul, us, repeat(n)), vs), cs))
-    try:
-        return _checked(n // 2, color)
-    except InputError:
-        # a repeated pair leaves another one at -1; the repeat is a schema
-        # error and outranks what the table shows
+    # the lower triangle and the diagonal hold n(n+1)/2 cells of -1; a
+    # repeated pair leaves another pair at -1 too, and is a schema error
+    if color.count(-1) > n * (n + 1) // 2:
         _raise_first_entry_fault(edges, n)
-        raise
+    return _checked(n // 2, color)

@@ -151,23 +151,18 @@ def max_disjoint_rainbow_trees(
     packing found cannot beat it, and is pruned. m(2m-1) edges host at most
     m trees of 2m-1 edges, so the search stops once it packs m.
     """
-    _check_cap(coloring, max_vertices, "packing")
-    return _max_packing(coloring, _rainbow_tree_edge_sets(coloring))
-
-
-def _max_packing(coloring: EdgeColoring, trees) -> int:
-    index = _packing_index(coloring, trees)
-    trees_with, tree_edges, _, _ = index
-    return _pack((1 << len(tree_edges)) - 1, (1 << len(trees_with)) - 1, 0, 0, index)
+    return count_and_pack(coloring, max_vertices)[1]
 
 
 def count_and_pack(
-    coloring: EdgeColoring, enumeration_cap: int, packing_cap: int
+    coloring: EdgeColoring, max_vertices: int = DEFAULT_PACKING_CAP
 ) -> tuple[int, int]:
     """The number of rainbow spanning trees and the size of their largest
-    disjoint packing, from one enumeration. The packing cap, the tighter
-    one by default, is checked first, and both before any search runs."""
-    _check_cap(coloring, packing_cap, "packing")
-    _check_cap(coloring, enumeration_cap, "enumeration")
+    disjoint packing (see :func:`max_disjoint_rainbow_trees`), from one
+    enumeration. The packing runs on the whole enumeration, so its cap is
+    the one checked, before any search runs."""
+    _check_cap(coloring, max_vertices, "packing")
     trees = _rainbow_tree_edge_sets(coloring)
-    return len(trees), _max_packing(coloring, trees)
+    index = _packing_index(coloring, trees)
+    trees_with, tree_edges, _, _ = index
+    return len(trees), _pack((1 << len(tree_edges)) - 1, (1 << len(trees_with)) - 1, 0, 0, index)

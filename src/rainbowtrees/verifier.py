@@ -233,13 +233,16 @@ def verify_trace_bounds(
     suite P1-P11); and every assembly stage is acyclic (P12, P13). The
     replay must end at the forest's roots and edge pairs, tree by tree.
 
-    Each equation is checked where the replay has shown that the edges it
-    looks up are held: w_i and v'_i once (r_i, r_k) and (r_i, v_i) are found
-    in tree i, w'_i once (r_k, w_i) is found in the assembly, w'_k once
+    Each equation is evaluated on the color table, as color_of(x, y) == c
+    for the exchange vertex y it defines, and a y equal to x (a self-loop a
+    corrupt trace can name) fails it, as no vertex is its own partner. It is
+    checked where the replay has shown that the edges its color c is read
+    from are held: w_i and v'_i once (r_i, r_k) and (r_i, v_i) are found in
+    tree i, w'_i once (r_k, w_i) is found in the assembly, w'_k once
     (r_k, w_k) is. No tree ever holds a pair (r, r) for its own root r, so
     none of these lookups names a self-loop. A round whose anchors coincide
     has no color for step 1 to take over; it fails its anchor check, and its
-    equations go unchecked.
+    equations go unchecked. The coloring is read only through color_of.
 
     The replay is incremental (see :class:`_Replay`): a step changes at most
     four pairs of the rewired tree and two of the assembly, each patched in
@@ -265,7 +268,12 @@ def verify_trace_bounds(
                 f" for m={m} under a coloring for m={coloring.m}"
             ]
         )
-    color_of, partner = coloring.color_of, coloring.partner
+    color_of = coloring.color_of
+
+    def colored(u: int, v: int, c: int) -> bool:
+        """Whether u and v are distinct and joined by an edge of color c."""
+        return u != v and color_of(u, v) == c
+
     replay = _Replay(n)
     replay.add_star(forest.trees[0].root)
     roots, trees, shared = replay.roots, replay.pairs, replay.shared
@@ -325,11 +333,11 @@ def verify_trace_bounds(
                 ok_so_far = False
                 break
             if handoff is not None:
-                if partner(color_of(ri, st.chosen), rt.r_k) != st.w_i:
+                if not colored(rt.r_k, st.w_i, color_of(ri, st.chosen)):
                     failures.append(
                         f"{step_tag}: w_i does not satisfy color(r_k, w_i) = color(r_i, v_i)"
                     )
-                if partner(color_of(ri, rt.r_k), st.chosen) != st.v_prime:
+                if not colored(st.chosen, st.v_prime, color_of(ri, rt.r_k)):
                     failures.append(
                         f"{step_tag}: v'_i does not satisfy color(v_i, v'_i) = color(r_i, r_k)"
                     )
@@ -354,7 +362,7 @@ def verify_trace_bounds(
                 ok_so_far = False
                 break
             if handoff is not None:
-                if partner(handoff, st.w_i) != st.w_prime:
+                if not colored(st.w_i, st.w_prime, handoff):
                     failures.append(f"{step_tag}: w'_i does not carry the handed-off color")
                 handoff = color_of(rt.r_k, st.w_i)
             pendant = spanning and asm_deg[st.w_i] == 1 and st.w_prime not in (st.w_i, rt.r_k)
@@ -385,7 +393,7 @@ def verify_trace_bounds(
             failures.append(f"{final_tag}: edge to w_k was already gone from the assembly")
             break
         # (r_k, w_k) is held, so r_k != w_k and handoff is set
-        if partner(handoff, rt.w_k) != rt.w_k_prime:
+        if not colored(rt.w_k, rt.w_k_prime, handoff):
             failures.append(f"round {k}: w'_k does not carry the final handed-off color")
         closing = _pair(rt.w_k, rt.w_k_prime)
         pendant = spanning and asm_deg[rt.w_k] == 1 and rt.w_k_prime not in (rt.w_k, rt.r_k)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 import subprocess
@@ -241,6 +242,36 @@ def test_bench_csv(tmp_path):
     assert row5[5] != ""
     row1 = lines[1].split(",")
     assert row1[1] == "1" and row1[5] == ""
+
+
+def test_bench_exits_one_when_a_row_fails_verify(tmp_path, monkeypatch):
+    import rainbowtrees.cli as cli_mod
+
+    verify_all = cli_mod.verify_all
+
+    def fail_at_m_5(coloring, forest, trace=None):
+        report = verify_all(coloring, forest, trace)
+        return dataclasses.replace(report, digest_match=False) if coloring.m == 5 else report
+
+    monkeypatch.setattr(cli_mod, "verify_all", fail_at_m_5)
+    out = tmp_path / "bench.csv"
+    assert run_cli(["bench", "--m-from", "4", "--m-to", "6", "--csv", str(out)]) == 1
+    # the whole CSV is written before the status says a row failed
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[4]) for row in rows] == [("4", "true"), ("5", "false"), ("6", "true")]
+
+
+def test_out_of_memory_is_one_line_and_exit_two(tmp_path, monkeypatch, capsys):
+    import rainbowtrees.cli as cli_mod
+
+    def exhausted(m):
+        raise MemoryError
+
+    monkeypatch.setattr(cli_mod, "round_robin", exhausted)
+    out = tmp_path / "big.json"
+    assert run_cli(["gen", "--m", "20000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert not out.exists()
 
 
 def test_bench_bad_range(capsys):

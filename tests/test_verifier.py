@@ -12,8 +12,10 @@ from rainbowtrees import (
     RainbowTree,
     base_star,
     build_forest,
+    parse_coloring,
     permuted_round_robin,
     round_robin,
+    serialize_coloring,
     trace_from_jsonl,
     trace_to_jsonl,
     verify_all,
@@ -180,6 +182,78 @@ def test_corrupted_trace_definition_break_needs_the_coloring():
     assert not res.passed
     assert any("w_i does not satisfy" in f for f in res.failures)
     assert verify_all(c, forest, bad).trace_bounds == res
+
+
+def _w_1_is_r_k(rnd):
+    rnd.steps[0].w_i = rnd.r_k
+
+
+def _v_prime_1_is_v_1(rnd):
+    rnd.steps[0].v_prime = rnd.steps[0].chosen
+
+
+def _w_prime_1_is_w_1(rnd):
+    rnd.steps[0].w_prime = rnd.steps[0].w_i
+
+
+def _w_prime_k_is_w_k(rnd):
+    rnd.w_k_prime = rnd.w_k
+
+
+@pytest.mark.parametrize(
+    "edit, failures",
+    [
+        (
+            _w_1_is_r_k,
+            [
+                "(k=3, i=1): w_i does not satisfy color(r_k, w_i) = color(r_i, v_i)",
+                "(k=3, i=1): assembly detached a missing star edge",
+            ],
+        ),
+        (
+            _v_prime_1_is_v_1,
+            [
+                "(k=3, i=1): v'_i does not satisfy color(v_i, v'_i) = color(r_i, r_k)",
+                "tree 1: the replay ends at a different root or edge set",
+            ],
+        ),
+        (
+            _w_prime_1_is_w_1,
+            [
+                "(k=3, i=1): w'_i does not carry the handed-off color",
+                "(k=3, i=1): assembly stage contains a cycle",
+                "(k=3, i=2): assembly stage contains a cycle",
+                "round 3 finish: new tree contains a cycle",
+                "tree 3: the replay ends at a different root or edge set",
+            ],
+        ),
+        (
+            _w_prime_k_is_w_k,
+            [
+                "round 3: w'_k does not carry the final handed-off color",
+                "round 3 finish: new tree contains a cycle",
+                "tree 3: the replay ends at a different root or edge set",
+            ],
+        ),
+    ],
+    ids=["w_i=r_k", "v'_1=v_1", "w'_1=w_1", "w'_k=w_k"],
+)
+def test_an_exchange_vertex_named_as_its_own_partner_fails_its_equation(edit, failures):
+    # each equation reads color_of(x, y) for the vertex y it defines; a trace
+    # naming y = x fails it, where color_of would raise SelfLoop
+    c = round_robin(12)
+    forest, trace = build_forest(c)
+    edit(trace.rounds[-1])
+    assert verify_trace_bounds(c, trace, forest).failures == failures
+
+
+def test_verify_reads_no_partner_rows():
+    # the replay evaluates its color equations on the table, so a coloring
+    # just read from a file has no row inverted by a verify
+    forest, trace = build_forest(round_robin(12))
+    c = parse_coloring(serialize_coloring(round_robin(12)))
+    assert verify_all(c, forest, trace).verdict
+    assert c._partner == [None] * c.n
 
 
 def _tree_1_rehangs_its_own_leaf(rounds):
