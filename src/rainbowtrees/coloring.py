@@ -28,6 +28,7 @@ from .errors import (
     AdjacentClash,
     ColorOutOfRange,
     InputError,
+    InternalInvariantError,
     MissingPair,
     NotAPermutation,
     SchemaError,
@@ -183,7 +184,9 @@ def _checked(m: int, color: array) -> EdgeColoring:
     row left of it, making the table symmetric. The coloring is proper iff
     every row is then a permutation of -1..n-2: one set comparison per row.
     Only when it fails are the rows scanned, per vertex, in order, for the
-    first color met twice (AdjacentClash).
+    first color met twice (AdjacentClash). If none repeats, some cell is
+    outside [0, n-2], which breaks the precondition: InternalInvariantError
+    names the first such cell off the diagonal.
     """
     n = 2 * m
     for v in range(1, n):
@@ -197,6 +200,12 @@ def _checked(m: int, color: array) -> EdgeColoring:
                     if c in seen:
                         raise AdjacentClash(v, c)
                     seen.add(c)
+        # the diagonal cells sit at the multiples of n+1
+        cell = next(i for i, c in enumerate(color) if i % (n + 1) and not 0 <= c < n - 1)
+        u, v = divmod(cell, n)
+        raise InternalInvariantError(
+            f"cell ({u},{v}) of the color table holds {color[cell]}, outside [0, {n - 2}]"
+        )
     return EdgeColoring(m, color)
 
 

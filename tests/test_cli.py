@@ -205,13 +205,13 @@ def test_oracle_subcommand(tmp_path, capsys, monkeypatch):
     run_cli(["gen", "--m", "2", "-o", str(col)])
     # both answers come from one enumeration
     enumerations = []
-    enumerate_once = oracle._rainbow_tree_edge_sets
+    enumerate_once = oracle._tree_masks
 
     def counted(coloring):
         enumerations.append(coloring)
         return enumerate_once(coloring)
 
-    monkeypatch.setattr(oracle, "_rainbow_tree_edge_sets", counted)
+    monkeypatch.setattr(oracle, "_tree_masks", counted)
     assert run_cli(["oracle", "-i", str(col)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out == {"count": 4, "max_disjoint": 1}

@@ -15,6 +15,7 @@ from rainbowtrees import (
     AdjacentClash,
     ColorOutOfRange,
     InputError,
+    InternalInvariantError,
     MissingPair,
     NotAPermutation,
     SchemaError,
@@ -112,6 +113,14 @@ def test_validate_rejects_adjacent_clash():
         validate_proper(table, 2)
     assert err.value.vertex == 0
     assert err.value.color == 0
+
+
+def test_checked_refuses_a_cell_outside_the_colors_when_no_row_repeats():
+    # no caller hands _checked such a table: it breaks the precondition
+    table = coloring_module._round_robin_table(3)
+    table[4 * 6 + 5] = -1
+    with pytest.raises(InternalInvariantError, match=r"^cell \(4,5\) .* holds -1, outside \[0, 4\]$"):
+        coloring_module._checked(3, table)
 
 
 def test_validate_rejects_missing_pair():

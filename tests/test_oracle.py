@@ -1,10 +1,12 @@
 import gc
 from itertools import combinations
+from operator import lt
 
 import pytest
 
 from rainbowtrees import (
     InstanceTooLarge,
+    RainbowTree,
     build_forest,
     enumerate_rainbow_spanning_trees,
     max_disjoint_rainbow_trees,
@@ -13,6 +15,7 @@ from rainbowtrees import (
     round_robin,
     verify_rainbow_spanning_tree,
 )
+from rainbowtrees.oracle import DEFAULT_ENUMERATION_CAP
 
 
 def brute_rainbow_trees(coloring):
@@ -69,6 +72,17 @@ def test_enumerated_trees_pass_the_verifier(m):
     c = round_robin(m)
     for t in enumerate_rainbow_spanning_trees(c):
         assert verify_rainbow_spanning_tree(c, t).passed
+
+
+def test_enumeration_at_its_cap():
+    c = permuted_round_robin(5, 3)
+    assert c.n == DEFAULT_ENUMERATION_CAP
+    trees = enumerate_rainbow_spanning_trees(c)
+    assert isinstance(trees, list) and len(trees) == 138_898
+    edge_lists = [t.edges for t in trees]
+    assert all(map(lt, edge_lists, edge_lists[1:]))  # sorted, each tree once
+    assert all(t == RainbowTree.from_edges(0, t.edges) for t in trees)
+    assert all(verify_rainbow_spanning_tree(c, t).passed for t in trees[::1009])
 
 
 def test_enumeration_is_deterministic():

@@ -25,7 +25,7 @@ from rainbowtrees import (
     round_robin,
     validate_proper,
 )
-from rainbowtrees.oracle import _pack, _packing_index, _rainbow_tree_edge_sets
+from rainbowtrees.oracle import _pack, _packing_index, _tree_masks, count_and_pack
 
 
 def kempe_switch(coloring, a, b, v):
@@ -67,6 +67,9 @@ STARTS = {
 }
 # from xor8 to a coloring with 2312 rainbow spanning trees
 THIRD_CLASS = [(0, 6, 4), (2, 5, 2), (3, 4, 4)]
+# one coloring of each K_8 class the switches reach: 2318, 2304 and 2312 trees
+K8_CLASSES = [("rr4", [(0, 1, 0)]), ("xor8", []), ("xor8", THIRD_CLASS)]
+K8_IDS = ["rr4-switched", "xor8", "third-class"]
 
 
 def switched(start, switches):
@@ -93,16 +96,27 @@ def test_oracles_agree_on_kempe_switched_colorings(start, switches):
 def test_kempe_switches_reach_three_isomorphism_classes_of_k8():
     counts = [
         len(enumerate_rainbow_spanning_trees(switched(start, switches)))
-        for start, switches in (("rr4", [(0, 1, 0)]), ("xor8", []), ("xor8", THIRD_CLASS))
+        for start, switches in K8_CLASSES
     ]
     assert counts == [2318, 2304, 2312]
 
 
 @pytest.mark.parametrize(
-    "start, switches",
-    [("rr4", [(0, 1, 0)]), ("xor8", []), ("xor8", THIRD_CLASS)],
-    ids=["rr4-switched", "xor8", "third-class"],
+    "make",
+    [lambda: round_robin(1), lambda: round_robin(2), lambda: round_robin(3)]
+    + [lambda start=start, switches=switches: switched(start, switches) for start, switches in K8_CLASSES],
+    ids=["rr1", "rr2", "rr3"] + K8_IDS,
 )
+def test_one_search_counts_and_packs_as_the_references_do(make):
+    # the search closes the last two colors inline; round_robin(1) has one
+    # color, so there is no last two to close
+    coloring = make()
+    count, packing = count_and_pack(coloring)
+    assert count == len(enumerate_rainbow_spanning_trees(coloring))
+    assert packing == reference_packing(coloring)
+
+
+@pytest.mark.parametrize("start, switches", K8_CLASSES, ids=K8_IDS)
 def test_partner_rows_invert_kempe_switched_colorings(start, switches):
     # validate_proper makes these, from a mapping rather than a generator
     assert_partner_rows_invert(lambda: switched(start, switches))
@@ -133,9 +147,11 @@ def test_packing_is_exact_on_every_subfamily(m, seed, picks):
     # every whole coloring here packs m trees; a subfamily of its trees can
     # pack fewer, which needs the branch that leaves an edge uncovered
     coloring = permuted_round_robin(m, seed)
-    index = _packing_index(coloring, _rainbow_tree_edge_sets(coloring))
-    trees_with, tree_edges, _, _ = index
-    chosen = sorted({p % len(tree_edges) for p in picks})
+    edges, class_masks, masks = _tree_masks(coloring)
+    masks.sort(reverse=True)  # mask t is then the t-th enumerated tree
+    trees = enumerate_rainbow_spanning_trees(coloring)
+    index = _packing_index(masks, len(edges), class_masks, coloring.m)
+    chosen = sorted({p % len(trees) for p in picks})
     cand = sum(1 << t for t in chosen)
-    want = brute_packing([frozenset(tree_edges[t]) for t in chosen])
-    assert _pack(cand, (1 << len(trees_with)) - 1, 0, 0, index) == want
+    want = brute_packing([frozenset(trees[t].edges) for t in chosen])
+    assert _pack(cand, (1 << len(edges)) - 1, 0, 0, index) == want
