@@ -16,6 +16,7 @@ import tempfile
 import time
 
 from .coloring import (
+    EdgeColoring,
     canonical_json_bytes,
     coloring_chunks,
     parse_coloring,
@@ -75,6 +76,13 @@ def _read(path: str) -> bytes:
         return handle.read()
 
 
+def _read_coloring(path: str) -> EdgeColoring:
+    """The coloring the file at path holds; a canonical document is read a
+    chunk at a time, never held whole beside the table."""
+    with open(path, "rb") as handle:
+        return parse_coloring(handle)
+
+
 def cmd_gen(args) -> int:
     if args.permute_seed is None:
         coloring = round_robin(args.m)
@@ -90,7 +98,7 @@ def cmd_build(args) -> int:
         policy = SelectionPolicy(args.policy, args.seed)
     except ValueError as exc:
         args.usage_error(str(exc))
-    coloring = parse_coloring(_read(args.input))
+    coloring = _read_coloring(args.input)
     try:
         forest, trace = build_forest(coloring, policy=policy, trace_on=True)
     except (SwapError, InternalInvariantError) as exc:
@@ -112,7 +120,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    coloring = parse_coloring(_read(args.input))
+    coloring = _read_coloring(args.input)
     forest = parse_forest(_read(args.forest))
     trace = None
     if args.trace is not None:
@@ -123,7 +131,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    coloring = parse_coloring(_read(args.input))
+    coloring = _read_coloring(args.input)
     count, packing = count_and_pack(coloring, args.cap)
     _write(None, [canonical_json_bytes({"count": count, "max_disjoint": packing})])
     return EXIT_OK

@@ -15,6 +15,7 @@ vertices (the verifier reads none).
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
 import re
@@ -368,54 +369,86 @@ def _raise_first_entry_fault(edges: list, n: int) -> None:
 def parse_coloring(data) -> EdgeColoring:
     """Read a coloring document and validate it.
 
-    Unreadable JSON and structural problems raise SchemaError; coloring
-    problems raise MissingPair, ColorOutOfRange or AdjacentClash. The edge
-    count is checked before the n x n table is allocated.
+    ``data`` is the document as text or bytes, or an open binary file that
+    holds it from its position on. Unreadable JSON and structural problems
+    raise SchemaError; coloring problems raise MissingPair, ColorOutOfRange
+    or AdjacentClash. The edge count is checked before the n x n table is
+    allocated.
 
-    Bytes that are exactly the document serialize_coloring writes are read
-    on a fast path, and their digest is their sha256. Every other input, and
-    every input the fast path refuses, is read by the json path, so results
-    and errors do not depend on the path taken.
+    A document that is exactly the bytes serialize_coloring writes is read on
+    a fast path, a chunk at a time, and its digest is its sha256. Every other
+    input, and every input the fast path refuses, is read whole by the json
+    path, so results and errors do not depend on the path taken. A file that
+    cannot seek, such as a pipe, is read whole first.
     """
     if isinstance(data, bytes):
-        coloring = _parse_canonical(data)
-        if coloring is not None:
-            return coloring
-    return _parse_json(data)
+        data = io.BytesIO(data)  # shares the bytes, copying none
+    elif not hasattr(data, "read"):
+        return _parse_json(data)
+    elif not data.seekable():
+        data = io.BytesIO(data.read())
+    start = data.tell()
+    coloring = _parse_canonical(data)
+    if coloring is not None:
+        return coloring
+    data.seek(start)
+    return _parse_json(data.read())
 
 
 # the frame of serialize_coloring's document
 _CANONICAL_HEAD = b'{"edges":['
 _CANONICAL_TAIL = re.compile(rb'\],"n":([0-9]{1,9})\}\n\Z')
+# the bytes the fast path reads at a time, unless a row runs longer
+_CHUNK = 1 << 16
 
 
-def _parse_canonical(data: bytes) -> EdgeColoring | None:
-    """The valid coloring whose canonical document is ``data``, else None.
+def _parse_canonical(stream) -> EdgeColoring | None:
+    """The valid coloring whose canonical document the seekable binary file
+    ``stream`` holds from its position on, else None.
 
-    The document is read row by row: row u is the run of entries
-    [u,v,c] for v = u+1..n-1, which ends where the entry [u+1,u+2,...
-    starts, and the last row ends at the frame's tail. The row's bytes are
-    split once on ",", into tokens "[u", "v" and "c]" per entry, and the row
-    stands only if each token is the one serialize_coloring writes: every
-    head is "[u" (one count), the columns are u+1..n-1 in order (one list
-    comparison) and every color maps through the dict of the spellings of
-    0..n-2, so a leading zero or a color out of range refuses it. The tokens
-    joined by "," are the row's bytes, so these are exactly the row the
-    writer spells for the colors read. One slice assignment puts them right
-    of the diagonal of the flat table, which :func:`_checked` mirrors and
-    checks once every row stands. Rows that tile the document between its
-    head and its tail, each exact, make ``data`` the canonical document of
-    the coloring read, so the json path reads the same coloring from it and
-    sha256(data) is its digest. Every entry takes at least 8 bytes, so a document too
-    short to hold n(n-1)/2 of them is refused before the n x n table is
-    allocated, and the table's size is bounded by the input's. Never raises:
+    n is read from the frame's tail, at the end of the stream, and the
+    document is read from the head on in chunks, row by row: row u is the run
+    of entries [u,v,c] for v = u+1..n-1, which ends where the entry
+    [u+1,u+2,... starts, and the last row, one entry, ends at the tail. Only
+    the current chunk and row are held beside the table; a row longer than
+    the chunks read so far makes the next read at least as long as the part
+    of it held, so even a row without an end costs linear time.
+    The row's bytes are split once on ",", into tokens "[u", "v" and "c]" per
+    entry, and the row stands only if each token is the one
+    serialize_coloring writes: every head is "[u" (one count), the columns
+    are u+1..n-1 in order (one list comparison) and every color maps through
+    the dict of the spellings of 0..n-2, so a leading zero or a color out of
+    range refuses it. The tokens joined by "," are the row's bytes, so these
+    are exactly the row the writer spells for the colors read. One slice
+    assignment puts them right of the diagonal of the flat table, which
+    :func:`_checked` mirrors and checks once every row stands. Rows that tile
+    the document between its head and its tail, each exact, make it the
+    canonical document of the coloring read, so the json path reads the same
+    coloring from it, and the sha256 of the chunks read is its digest. Every
+    entry takes at least 8 bytes, so a document too short to hold n(n-1)/2
+    of them is refused before the n x n table is allocated, and the table's
+    size is bounded by the input's. Never raises on what the stream holds:
     an invalid coloring gives None, and the json path reports it.
     """
-    tail = _CANONICAL_TAIL.search(data, max(0, len(data) - 20))
-    if tail is None or not data.startswith(_CANONICAL_HEAD):
+    start = stream.tell()
+    size = stream.seek(0, io.SEEK_END) - start
+    stream.seek(max(start, start + size - 20))
+    tail = _CANONICAL_TAIL.search(stream.read())
+    stream.seek(start)
+    if tail is None:
         return None
     n = int(tail[1])
-    if n < 2 or n % 2 or tail[1] != b"%d" % n or len(data) < 8 * (n * (n - 1) // 2):
+    if n < 2 or n % 2 or tail[1] != b"%d" % n or size < 8 * (n * (n - 1) // 2):
+        return None
+    digest = hashlib.sha256()
+
+    def read(size: int = _CHUNK) -> bytes:
+        chunk = stream.read(size)
+        digest.update(chunk)
+        return chunk
+
+    buf = read()
+    if not buf.startswith(_CANONICAL_HEAD):
         return None
     column = [b"%d" % v for v in range(n)]
     # each color by its spelling, closed by the "]" of its entry
@@ -424,10 +457,21 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     color = array(typecode, [-1]) * (n * n)
     pos = len(_CANONICAL_HEAD)
     for u in range(n - 1):
-        end = tail.start() if u == n - 2 else data.find(b",[%d,%d," % (u + 1, u + 2), pos)
-        if end < 0:
-            return None
-        tokens = data[pos:end].split(b",")
+        if u < n - 2:
+            row_end = b",[%d,%d," % (u + 1, u + 2)
+            end = buf.find(row_end, pos)
+            while end < 0:  # the row runs past the bytes read
+                chunk = read(max(_CHUNK, len(buf) - pos))
+                if not chunk:
+                    return None
+                buf, pos = buf[pos:] + chunk, 0
+                end = buf.find(row_end)
+        else:
+            buf, pos = buf[pos:] + b"".join(iter(read, b"")), 0
+            if not buf.endswith(tail[0]):  # the file changed since its tail was read
+                return None
+            end = len(buf) - len(tail[0])
+        tokens = buf[pos:end].split(b",")
         k = n - 1 - u
         if (
             len(tokens) != 3 * k
@@ -445,7 +489,7 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
         coloring = _checked(n // 2, color)
     except InputError:
         return None
-    coloring._digest = hashlib.sha256(data).hexdigest()
+    coloring._digest = digest.hexdigest()
     return coloring
 
 

@@ -183,22 +183,35 @@ class Forest:
         return tuple(t.root for t in self.trees)
 
     @cached_property
+    def _pairs(self) -> list[frozenset[tuple[int, int]] | None]:
+        return [None] * len(self.trees)
+
+    def pairs_of(self, idx: int) -> frozenset[tuple[int, int]]:
+        """Tree idx's :meth:`RainbowTree.pairs`, derived once per forest, on
+        first use, for the checks that compare trees by their pairs."""
+        pairs = self._pairs[idx]
+        if pairs is None:
+            pairs = self._pairs[idx] = self.trees[idx].pairs()
+        return pairs
+
+    @property
     def tree_pairs(self) -> tuple[frozenset[tuple[int, int]], ...]:
-        """Each tree's :meth:`RainbowTree.pairs`, derived once per forest for
-        the checks that compare trees by their pairs."""
-        return tuple(t.pairs() for t in self.trees)
+        """Every tree's :meth:`pairs_of`, in tree order."""
+        return tuple(map(self.pairs_of, range(len(self.trees))))
 
 
 def forest_to_json(forest: Forest) -> bytes:
-    """Canonical document {"m": ..., "trees": [{"root": r, "edges": [[u,v,c], ...]}, ...]}."""
-    doc = {
-        "m": forest.m,
-        # json writes each edge tuple as the array [u,v,c], with no list made for it
-        "trees": [{"root": t.root, "edges": t.edges} for t in forest.trees],
-    }
+    """Canonical document {"m": ..., "trees": [{"root": r, "edges": [[u,v,c], ...]}, ...]},
+    the bytes canonical_json_bytes gives it, encoded one tree at a time so
+    that json never holds the whole document in pieces."""
+    frame = {"m": forest.m, "trees": []}
     if forest.coloring_digest is not None:
-        doc["coloring_digest"] = forest.coloring_digest
-    return canonical_json_bytes(doc)
+        frame["coloring_digest"] = forest.coloring_digest
+    # "trees" sorts last, so the frame's bytes end in its empty list: b"[]}\n"
+    head = canonical_json_bytes(frame)[:-3]
+    # json writes each edge tuple as the array [u,v,c], with no list made for it
+    trees = (canonical_json_bytes({"root": t.root, "edges": t.edges})[:-1] for t in forest.trees)
+    return b"".join((head, b",".join(trees), b"]}\n"))
 
 
 def parse_forest(data) -> Forest:

@@ -98,10 +98,14 @@ def verify_rainbow_spanning_tree(coloring: EdgeColoring, tree: RainbowTree) -> C
     return _result(failures)
 
 
+def _disjointness(repeated: dict[tuple[int, int], int]) -> CheckResult:
+    """The disjointness verdict on a forest's :func:`_repeated_pairs`."""
+    return _result([f"edge {p} appears in {k} trees" for p, k in sorted(repeated.items())])
+
+
 def verify_edge_disjoint(forest: Forest) -> CheckResult:
     """Pass iff no unordered vertex pair occurs in two different trees."""
-    repeated = sorted(_repeated_pairs(forest.tree_pairs).items())
-    return _result([f"edge {p} appears in {k} trees" for p, k in repeated])
+    return _disjointness(_repeated_pairs(forest.tree_pairs))
 
 
 def verify_structure_f(forest: Forest) -> CheckResult:
@@ -408,12 +412,17 @@ def verify_trace_bounds(
         if not (pendant or _acyclic(n, partial)):
             failures.append(f"{final_tag}: new tree contains a cycle")
     else:  # the replay ran to its end
-        claimed = list(zip(forest.roots, forest.tree_pairs))
-        if len(trees) != len(claimed):
-            failures.append(f"trace replays {len(trees)} trees, the forest holds {len(claimed)}")
-        for idx, (got, want) in enumerate(zip(zip(roots, trees), claimed), start=1):
-            if got != want:
-                failures.append(f"tree {idx}: the replay ends at a different root or edge set")
+        if len(trees) != len(forest.trees):
+            failures.append(
+                f"trace replays {len(trees)} trees, the forest holds {len(forest.trees)}"
+            )
+        # each replayed slot is emptied once compared, before the next tree's
+        # pairs are derived, so the replay's sets and the forest's (kept for
+        # the forest-wide checks) are never all alive at once
+        for idx, (root, got, tree) in enumerate(zip(roots, trees, forest.trees)):
+            if root != tree.root or got != forest.pairs_of(idx):
+                failures.append(f"tree {idx + 1}: the replay ends at a different root or edge set")
+            got.clear()
     return _result(failures)
 
 
@@ -462,18 +471,22 @@ def verify_all(
     trace: ConstructionTrace | None = None,
 ) -> VerificationReport:
     """Run every check against a coloring, a claimed forest, and optionally a
-    construction trace; the verdict passes only if every part passes."""
-    tree_checks = [verify_rainbow_spanning_tree(coloring, t) for t in forest.trees]
-    disjoint = verify_edge_disjoint(forest)
-    structure = verify_structure_f(forest)
+    construction trace; the verdict passes only if every part passes.
+
+    The trace replay runs first: it derives each tree's pairs as it drops
+    its own copy of that tree, and the forest-wide checks then share them."""
     trace_check = None if trace is None else verify_trace_bounds(coloring, trace, forest)
+    tree_checks = [verify_rainbow_spanning_tree(coloring, t) for t in forest.trees]
+    tree_pairs = forest.tree_pairs
+    repeated = _repeated_pairs(tree_pairs)
+    disjoint = _disjointness(repeated)
+    structure = verify_structure_f(forest)
     digest_match: bool | None = None
     if forest.coloring_digest is not None:
         digest_match = forest.coloring_digest == coloring.digest()
     # each tree's size on the diagonal; off it, only the pairs held more than
     # once count, one for each ordered pair of trees holding them
-    tree_pairs = forest.tree_pairs
-    holders: dict[tuple[int, int], list[int]] = {p: [] for p in _repeated_pairs(tree_pairs)}
+    holders: dict[tuple[int, int], list[int]] = {p: [] for p in repeated}
     shared = [[0] * len(tree_pairs) for _ in tree_pairs]
     for i, pairs in enumerate(tree_pairs):
         shared[i][i] = len(pairs)

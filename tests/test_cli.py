@@ -18,6 +18,7 @@ from conftest import (
     starve_leaf_pool,
 )
 from rainbowtrees import (
+    MIN_INDEX,
     build_forest,
     forest_to_dot,
     forest_to_json,
@@ -29,6 +30,7 @@ from rainbowtrees import (
     trace_from_jsonl,
     trace_to_jsonl,
 )
+from rainbowtrees import cli
 from rainbowtrees.cli import main
 from rainbowtrees.errors import InternalInvariantError, SwapError
 
@@ -80,6 +82,35 @@ def test_gen_writes_its_document_a_row_at_a_time(tmp_path):
     data = out.read_bytes()
     assert data == serialize_coloring(permuted_round_robin(200, 1))
     assert peak <= 3.5 * len(data)
+
+
+def _traced_peak(call):
+    """call()'s result and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_build_and_verify_never_hold_the_whole_coloring_document(tmp_path):
+    # the coloring's table takes about 0.3 times the document; the file is
+    # read a chunk at a time beside it, and the forest is encoded one tree
+    # at a time
+    coloring = permuted_round_robin(200, 1)
+    path = tmp_path / "c.json"
+    path.write_bytes(serialize_coloring(coloring))
+    size = path.stat().st_size
+    assert size == 1_051_330
+    read, peak = _traced_peak(lambda: cli._read_coloring(str(path)))
+    assert read == coloring and read.digest() == coloring.digest()
+    assert peak <= 0.8 * size
+    forest, _ = build_forest(coloring, policy=MIN_INDEX, trace_on=True)
+    out, peak = _traced_peak(lambda: forest_to_json(forest))
+    assert parse_forest(out) == forest
+    assert peak <= 4 * len(out)
 
 
 def test_gen_m_zero_is_usage_error():

@@ -9,8 +9,14 @@ order, newline, BOM, trailing bytes, str instead of bytes), the spelling of
 one number, or one entry. Raw byte edits insert, delete or substitute one
 or two bytes anywhere in the document, including inside the commas and
 brackets that bound its rows.
+
+parse_coloring also reads an open binary file, a chunk at a time when it can
+seek and whole when it cannot, so every mutated document is read from a file
+and from a pipe too, and each must give the outcome the bytes give.
 """
 
+import hashlib
+import io
 import re
 
 import pytest
@@ -27,7 +33,8 @@ from rainbowtrees import (
     permuted_round_robin,
     serialize_coloring,
 )
-from rainbowtrees.coloring import _parse_canonical, _parse_json
+from rainbowtrees import coloring as coloring_module
+from rainbowtrees.coloring import _CANONICAL_HEAD, _CHUNK, _parse_canonical, _parse_json
 
 
 def outcome(parse, data):
@@ -36,6 +43,37 @@ def outcome(parse, data):
     except InputError as exc:
         return "error", type(exc), str(exc)
     return "ok", coloring, coloring.digest()
+
+
+class _Pipe(io.RawIOBase):
+    """Bytes behind a stream that cannot seek, as a pipe's."""
+
+    def __init__(self, data):
+        self._data = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, buffer):
+        return self._data.readinto(buffer)
+
+
+@pytest.fixture(scope="module")
+def path(tmp_path_factory):
+    """One file the tests write each document to before reading it back."""
+    return tmp_path_factory.mktemp("documents") / "c.json"
+
+
+def assert_readers_agree(doc, path):
+    """parse_coloring reads from a file and from a pipe what it reads from
+    the bytes; a str document has no file form here."""
+    if isinstance(doc, str):
+        return
+    want = outcome(parse_coloring, doc)
+    path.write_bytes(doc)
+    with open(path, "rb") as handle:
+        assert outcome(parse_coloring, handle) == want
+    assert outcome(parse_coloring, io.BufferedReader(_Pipe(doc))) == want
 
 
 def fields(coloring):
@@ -106,7 +144,9 @@ def mutate_frame(doc, kind, data):
     frame_kinds=st.lists(st.sampled_from(FRAME_MUTATIONS), max_size=2),
     data=st.data(),
 )
-def test_parse_coloring_agrees_with_the_json_path(m, seed, entry_kinds, frame_kinds, data):
+def test_parse_coloring_agrees_with_the_json_path(
+    m, seed, entry_kinds, frame_kinds, data, path
+):
     coloring = permuted_round_robin(m, seed)
     n = coloring.n
     entries = fields(coloring)
@@ -121,9 +161,10 @@ def test_parse_coloring_agrees_with_the_json_path(m, seed, entry_kinds, frame_ki
         if kind not in ("n_first", "n") and isinstance(doc, bytes):
             doc = mutate_frame(doc, kind, data)
     assert outcome(parse_coloring, doc) == outcome(_parse_json, doc)
+    assert_readers_agree(doc, path)
     if not entry_kinds and not frame_kinds:
         assert doc == serialize_coloring(coloring)
-        assert _parse_canonical(doc) == coloring
+        assert _parse_canonical(io.BytesIO(doc)) == coloring
 
 
 # bytes an edit writes: those that spell the document, and any other
@@ -150,12 +191,14 @@ def edit_bytes(doc, data):
     return doc
 
 
-def assert_paths_agree(doc):
-    """parse_coloring agrees with the json path on ``doc``, and the fast path
-    reads a coloring only where the json path reads an equal one and digest."""
+def assert_paths_agree(doc, path):
+    """parse_coloring agrees with the json path on ``doc``, whether it reads
+    bytes, a file or a pipe, and the fast path reads a coloring only where the
+    json path reads an equal one and digest."""
     slow = outcome(_parse_json, doc)
     assert outcome(parse_coloring, doc) == slow
-    fast = _parse_canonical(doc)
+    assert_readers_agree(doc, path)
+    fast = _parse_canonical(io.BytesIO(doc))
     if fast is not None:
         assert slow == ("ok", fast, fast.digest())
 
@@ -166,29 +209,79 @@ def assert_paths_agree(doc):
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     data=st.data(),
 )
-def test_byte_edits_agree_with_the_json_path(m, seed, data):
-    assert_paths_agree(edit_bytes(serialize_coloring(permuted_round_robin(m, seed)), data))
+def test_byte_edits_agree_with_the_json_path(m, seed, data, path):
+    doc = edit_bytes(serialize_coloring(permuted_round_robin(m, seed)), data)
+    assert_paths_agree(doc, path)
 
 
-# n = 120: rows, columns and colors past 99 take three digits
+# n = 120: rows, columns and colors past 99 take three digits, and the
+# document is longer than the chunk a file is read in
 _DOCUMENT_60 = serialize_coloring(permuted_round_robin(60, 7))
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_byte_edits_agree_with_the_json_path_at_three_digits(data):
-    assert_paths_agree(edit_bytes(_DOCUMENT_60, data))
+def test_byte_edits_agree_with_the_json_path_at_three_digits(data, path):
+    assert_paths_agree(edit_bytes(_DOCUMENT_60, data), path)
 
 
-def test_every_single_byte_edit_agrees_with_the_json_path():
+@pytest.mark.parametrize("edit", ["delete", "flip", "space", "bracket"])
+@pytest.mark.parametrize("past", [1, 2000, 9000])
+def test_an_edit_past_the_first_chunk_agrees_with_the_json_path(edit, past, path):
+    # the fast path has read and accepted rows from the first chunk of the
+    # file before it meets the edit and refuses the document
+    at = _CHUNK + past
+    assert at < len(_DOCUMENT_60) - 20
+    head, byte, rest = _DOCUMENT_60[:at], _DOCUMENT_60[at:at + 1], _DOCUMENT_60[at + 1:]
+    # a flipped low bit turns a digit into another, "," into "-" and "[" into "Z"
+    new = {"delete": b"", "flip": bytes([byte[0] ^ 1]), "space": b" " + byte, "bracket": b"]" + byte}
+    assert_paths_agree(head + new[edit] + rest, path)
+
+
+def test_a_document_of_many_chunks_reads_alike_from_bytes_a_file_and_a_pipe(path):
+    coloring = permuted_round_robin(60, 7)
+    assert len(_DOCUMENT_60) > _CHUNK
+    assert_paths_agree(_DOCUMENT_60, path)
+    path.write_bytes(_DOCUMENT_60)
+    with open(path, "rb") as handle:
+        assert _parse_canonical(handle) == coloring
+
+
+def test_every_chunk_boundary_reads_alike(monkeypatch, path):
+    # with chunks of any size from the head's length on, a chunk boundary
+    # splits each row, separator and the tail somewhere, and the first
+    # single-byte edits meet a boundary as well
+    coloring = permuted_round_robin(6, 3)
+    doc = serialize_coloring(coloring)
+    digest = hashlib.sha256(doc).hexdigest()
+    for size in range(len(_CANONICAL_HEAD), len(doc) + 2):
+        monkeypatch.setattr(coloring_module, "_CHUNK", size)
+        fast = _parse_canonical(io.BytesIO(doc))
+        assert fast == coloring and fast.digest() == digest
+        if size < 40:
+            for at in range(0, len(doc), 7):
+                assert_paths_agree(doc[:at] + doc[at + 1:], path)
+
+
+def test_a_file_below_the_bytes_per_entry_bound_agrees_with_the_json_path(path):
+    # a canonical frame for n = 200000 around one entry: far fewer than 8
+    # bytes per entry, so the fast path refuses it from the file's size
+    doc = b'{"edges":[[0,1,0]],"n":200000}\n'
+    assert outcome(parse_coloring, doc) == (
+        "error", MissingPair, "pair (0,2) has no color"
+    )
+    assert_paths_agree(doc, path)
+
+
+def test_every_single_byte_edit_agrees_with_the_json_path(path):
     # n = 12 spells vertices 10 and 11 and color 10 with two digits; every
     # position gets each edit with bytes that keep the document close to JSON
     doc = serialize_coloring(permuted_round_robin(6, 3))
     for at in range(len(doc) + 1):
-        assert_paths_agree(doc[:at] + doc[at + 1:])
+        assert_paths_agree(doc[:at] + doc[at + 1:], path)
         for new in (bytes([b]) for b in b"019,[] "):
-            assert_paths_agree(doc[:at] + new + doc[at:])
-            assert_paths_agree(doc[:at] + new + doc[at + 1:])
+            assert_paths_agree(doc[:at] + new + doc[at:], path)
+            assert_paths_agree(doc[:at] + new + doc[at + 1:], path)
 
 
 def _in_place_of_another(entries):
@@ -225,7 +318,7 @@ def test_a_canonical_frame_around_an_invalid_coloring_raises_the_json_paths_erro
     entries = fields(coloring)
     corrupt(entries)
     doc = document(entries, coloring.n)
-    assert _parse_canonical(doc) is None
+    assert _parse_canonical(io.BytesIO(doc)) is None
     with pytest.raises(error, match=message) as fast:
         parse_coloring(doc)
     with pytest.raises(error) as slow:

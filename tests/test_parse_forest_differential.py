@@ -141,7 +141,8 @@ def mutate(doc, kind, data):
             elif kind == "repeat":
                 edges.insert(j, list(e))
             else:  # any int color: the verifier, not the reader, judges it
-                e[2] = data.draw(st.integers(-5, 3 * n))
+                # (n < 0 once "m" became -1, which the reader refuses first)
+                e[2] = data.draw(st.integers(-5, max(3 * n, 0)))
     return doc
 
 
