@@ -103,6 +103,10 @@ class EdgeColoring:
             raise SelfLoop(f"no edge joins vertex {u} to itself")
         return self._color[u * self.n + v]
 
+    def color_row(self, v: Vertex) -> array:
+        """A copy of v's color row: entry u is color_of(v, u), -1 at v."""
+        return self._color[v * self.n:(v + 1) * self.n]
+
     def partner(self, c: Color, v: Vertex) -> Vertex:
         """The unique vertex joined to v by the edge of color c at v."""
         row = self._partner[v]
@@ -121,7 +125,7 @@ class EdgeColoring:
         """v's partner row, the inverse of its color row, stored once complete."""
         n = self.n
         inverse = array(self._color.typecode, [0]) * n
-        _drain(map(setitem, repeat(inverse), self._color[v * n:(v + 1) * n], range(n)))
+        _drain(map(setitem, repeat(inverse), self.color_row(v), range(n)))
         inverse.pop()  # the slot of -1, the diagonal
         self._partner[v] = inverse
         return inverse
@@ -180,10 +184,13 @@ def _checked(m: int, color: array) -> EdgeColoring:
 
     ``color`` is a flat typed n x n table whose diagonal holds -1 and every
     cell right of it a color in [0, n-2]; every path that builds a coloring
-    fills those cells, and only those, having checked their colors. One
-    strided slice per vertex copies its column above the diagonal into its
-    row left of it, making the table symmetric. The coloring is proper iff
-    every row is then a permutation of -1..n-2: one set comparison per row.
+    fills those cells having checked their colors. The parsers and
+    validate_proper fill only those; round_robin, permuted_round_robin and
+    permute_coloring fill the whole table symmetric, so the cells left of
+    the diagonal are overwritten with equal colors. One strided slice per
+    vertex copies its column above the diagonal into its row left of it,
+    making the table symmetric. The coloring is proper iff every row is then
+    a permutation of -1..n-2: one set comparison per row.
     Only when it fails are the rows scanned, per vertex, in order, for the
     first color met twice (AdjacentClash). If none repeats, some cell is
     outside [0, n-2], which breaks the precondition: InternalInvariantError
@@ -274,36 +281,56 @@ def round_robin(m: int) -> EdgeColoring:
     return _checked(m, _round_robin_table(m))
 
 
-def _round_robin_table(m: int) -> array:
-    """round_robin's flat typed color table, not yet validated."""
+def _round_robin_table(m: int, cp=None) -> array:
+    """round_robin's flat typed color table, whole and symmetric, with color c
+    renamed cp[c] when cp is given; not yet validated.
+
+    Cell (u, v) of two cycle vertices is row 0's cell (u + v) mod 2m-1, so
+    row u's cycle cells are row 0 rotated by u; its diagonal cell, whose
+    rotation reads the color of the spoke at u, then turns -1. The colors
+    are renamed in row 0 and the hub's column alone, before they are copied.
+    """
     if m < 1:
         raise ValueError("m must be a positive integer")
     n, cyc = 2 * m, 2 * m - 1
     typecode = _typecode(n)
-    row0 = array(typecode, [v * m % cyc for v in range(cyc)]) * 2
+    if cp is None:
+        cp = range(cyc)
+    row0 = array(typecode, [cp[v * m % cyc] for v in range(cyc)]) * 2
+    hub = array(typecode, cp) + array(typecode, [-1])  # the hub's row and column
     color = array(typecode, [-1]) * (n * n)
     for u in range(cyc):
-        color[u * n + u + 1:u * n + cyc] = row0[2 * u + 1:u + cyc]  # row 0 rotated by u
-    color[cyc:cyc * n:n] = array(typecode, range(cyc))  # the hub's column
+        color[u * n:u * n + cyc] = row0[u:u + cyc]  # row 0 rotated by u
+    color[cyc:n * n:n] = hub
+    color[cyc * n:] = hub
+    color[::n + 1] = array(typecode, [-1]) * n
     return color
 
 
-def _relabel(color: array, vp: list[int], cp: list[int]) -> array:
-    """The flat color table with vertex x renamed vp[x] and color c renamed
-    cp[c], both read and written right of the diagonal only."""
+def _renamed(color: array, vp: list[int]) -> array:
+    """A symmetric flat n x n table with vertex x renamed vp[x]: cell
+    (vp[x], vp[y]) takes cell (x, y). ``color`` is the caller's to give up,
+    and is overwritten with the result and returned.
+
+    Row x moves to row vp[x] of a second table; that table's column y then
+    moves to row vp[y] of ``color``, one strided slice each. So cell
+    (vp[y], vp[x]) gets cell (x, y), which is cell (y, x) by symmetry: n
+    row moves and one transpose, all at C speed.
+    """
     n = len(vp)
-    inv = sorted(range(n), key=vp.__getitem__)  # inv[vp[x]] = x
-    relabelled = array(color.typecode, [-1]) * (n * n)
-    for a, u in enumerate(inv):
-        row = color[u:u * n:n] + color[u * n + u:(u + 1) * n]  # u's column, then its row
-        relabelled[a * n + a + 1:(a + 1) * n] = array(
-            color.typecode, map(cp.__getitem__, map(row.__getitem__, inv[a + 1:]))
-        )
-    return relabelled
+    moved = array(color.typecode, [-1]) * (n * n)
+    for x, a in enumerate(vp):
+        moved[a * n:(a + 1) * n] = color[x * n:(x + 1) * n]
+    for y, a in enumerate(vp):
+        color[a * n:(a + 1) * n] = moved[y::n]
+    return color
 
 
 def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeColoring:
-    """Relabel vertices and colors; the result is proper again and re-validated."""
+    """Relabel vertices and colors; the result is proper again and re-validated.
+
+    The vertices are renamed in a color-renamed copy of the table, so the
+    input is never written."""
     n, n_colors = coloring.n, coloring.n_colors
     vp = list(vertex_perm)
     cp = list(color_perm)
@@ -311,7 +338,9 @@ def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeCol
         raise NotAPermutation(f"vertex_perm is not a permutation of 0..{n - 1}")
     if sorted(cp) != list(range(n_colors)):
         raise NotAPermutation(f"color_perm is not a permutation of 0..{n_colors - 1}")
-    return _checked(coloring.m, _relabel(coloring._color, vp, cp))
+    # the diagonal's -1 reads the appended -1, the last entry
+    recolored = array(coloring._color.typecode, map((cp + [-1]).__getitem__, coloring._color))
+    return _checked(coloring.m, _renamed(recolored, vp))
 
 
 def permuted_round_robin(m: int, seed: int) -> EdgeColoring:
@@ -321,7 +350,7 @@ def permuted_round_robin(m: int, seed: int) -> EdgeColoring:
     rng.shuffle(vp)
     cp = list(range(2 * m - 1))
     rng.shuffle(cp)
-    return _checked(m, _relabel(_round_robin_table(m), vp, cp))
+    return _checked(m, _renamed(_round_robin_table(m, cp), vp))
 
 
 def coloring_chunks(coloring: EdgeColoring) -> Iterator[bytes]:

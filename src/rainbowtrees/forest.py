@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, count
+from itertools import chain, compress, repeat
 from operator import ne
 
 from .coloring import EdgeColoring, canonical_json_bytes, read_json
@@ -71,11 +71,23 @@ class WorkingTree:
     root_leaves: set[int]
 
     def value(self) -> RainbowTree:
-        """This tree as a plain RainbowTree, its edges read from the color index
-        (as a list, whose length the benchmark's from_edges hook reads)."""
-        child = self.child_of_color
-        edges = list(zip(child, map(self.parent.__getitem__, child), count()))
-        return RainbowTree.from_edges(self.root, edges)
+        """This tree as a plain RainbowTree, in O(n). The root's edges, read
+        in vertex order from two slices of its color row, are already one
+        ascending run of the sorted triples; the edges of the re-hung
+        vertices, at most 2W in a forest of W trees, follow them, so the
+        sort finds the long run and merges the short one into it."""
+        r, parent = self.root, self.parent
+        n = len(parent)
+        row = self.coloring.color_row(r)
+        is_child = list(map(r.__eq__, parent))
+        below, above = is_child[:r], is_child[r + 1:]
+        edges = list(zip(compress(range(r), below), repeat(r), compress(row[:r], below)))
+        edges += zip(repeat(r), compress(range(r + 1, n), above), compress(row[r + 1:], above))
+        color_of = self.coloring.color_of
+        rehung = compress(range(n), map(r.__ne__, parent))  # and the root
+        edges += ((*_pair(x, parent[x]), color_of(x, parent[x])) for x in rehung if x != r)
+        edges.sort()
+        return RainbowTree(r, tuple(edges))
 
 
 def base_star(coloring: EdgeColoring, r: int) -> WorkingTree:

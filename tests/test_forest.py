@@ -8,18 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rainbowtrees.constructor as ctor
 from rainbowtrees import (
+    MAX_INDEX,
+    MIN_INDEX,
     ColorClash,
     DegenerateSwap,
     Forest,
     NotPendant,
     RainbowTree,
+    WorkingTree,
     apply_swap,
     base_star,
     forest_to_dot,
     forest_to_json,
+    omega,
     parse_forest,
     permuted_round_robin,
+    random_policy,
     round_robin,
     tree_edge_of_color,
     verify_rainbow_spanning_tree,
@@ -301,3 +307,49 @@ def test_spans_agrees_with_the_search_on_rehung_stars():
         assert verdict == spans_by_search(parent, root)
         verdicts[verdict] += 1
     assert min(verdicts.values()) > 300
+
+
+def value_by_sorting(tree):
+    """WorkingTree.value as it was: every edge from the color index, sorted."""
+    child = tree.child_of_color
+    edges = zip(child, map(tree.parent.__getitem__, child), itertools.count())
+    return RainbowTree.from_edges(tree.root, edges)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [MIN_INDEX, MAX_INDEX, random_policy(1), random_policy(2)],
+    ids=["min", "max", "random1", "random2"],
+)
+@pytest.mark.parametrize("m", [5, 12, 40, 100])
+def test_value_merges_into_the_sorted_edges(m, policy):
+    # after every round of a build, each working tree's value is its sorted edges
+    state = ctor.start_construction(permuted_round_robin(m, m), policy)
+    checked = 0
+    while True:
+        for tree in state.trees:
+            assert tree.value() == value_by_sorting(tree)
+            checked += 1
+        if len(state.trees) == omega(m):
+            break
+        ctor.step(state)
+    assert checked == omega(m) * (omega(m) + 1) // 2
+
+
+def test_value_of_vertices_rehung_on_both_sides_of_the_root():
+    # root 4 of K_8: 1 under 2 and 3 under 5 (below the root, under parents
+    # below and above it), 6 under 0 and 7 under 5 (above it, under parents
+    # below and above it); the seven edges have seven colors
+    coloring = permuted_round_robin(4, 7)
+    parent = [4, 2, 4, 5, -1, 4, 0, 5]
+    child_of_color = [0] * 7
+    for x, p in enumerate(parent):
+        if p >= 0:
+            child_of_color[coloring.color_of(x, p)] = x
+    assert sorted(child_of_color) == [0, 1, 2, 3, 5, 6, 7]
+    tree = WorkingTree(coloring, 4, parent, 3, child_of_color, set())
+    value = tree.value()
+    pairs = [(u, v) for u, v, _ in value.edges]
+    assert pairs == [(0, 4), (0, 6), (1, 2), (2, 4), (3, 5), (4, 5), (5, 7)]
+    assert value == value_by_sorting(tree)
+    assert verify_rainbow_spanning_tree(coloring, value).passed
