@@ -330,15 +330,13 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
 
 
 def revise_tree(state: ConstructionState, i: int, v_i: int) -> WorkingTree:
-    """Rewire tree i around its root in place, then trade the matching star
-    edge of the tree under assembly."""
-    col, rnd = state.coloring, state.round
-    rk, ri = rnd.r_k, rnd.roots[i - 1]
-    w_i = col.partner(col.color_of(ri, v_i), rk)
-    v_prime = col.partner(col.color_of(ri, rk), v_i)
-    tree = apply_swap(state.trees[i - 1], ri, rk, v_i, w_i, v_prime)
+    """Rewire tree i in place by the leaf exchange of r_k and v_i, record
+    the vertices it re-hung them under as w_i and v'_i, then trade the
+    matching star edge of the tree under assembly."""
+    rnd = state.round
+    tree = apply_swap(state.trees[i - 1], rnd.r_k, v_i)
     st = rnd.steps[i - 1]
-    st.chosen, st.w_i, st.v_prime = v_i, w_i, v_prime
+    st.chosen, st.w_i, st.v_prime = v_i, tree.parent[rnd.r_k], tree.parent[v_i]
     extend_kth_partial(state, i)
     return tree
 

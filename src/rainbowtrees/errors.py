@@ -43,21 +43,18 @@ class InstanceTooLarge(InputError):
 
 
 class SwapError(RainbowTreesError):
-    """A leaf exchange was attempted with arguments violating its preconditions."""
+    """A leaf exchange was not given two distinct root-adjacent leaves
+    (NotPendant), or the assembled tree k repeats a color (ColorClash)."""
 
     trace = None  # raised out of build_forest: the trace recorded up to the failure
 
 
 class NotPendant(SwapError):
-    """A vertex required to be a root-adjacent leaf is not one."""
+    """A leaf exchange was not given two distinct root-adjacent leaves."""
 
 
 class ColorClash(SwapError):
-    """An edge replacement would repeat a color inside one tree."""
-
-
-class DegenerateSwap(SwapError):
-    """An edge replacement would duplicate an edge or add a self-loop."""
+    """The assembled tree k repeats a color."""
 
 
 class InternalInvariantError(RainbowTreesError):

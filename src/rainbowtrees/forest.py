@@ -5,7 +5,8 @@ its file formats.
 :class:`RainbowTree` is a plain value: what a :class:`Forest` holds, what
 :func:`parse_forest` and the oracle return and what the verifier checks.
 :class:`WorkingTree` is the constructor's tree, a parent array with the
-indexes the construction reads; :func:`apply_swap` patches it in place.
+indexes the construction reads; :func:`apply_swap` patches it in place,
+re-hanging two root leaves, each by the color the other one frees.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from itertools import chain, compress, repeat
 from operator import ne
 
 from .coloring import EdgeColoring, canonical_json_bytes, read_json
-from .errors import ColorClash, DegenerateSwap, NotPendant, SchemaError
+from .errors import NotPendant, SchemaError
 
 
 def _pair(u: int, v: int) -> tuple[int, int]:
@@ -133,49 +134,39 @@ def spans(parent: list[int], root: int, rehung) -> bool:
     return True
 
 
-def apply_swap(tree: WorkingTree, r: int, y: int, v: int, w: int, v_prime: int) -> WorkingTree:
-    """Turn tree into tree - ry - rv + yw + vv' in place, at O(1) entries,
-    and return it.
+def apply_swap(tree: WorkingTree, y: int, v: int) -> WorkingTree:
+    """Detach the root-adjacent leaves y and v and re-hang each by the edge
+    of the color the other one freed: with r the root, turn tree into
+    tree - ry - rv + yw + vv' for w = partner(color(r, v), y) and
+    v' = partner(color(r, y), v), in place at O(1) entries, and return it.
+    NotPendant, raised before the first write, is the only error: y and v
+    must be distinct root-adjacent leaves.
 
-    No search is needed. y and v must be distinct root-adjacent leaves, so
-    without ry and rv the other n - 2 vertices still form a spanning tree
-    and y and v have no edge. Re-hanging y under w and v under v' is then a
-    spanning tree other than the input unless w in {r, y}, v' in {r, v}, or
-    (w, v') = (v, y), where both new edges are {y, v}. Those are exactly the
-    DegenerateSwap conditions; nor can a new edge already be in the tree.
-    A rainbow spanning tree uses every color once, so the result is rainbow
-    exactly when the new edges reuse the two freed colors (the construction
-    picks w and v' as the matching partners); else ColorClash. Errors are
-    checked in the order NotPendant, DegenerateSwap, ColorClash, all before
-    the first write, so a swap that raises leaves the tree as it was.
+    The result is always a rainbow spanning tree. w is none of r, y, v:
+    w = r would give color(r, y) = color(r, v), so y = v; w = y is not an
+    edge; w = v would give color(y, v) = color(r, v), so y = r. The same
+    holds for v'. So y and v both re-hang onto the spanning tree that
+    tree - ry - rv leaves on the other n - 2 vertices, and the two new edges
+    carry exactly the two freed colors. No other (w, v') makes
+    tree - ry - rv + yw + vv' a rainbow spanning tree other than the input:
+    its new edges must carry the two freed colors, and the other assignment,
+    color(y, w) = color(r, y), forces w = r and then v' = r.
 
     The root loses the children y and v, w and v' gain one each and no
     vertex becomes a root child, so the root-adjacent leaves are the old ones
     minus {y, v, w, v'}; the round close re-derives them at these vertices
     and the root, and the build re-derives them in full once at its end.
     """
-    if r != tree.root:
-        raise NotPendant(f"swap pivot {r} is not the root {tree.root}")
     if y == v:
         raise NotPendant("the two detached leaves must be distinct")
     for leaf in (y, v):
         if leaf not in tree.root_leaves:
             raise NotPendant(f"vertex {leaf} is not a leaf adjacent to the root")
-    if w in (r, y):
-        raise DegenerateSwap(f"replacement endpoint w={w} collides with the detached edge")
-    if v_prime in (r, v):
-        raise DegenerateSwap(f"replacement endpoint v'={v_prime} collides with the detached edge")
-    if (w, v_prime) == (v, y):
-        raise DegenerateSwap("both replacement edges coincide")
-    col = tree.coloring
-    c_yw, c_vv = col.color_of(y, w), col.color_of(v, v_prime)
-    freed = {col.color_of(r, y), col.color_of(r, v)}
-    if {c_yw, c_vv} != freed:
-        raise ColorClash(
-            f"replacement colors {sorted({c_yw, c_vv})} do not match freed colors {sorted(freed)}"
-        )
+    col, r = tree.coloring, tree.root
+    c_y, c_v = col.color_of(r, y), col.color_of(r, v)
+    w, v_prime = col.partner(c_v, y), col.partner(c_y, v)
     tree.parent[y], tree.parent[v] = w, v_prime
-    tree.child_of_color[c_yw], tree.child_of_color[c_vv] = y, v
+    tree.child_of_color[c_v], tree.child_of_color[c_y] = y, v
     tree.root_leaves.difference_update((y, v, w, v_prime))
     tree.root_degree -= 2
     return tree
@@ -189,10 +180,6 @@ class Forest:
     m: int
     trees: tuple[RainbowTree, ...]
     coloring_digest: str | None = None
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        return tuple(t.root for t in self.trees)
 
     @cached_property
     def _pairs(self) -> list[frozenset[tuple[int, int]] | None]:

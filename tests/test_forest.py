@@ -12,8 +12,6 @@ import rainbowtrees.constructor as ctor
 from rainbowtrees import (
     MAX_INDEX,
     MIN_INDEX,
-    ColorClash,
-    DegenerateSwap,
     Forest,
     NotPendant,
     RainbowTree,
@@ -54,9 +52,10 @@ def test_base_star_shape(m):
 
 
 def test_apply_swap_m2_example():
-    # detach 0 and 1 from the star at 3, reattach both at 2:
+    # detach 0 and 1 from the star at 3, which reattaches both at 2:
     # the result is the star at 2, still rooted (as data) at 3
-    out = apply_swap(star_m2(), 3, 0, 1, 2, 2)
+    out = apply_swap(star_m2(), 0, 1)
+    assert (out.parent[0], out.parent[1]) == (2, 2)
     assert out.value().edges == ((0, 2, 1), (1, 2, 0), (2, 3, 2))
     assert out.root == 3
     assert verify_rainbow_spanning_tree(round_robin(2), out.value()).passed
@@ -67,28 +66,11 @@ def test_apply_swap_m2_example():
 
 
 def test_apply_swap_rejects_non_pendant():
-    out = apply_swap(star_m2(), 3, 0, 1, 2, 2)
+    out = apply_swap(star_m2(), 0, 1)
     with pytest.raises(NotPendant):
-        apply_swap(out, 3, 0, 1, 2, 2)  # 0 is no longer a root-adjacent leaf
+        apply_swap(out, 0, 1)  # 0 is no longer a root-adjacent leaf
     with pytest.raises(NotPendant):
-        apply_swap(star_m2(), 3, 0, 0, 2, 2)  # leaves must be distinct
-    with pytest.raises(NotPendant):
-        apply_swap(star_m2(), 2, 0, 1, 2, 2)  # pivot must be the root
-
-
-def test_apply_swap_rejects_degenerate():
-    with pytest.raises(DegenerateSwap):
-        apply_swap(star_m2(), 3, 0, 1, 1, 0)  # both replacements are edge {0,1}
-    with pytest.raises(DegenerateSwap):
-        apply_swap(star_m2(), 3, 0, 1, 3, 2)  # w = root re-adds a detached edge
-    with pytest.raises(DegenerateSwap):
-        apply_swap(star_m2(), 3, 0, 1, 0, 2)  # w = y is a self-loop
-
-
-def test_apply_swap_rejects_color_clash():
-    # adding {0,1} (color 2) collides with the kept edge {2,3} (color 2)
-    with pytest.raises(ColorClash):
-        apply_swap(star_m2(), 3, 0, 1, 1, 2)
+        apply_swap(star_m2(), 0, 0)  # leaves must be distinct
 
 
 def test_tree_edge_of_color():
@@ -96,18 +78,13 @@ def test_tree_edge_of_color():
     assert tree_edge_of_color(t, 1) == (1, 3, 1)
     for c in range(3):
         assert tree_edge_of_color(t, c)[2] == c
-    swapped = apply_swap(t, 3, 0, 1, 2, 2)
+    swapped = apply_swap(t, 0, 1)
     assert tree_edge_of_color(swapped, 0) == (1, 2, 0)
 
 
-def partner_swap(tree, rng):
-    """One exchange with partner-matched endpoints, the form the construction uses."""
-    col = tree.coloring
-    leaves = sorted(tree.root_leaves)
-    y, v = rng.sample(leaves, 2)
-    w = col.partner(col.color_of(tree.root, v), y)
-    v_prime = col.partner(col.color_of(tree.root, y), v)
-    return apply_swap(tree, tree.root, y, v, w, v_prime)
+def random_swap(tree, rng):
+    """One exchange of two root-adjacent leaves drawn at random."""
+    return apply_swap(tree, *rng.sample(sorted(tree.root_leaves), 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -125,10 +102,7 @@ def test_partner_matched_swaps_preserve_everything(m, root, seed):
             break
         before_deg = tree.root_degree
         before_colors = sorted(col for _, _, col in tree.value().edges)
-        try:
-            tree = partner_swap(tree, rng)
-        except DegenerateSwap:
-            continue  # replacement edge already present; skip this draw
+        tree = random_swap(tree, rng)
         assert verify_rainbow_spanning_tree(c, tree.value()).passed
         assert tree.root_degree == before_deg - 2
         # the exchange replaces colors one for one
@@ -163,12 +137,6 @@ def test_forest_json_digest_optional():
     assert parse_forest(json.dumps(doc)).coloring_digest is None
 
 
-def test_forest_roots_property():
-    c = round_robin(3)
-    forest = Forest(m=3, trees=(base_star(c, 4).value(), base_star(c, 1).value()))
-    assert forest.roots == (4, 1)
-
-
 def test_dot_export_mentions_every_edge():
     c = round_robin(2)
     forest = Forest(m=2, trees=(base_star(c, 3).value(),))
@@ -200,25 +168,26 @@ def _root_profile(root, pairs):
 
 
 def _surgery(tree, r, y, v, w, v_prime):
-    """What apply_swap must do, from scratch: the error class it raises
-    (NotPendant, then DegenerateSwap, then ColorClash), or the edges of
-    tree - ry - rv + yw + vv'."""
+    """The exchange from scratch, for any five vertices: the edges of
+    tree - ry - rv + yw + vv' when r is the root, y and v are distinct
+    root-adjacent leaves and the result is a rainbow spanning tree other
+    than tree, else None."""
     n, col = tree.coloring.n, tree.coloring
     pairs = {(a, b) for a, b, _ in tree.value().edges}
     leaves, _ = _root_profile(tree.root, pairs)
     if r != tree.root or y == v or y not in leaves or v not in leaves:
-        return NotPendant
-    if w in (r, y) or v_prime in (r, v):
-        return DegenerateSwap
+        return None
+    if w == y or v_prime == v:
+        return None  # a self-loop
     new = (pairs - {(min(r, y), max(r, y)), (min(r, v), max(r, v))}) | {
         (min(y, w), max(y, w)),
         (min(v, v_prime), max(v, v_prime)),
     }
-    if len(new) != n - 1 or not _connected(n, new):
-        return DegenerateSwap
+    if new == pairs or len(new) != n - 1 or not _connected(n, new):
+        return None
     edges = tuple(sorted((a, b, col.color_of(a, b)) for a, b in new))
     if len({c for _, _, c in edges}) != n - 1:
-        return ColorClash
+        return None
     return edges
 
 
@@ -232,44 +201,74 @@ def _copy(tree):
     )
 
 
-def _first_partner_swap(tree):
-    col, r = tree.coloring, tree.root
-    for y, v in itertools.permutations(sorted(tree.root_leaves), 2):
-        w = col.partner(col.color_of(r, v), y)
-        v_prime = col.partner(col.color_of(r, y), v)
-        if not isinstance(_surgery(tree, r, y, v, w, v_prime), type):
-            return apply_swap(_copy(tree), r, y, v, w, v_prime)
-    return None
+def _cases(m):
+    """(tree, number of exchanges it allows): the star at 2m - 1 of a
+    permuted K_{2m}, and that star after the exchange of its two lowest root
+    leaves, when it has two. At m <= 3 the swapped tree keeps at most one
+    root leaf, so it allows none."""
+    star = base_star(permuted_round_robin(m, 7), 2 * m - 1)
+    cases = [(star, {1: 0, 2: 6, 3: 20}[m])]
+    if m > 1:
+        cases.append((apply_swap(_copy(star), *sorted(star.root_leaves)[:2]), 0))
+    return cases
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_surgery_yields_a_tree_exactly_at_the_partner_pair(m):
+    # every (r, y, v, w, v'): the reference yields a tree exactly when r is
+    # the root, y and v are distinct root-adjacent leaves and yw, vv' carry
+    # the colors of rv, ry, so apply_swap(tree, y, v), which derives w and v'
+    # from those colors, makes every exchange that the five vertices allow
+    n = 2 * m
+    for tree, want_valid in _cases(m):
+        col, root = tree.coloring, tree.root
+        leaves, _ = _root_profile(root, {(a, b) for a, b, _ in tree.value().edges})
+        valid = 0
+        for r, y, v, w, v_prime in itertools.product(range(n), repeat=5):
+            partners = (
+                r == root
+                and y != v
+                and {y, v} <= leaves
+                and y != w != r
+                and v != v_prime != r
+                and col.color_of(y, w) == col.color_of(r, v)
+                and col.color_of(v, v_prime) == col.color_of(r, y)
+            )
+            assert (_surgery(tree, r, y, v, w, v_prime) is not None) == partners
+            valid += partners
+        assert valid == want_valid
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_apply_swap_is_exact_on_every_argument_tuple(m):
-    # every (r, y, v, w, v') on a star and on a partner-swapped tree; a swap
-    # patches its tree in place, so each valid tuple gets a fresh copy, and
-    # the tuples that raise must leave the tree as it was. At m <= 3 the
-    # swapped tree keeps at most one root leaf, so on it every tuple raises
-    # NotPendant
+    # every (y, v) on a star and on a swapped tree; a swap patches its tree
+    # in place, so each valid pair gets a fresh copy, and the pairs that raise
+    # must leave the tree as it was
     n = 2 * m
-    star = base_star(permuted_round_robin(m, 7), n - 1)
-    swapped = _first_partner_swap(star)
-    assert (swapped is None) == (m == 1)
-    cases = [(star, {1: 0, 2: 6, 3: 20}[m])] + ([(swapped, 0)] if swapped is not None else [])
-    for tree, want_valid in cases:
+    for tree, want_valid in _cases(m):
+        r = tree.root
         snapshot = (tree.value().edges, set(tree.root_leaves), tree.root_degree)
+        leaves, _ = _root_profile(r, {(a, b) for a, b, _ in tree.value().edges})
         valid = 0
-        for args in itertools.product(range(n), repeat=5):
-            want = _surgery(tree, *args)
-            if isinstance(want, type):
-                with pytest.raises(want):
-                    apply_swap(tree, *args)
+        for y, v in itertools.product(range(n), repeat=2):
+            if y == v or not {y, v} <= leaves:
+                with pytest.raises(NotPendant):
+                    apply_swap(tree, y, v)
                 continue
             valid += 1
+            # the one (w, v') at which the reference yields a tree
+            ((w, v_prime, want),) = [
+                (w, v_prime, edges)
+                for w, v_prime in itertools.product(range(n), repeat=2)
+                if (edges := _surgery(tree, r, y, v, w, v_prime)) is not None
+            ]
             fresh = _copy(tree)
-            out = apply_swap(fresh, *args)
+            out = apply_swap(fresh, y, v)
             assert out is fresh
-            assert (out.root, out.value().edges) == (tree.root, want)
-            leaves, root_degree = _root_profile(out.root, {(a, b) for a, b, _ in want})
-            assert set(out.root_leaves) == leaves
+            assert (out.root, out.value().edges) == (r, want)
+            assert (out.parent[y], out.parent[v]) == (w, v_prime)
+            out_leaves, root_degree = _root_profile(r, {(a, b) for a, b, _ in want})
+            assert set(out.root_leaves) == out_leaves
             assert out.root_degree == root_degree
         assert (tree.value().edges, set(tree.root_leaves), tree.root_degree) == snapshot
         assert valid == want_valid
