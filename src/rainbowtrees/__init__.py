@@ -6,6 +6,8 @@ color exactly once, verify_all referees the result from scratch, and the
 oracle module brute-forces tiny instances for cross-checking.
 """
 
+import types as _types
+
 from .coloring import (
     EdgeColoring,
     parse_coloring,
@@ -70,57 +72,10 @@ from .verifier import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjacentClash",
-    "CheckResult",
-    "ColorClash",
-    "ColorOutOfRange",
-    "ConstructionTrace",
-    "CycleDetected",
-    "EdgeColoring",
-    "EmptyCandidateSet",
-    "FValidationFailed",
-    "Forest",
-    "InputError",
-    "InstanceTooLarge",
-    "InternalInvariantError",
-    "LeafSetExhausted",
-    "MAX_INDEX",
-    "MIN_INDEX",
-    "MissingPair",
-    "NotAPermutation",
-    "NotPendant",
-    "RainbowTree",
-    "RainbowTreesError",
-    "SchemaError",
-    "SelectionPolicy",
-    "SelfLoop",
-    "SwapError",
-    "VerificationReport",
-    "WorkingTree",
-    "apply_swap",
-    "base_star",
-    "build_forest",
-    "enumerate_rainbow_spanning_trees",
-    "forest_to_dot",
-    "forest_to_json",
-    "max_disjoint_rainbow_trees",
-    "omega",
-    "parse_coloring",
-    "parse_forest",
-    "permute_coloring",
-    "permuted_round_robin",
-    "random_policy",
-    "round_robin",
-    "serialize_coloring",
-    "slack",
-    "trace_from_jsonl",
-    "trace_to_jsonl",
-    "tree_edge_of_color",
-    "validate_proper",
-    "verify_all",
-    "verify_edge_disjoint",
-    "verify_rainbow_spanning_tree",
-    "verify_structure_f",
-    "verify_trace_bounds",
-]
+# The import block above is the public API: every name it binds, sorted,
+# less the submodules that the relative imports bind as a side effect.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _types.ModuleType)
+)

@@ -582,7 +582,10 @@ def trace_from_jsonl(data, m: int | None = None) -> ConstructionTrace:
     it. Every type and shape is checked here and violations raise
     SchemaError; what the values mean is left to the verifier.
     """
-    lines = _text(data, "trace").splitlines()
+    # a line ends at \n, \r\n or \r only: str.splitlines also breaks at
+    # U+0085, U+2028 and U+2029, which a JSON string may hold raw
+    text = _text(data, "trace")
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n") if text else []
     header = read_json(lines[0], "trace line 1") if lines else None
     if not isinstance(header, dict) or header.get("trace_version") != TRACE_VERSION:
         raise SchemaError(

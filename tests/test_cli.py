@@ -719,6 +719,27 @@ def test_blank_trace_lines_are_skipped(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
+def test_trace_lines_end_only_at_newlines(tmp_path, capsys):
+    # a JSON string may hold U+0085, U+2028 and U+2029 raw, and str.splitlines
+    # would break the line there; only \n, \r\n and \r end a trace line
+    col, forest, trace = tmp_path / "c.json", tmp_path / "f.json", tmp_path / "t.jsonl"
+    assert run_cli(["gen", "--m", "12", "-o", str(col)]) == 0
+    assert run_cli(["build", "-i", str(col), "-o", str(forest), "--trace", str(trace)]) == 0
+    header, round_2, round_3 = trace.read_text().splitlines()
+    rec = json.loads(round_2)
+    rec["steps"][0]["eliminated"]["note\u2028\u0085\u2029"] = []
+    round_2 = json.dumps(rec, ensure_ascii=False)
+    assert "\u2028" in round_2
+    trace.write_bytes(f"{header}\n{round_2}\r\n{round_3}\r".encode())
+    capsys.readouterr()
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    trace.write_bytes(f"{header}\n{round_2}\r\n{{broken\r{round_3}\n".encode())
+    assert run_cli(["verify", "-i", str(col), "-f", str(forest), "-t", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: trace line 3: malformed JSON") and err.count("\n") == 1
+
+
 def test_internal_invariant_without_trace_flag_dumps_to_a_temporary_file(
     tmp_path, monkeypatch, capsys
 ):

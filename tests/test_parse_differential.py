@@ -247,6 +247,39 @@ def test_a_document_of_many_chunks_reads_alike_from_bytes_a_file_and_a_pipe(path
         assert _parse_canonical(handle) == coloring
 
 
+class _ChangesAfterItsTail(io.BytesIO):
+    """A file whose bytes from offset ``at`` on become ``new`` right after its
+    first read, the fast path's probe of the tail, as a file still being
+    written can."""
+
+    def __init__(self, data, at, new):
+        super().__init__(data)
+        self._change = at, new
+
+    def read(self, size=-1):
+        chunk = super().read(size)
+        if self._change:
+            here, (at, new) = self.tell(), self._change
+            self.seek(at)
+            self.write(new)
+            self.seek(here)
+            self._change = None
+        return chunk
+
+
+@pytest.mark.parametrize("change", ["append", "rewrite"])
+def test_a_file_that_changes_after_its_tail_is_read_goes_to_the_json_path(change):
+    # the rows all stand, but the bytes no longer end in the tail the probe
+    # read: one more newline, or a space in place of the last one
+    coloring = permuted_round_robin(6, 3)
+    doc = serialize_coloring(coloring)
+    at, new = (len(doc), b"\n") if change == "append" else (len(doc) - 1, b" ")
+    changed = doc[:at] + new
+    assert _parse_canonical(_ChangesAfterItsTail(doc, at, new)) is None
+    read = outcome(parse_coloring, _ChangesAfterItsTail(doc, at, new))
+    assert read == outcome(_parse_json, changed) == ("ok", coloring, coloring.digest())
+
+
 def test_every_chunk_boundary_reads_alike(monkeypatch, path):
     # with chunks of any size from the head's length on, a chunk boundary
     # splits each row, separator and the tail somewhere, and the first

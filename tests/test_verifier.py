@@ -63,6 +63,24 @@ def test_disconnected_and_cyclic_graphs_fail():
     assert any("cycle" in f for f in res.failures)
 
 
+def test_a_vertex_just_past_the_last_is_a_failure_not_an_index_error():
+    # vertex n = 4 is the first outside K_4; color_of(4, 1) would index past the
+    # table, so the edge is kept as written, u > v, rather than ordered by from_edges
+    c = round_robin(2)
+    tree = RainbowTree(0, ((0, 1, c.color_of(0, 1)), (0, 2, c.color_of(0, 2)), (4, 1, 0)))
+    assert verify_rainbow_spanning_tree(c, tree).failures == [
+        "edge (4,1) is not a valid vertex pair",
+        "graph splits into 2 components instead of spanning",
+    ]
+
+
+def test_color_n_minus_one_is_out_of_range():
+    # K_4 has colors 0..2; color 3 is named as out of range, not compared with the table
+    c = round_robin(2)
+    tree = RainbowTree.from_edges(0, [(0, 1, 3), (0, 2, c.color_of(0, 2)), (0, 3, c.color_of(0, 3))])
+    assert verify_rainbow_spanning_tree(c, tree).failures == ["edge (0, 1) carries out-of-range color 3"]
+
+
 def test_two_stars_share_an_edge():
     c = round_robin(2)
     forest = Forest(m=2, trees=(base_star(c, 0).value(), base_star(c, 1).value()))
@@ -411,6 +429,15 @@ def test_structure_check_reports_an_out_of_range_edge():
     ]
 
 
+def test_structure_check_reports_a_vertex_just_past_the_last():
+    # the star at 0 over 1, 2 and 4 has the right shape, but 4 is not a vertex of K_4
+    forest = Forest(m=2, trees=(RainbowTree.from_edges(0, [(0, 1, 0), (0, 2, 1), (0, 4, 2)]),))
+    assert verify_structure_f(forest).failures == [
+        "tree 1: root degree -1, expected exactly 3",
+        "tree 1: 0 root-adjacent leaves, floor is 3",
+    ]
+
+
 @pytest.mark.parametrize(
     "m, trees, failure",
     [
@@ -545,3 +572,15 @@ def test_past_omega_only_the_elimination_cap_fails(m, policy, reach, first_short
     assert failures and all("pool minus anchors" in f for f in failures)
     assert failures[0].startswith(f"round {first_short_round}: ")
     assert not report.verdict
+
+
+def test_a_pool_of_exactly_6k_minus_7_fails_the_elimination_cap():
+    # round 2 at m = 4 is past omega(4) = 1: its pool minus the anchors has
+    # 7 - 2 = 5 = 6k - 7 vertices, and the paper's bound asks for more
+    c = round_robin(4)
+    state = ctor.start_construction(c)
+    ctor.step(state)
+    forest = Forest(m=4, trees=tuple(t.value() for t in state.trees), coloring_digest=c.digest())
+    assert verify_trace_bounds(c, state.trace, forest).failures == [
+        "round 2: pool minus anchors has 5 <= 5 vertices"
+    ]
