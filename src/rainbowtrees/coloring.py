@@ -3,13 +3,14 @@
 K_{2m} admits proper edge colorings with 2m-1 colors, and in every such
 coloring each color appears at every vertex exactly once, so each color class
 is a perfect matching. Equivalently, each row of the n x n color table (with
--1 on the diagonal) is a permutation of -1..n-2; that one row check is what
-every EdgeColoring passes. The table is one flat typed ``array`` of n*n
-cells, row u at [u*n:(u+1)*n], 2 bytes per cell while n <= 32768, so the
-garbage collector never walks it. A row's inverse is the vertex's color ->
-partner row the tree construction looks up; it is a typed row too, built
-when first asked for, since a build reads the partners of only a few
-vertices (the verifier reads none).
+-1 on the diagonal) is a permutation of -1..n-2. Every coloring read from
+outside passes that one row check; the generators build tables whose rows
+are permutations by construction, as their docstrings prove. The table is
+one flat typed ``array`` of n*n cells, row u at [u*n:(u+1)*n], 2 bytes per
+cell while n <= 32768, so the garbage collector never walks it. A row's
+inverse is the vertex's color -> partner row the tree construction looks
+up; it is a typed row too, built when first asked for, since a build reads
+the partners of only a few vertices (the verifier reads none).
 """
 
 from __future__ import annotations
@@ -74,17 +75,20 @@ def read_json(data, where: str):
 
 
 class EdgeColoring:
-    """A validated proper (2m-1)-edge-coloring of K_{2m}.
+    """A proper (2m-1)-edge-coloring of K_{2m}: checked when read, proper by
+    construction when generated.
 
     Holds the n x n color table (-1 on the diagonal) as one flat typed array,
-    cell (u, v) at u*n + v, and, per vertex, the inverse of its row (color ->
-    partner), computed from the row the first time it is asked for and kept.
-    Instances are immutable after validation. Filling in a partner row,
-    stored only once complete, or the digest is an idempotent write of a
-    value the table fixes: two threads racing on it store equal values, so
-    instances stay safe to share across threads. Obtain them from
+    cell (u, v) at u*n + v, symmetric, each row a permutation of -1..n-2,
+    and, per vertex, the inverse of its row (color -> partner), computed
+    from the row the first time it is asked for and kept. Instances are
+    immutable once built. Filling in a partner row, stored only once
+    complete, or the digest is an idempotent write of a value the table
+    fixes: two threads racing on it store equal values, so instances stay
+    safe to share across threads. Obtain them from
     :func:`validate_proper`, :func:`round_robin`, :func:`permuted_round_robin`,
-    or :func:`parse_coloring` rather than calling the constructor directly.
+    :func:`permute_coloring` or :func:`parse_coloring` rather than calling
+    the constructor directly: the constructor checks nothing.
     """
 
     __slots__ = ("m", "n", "n_colors", "_color", "_partner", "_digest")
@@ -180,17 +184,16 @@ def _rows(color: array, n: int) -> Iterator[array]:
 
 
 def _checked(m: int, color: array) -> EdgeColoring:
-    """The row check every EdgeColoring passes.
+    """The row check every coloring read passes: its callers are the two
+    paths of parse_coloring and validate_proper.
 
     ``color`` is a flat typed n x n table whose diagonal holds -1 and every
-    cell right of it a color in [0, n-2]; every path that builds a coloring
-    fills those cells having checked their colors. The parsers and
-    validate_proper fill only those; round_robin, permuted_round_robin and
-    permute_coloring fill the whole table symmetric, so the cells left of
-    the diagonal are overwritten with equal colors. One strided slice per
+    cell right of it a color in [0, n-2]; each caller fills those cells
+    having checked their colors, and only those. One strided slice per
     vertex copies its column above the diagonal into its row left of it,
     making the table symmetric. The coloring is proper iff every row is then
-    a permutation of -1..n-2: one set comparison per row.
+    a permutation of -1..n-2, that is, iff no row of n cells misses one of
+    the n values -1..n-2 (pigeonhole): one set difference per row.
     Only when it fails are the rows scanned, per vertex, in order, for the
     first color met twice (AdjacentClash). If none repeats, some cell is
     outside [0, n-2], which breaks the precondition: InternalInvariantError
@@ -200,7 +203,7 @@ def _checked(m: int, color: array) -> EdgeColoring:
     for v in range(1, n):
         color[v * n:v * n + v] = color[v:v * n:n]
     row_set = set(range(-1, n - 1))
-    if not all(map(row_set.__eq__, map(set, _rows(color, n)))):
+    if any(map(row_set.difference, _rows(color, n))):
         for v, row in enumerate(_rows(color, n)):
             seen = set()
             for u, c in enumerate(row):
@@ -276,19 +279,32 @@ def round_robin(m: int) -> EdgeColoring:
     Vertices 0..2m-2 sit on a cycle with vertex 2m-1 as the hub; color c
     consists of the spoke {2m-1, c} plus the cycle pairs {c+i, c-i} mod 2m-1
     for i = 1..m-1. So a cycle pair {u, v} has color (u+v)*m mod 2m-1, m
-    being the inverse of 2, and row u is row 0 rotated by u.
+    being the inverse of 2, and row u is row 0 rotated by u. The coloring is
+    proper by construction and is not checked again: see
+    :func:`_round_robin_table`, whose proof holds for cp the identity.
     """
-    return _checked(m, _round_robin_table(m))
+    return EdgeColoring(m, _round_robin_table(m))
 
 
 def _round_robin_table(m: int, cp=None) -> array:
     """round_robin's flat typed color table, whole and symmetric, with color c
-    renamed cp[c] when cp is given; not yet validated.
+    renamed cp[c] when cp is given; its rows are permutations of -1..n-2 iff
+    cp is a permutation of 0..n-2.
 
     Cell (u, v) of two cycle vertices is row 0's cell (u + v) mod 2m-1, so
     row u's cycle cells are row 0 rotated by u; its diagonal cell, whose
     rotation reads the color of the spoke at u, then turns -1. The colors
     are renamed in row 0 and the hub's column alone, before they are copied.
+
+    Proof. Let k = 2m-1. Row u of a cycle vertex holds cp[(u+v)*m mod k] in
+    its cycle cells v != u. As v runs over Z_k less u, u+v runs over Z_k
+    less 2u, and multiplying by m is a bijection of Z_k that takes 2u to u,
+    because 2m = 1 mod k: the cycle cells hold cp[w] for every w in Z_k but
+    u. The hub cell adds cp[u], and the diagonal -1. The hub's row holds
+    cp[0..k-1] and -1 too. So every row holds -1 and cp[0], ..., cp[k-1],
+    one value a cell, which is a permutation of -1..n-2 iff cp is a
+    permutation of 0..n-2. Both cell formulas are symmetric in u and v, so
+    the table is symmetric.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -315,7 +331,9 @@ def _renamed(color: array, vp: list[int]) -> array:
     Row x moves to row vp[x] of a second table; that table's column y then
     moves to row vp[y] of ``color``, one strided slice each. So cell
     (vp[y], vp[x]) gets cell (x, y), which is cell (y, x) by symmetry: n
-    row moves and one transpose, all at C speed.
+    row moves and one transpose, all at C speed. Row vp[x] of the result
+    holds the cells of row x, reordered, with -1 at its diagonal, and the
+    result is symmetric: renaming keeps every row a permutation of -1..n-2.
     """
     n = len(vp)
     moved = array(color.typecode, [-1]) * (n * n)
@@ -327,10 +345,15 @@ def _renamed(color: array, vp: list[int]) -> array:
 
 
 def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeColoring:
-    """Relabel vertices and colors; the result is proper again and re-validated.
+    """Relabel vertices and colors: vertex x becomes vertex_perm[x], color c
+    becomes color_perm[c]; NotAPermutation unless both are permutations.
 
-    The vertices are renamed in a color-renamed copy of the table, so the
-    input is never written."""
+    The result is proper by construction and is not checked again. The
+    input's table is symmetric with rows that are permutations of -1..n-2;
+    renaming its colors by a permutation, -1 kept, maps each row to a
+    permutation, and renaming its vertices (:func:`_renamed`) keeps every
+    row a permutation and the table symmetric. The vertices are renamed in
+    a color-renamed copy of the table, so the input is never written."""
     n, n_colors = coloring.n, coloring.n_colors
     vp = list(vertex_perm)
     cp = list(color_perm)
@@ -340,17 +363,23 @@ def permute_coloring(coloring: EdgeColoring, vertex_perm, color_perm) -> EdgeCol
         raise NotAPermutation(f"color_perm is not a permutation of 0..{n_colors - 1}")
     # the diagonal's -1 reads the appended -1, the last entry
     recolored = array(coloring._color.typecode, map((cp + [-1]).__getitem__, coloring._color))
-    return _checked(coloring.m, _renamed(recolored, vp))
+    return EdgeColoring(coloring.m, _renamed(recolored, vp))
 
 
 def permuted_round_robin(m: int, seed: int) -> EdgeColoring:
-    """Round-robin instance scrambled by seed-determined vertex and color permutations."""
+    """Round-robin instance scrambled by seed-determined vertex and color
+    permutations.
+
+    Proper by construction and not checked again: the color permutation
+    makes every row of :func:`_round_robin_table` a permutation of
+    -1..n-2, and the vertex renaming keeps them so (:func:`_renamed`)."""
     rng = random.Random(seed)
+    # shuffled ranges: vp and cp are permutations by construction
     vp = list(range(2 * m))
     rng.shuffle(vp)
     cp = list(range(2 * m - 1))
     rng.shuffle(cp)
-    return _checked(m, _renamed(_round_robin_table(m, cp), vp))
+    return EdgeColoring(m, _renamed(_round_robin_table(m, cp), vp))
 
 
 def coloring_chunks(coloring: EdgeColoring) -> Iterator[bytes]:
@@ -370,8 +399,11 @@ def coloring_chunks(coloring: EdgeColoring) -> Iterator[bytes]:
 
 def serialize_coloring(coloring: EdgeColoring) -> bytes:
     """Canonical document {"n": 2m, "edges": [[u, v, c], ...]} sorted by (u, v),
-    the bytes canonical_json_bytes gives it: :func:`coloring_chunks` joined."""
-    return b"".join(coloring_chunks(coloring))
+    the bytes canonical_json_bytes gives it: :func:`coloring_chunks` written
+    into one buffer, so the chunks are never all held beside their join."""
+    buffer = io.BytesIO()
+    buffer.writelines(coloring_chunks(coloring))
+    return buffer.getvalue()
 
 
 def _raise_first_entry_fault(edges: list, n: int) -> None:

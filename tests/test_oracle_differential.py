@@ -29,16 +29,21 @@ from rainbowtrees.oracle import _pack, _packing_index, _tree_masks, count_and_pa
 
 
 def kempe_switch(coloring, a, b, v):
-    """Swap colors a and b along the a/b-alternating cycle through v."""
+    """Swap colors a and b along the a/b-alternating cycle through v.
+
+    In a proper coloring that cycle has at most n edges; the walk stops
+    there, so an improper coloring fails the test instead of hanging it.
+    """
     table = {(u, w): c for u, w, c in coloring.edges()}
     x, c = v, a
-    while True:
+    for _ in range(coloring.n):
         y = coloring.partner(c, x)
         other = b if c == a else a
         table[(min(x, y), max(x, y))] = other
         x, c = y, other
         if x == v and c == a:
             return validate_proper(table, coloring.m)
+    raise AssertionError(f"the {a}/{b}-alternating walk from {v} is no cycle of at most n edges")
 
 
 def assert_oracles_agree(coloring):

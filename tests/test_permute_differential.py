@@ -9,6 +9,7 @@ must leave its input as it was: its table and the partner rows it cached.
 from __future__ import annotations
 
 import pytest
+from conftest import assert_passes_row_check
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_relabel import permute_coloring as reference_permute_coloring
@@ -54,6 +55,8 @@ def test_permute_coloring_matches_per_cell_renaming_and_keeps_its_input(case):
     table = coloring._color.tobytes()
     partners = [None if row is None else row.tobytes() for row in coloring._partner]
     want = reference_permute_coloring(coloring, vp, cp)
-    assert_same_table(permute_coloring(coloring, vp, cp), want)
+    got = permute_coloring(coloring, vp, cp)
+    assert_same_table(got, want)
+    assert_passes_row_check(got)
     assert coloring._color.tobytes() == table
     assert [None if row is None else row.tobytes() for row in coloring._partner] == partners
