@@ -41,6 +41,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import contains, not_
 
 from .coloring import EdgeColoring, _text, canonical_json_bytes, read_json
 from .errors import (
@@ -60,7 +62,6 @@ from .forest import (
     base_star,
     root_leaves,
     spans,
-    tree_edge_of_color,
 )
 
 
@@ -201,13 +202,18 @@ class ConstructionState:
     Tree k under assembly is not materialized until ``finalize_kth``: the
     state keeps only its root-adjacent leaves, which is all the O(1)
     acyclicity checks of the star assembly need, and which become the
-    finished tree's.
+    finished tree's. ``partners[j]`` is the partner row of tree j+1's root,
+    read by the filter; ``outside[x]`` counts the trees whose root-adjacent
+    leaves x is not among, so the common leaves are the vertices it counts 0
+    at.
     """
 
     coloring: EdgeColoring
     trees: list[WorkingTree]
     common_leaves: set[int]
     chooser: _Chooser
+    partners: list[list[int]]
+    outside: list[int]
     trace: ConstructionTrace
     k: int = 2
     round: Round | None = None
@@ -221,7 +227,11 @@ def start_construction(
     """Base step: one spanning star rooted per policy; state is ready for round 2."""
     chooser = _Chooser(policy)
     star, trace = base_star(coloring, chooser.root(coloring.n)), ConstructionTrace(m=coloring.m)
-    return ConstructionState(coloring, [star], set(star.root_leaves), chooser, trace)
+    partners, outside = [coloring.partner_row(star.root)], [0] * coloring.n
+    outside[star.root] = 1
+    return ConstructionState(
+        coloring, [star], set(star.root_leaves), chooser, partners, outside, trace
+    )
 
 
 def select_anchors(state: ConstructionState) -> tuple[int, int]:
@@ -248,10 +258,8 @@ def begin_round(state: ConstructionState) -> None:
             f" below the floor {pool_floor}"
         )
     state.lstar = state.common_leaves - {rnd.r_k, rnd.w_k}
-    state.assembly_leaves = set(range(state.coloring.n)) - {rnd.r_k}
-
-
-_RULES = tuple(f"R{j}" for j in range(2, 12))
+    state.assembly_leaves = set(range(state.coloring.n))
+    state.assembly_leaves.discard(rnd.r_k)
 
 
 def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
@@ -261,9 +269,12 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
     anchors). Every other rule forbids specific colors on one of v's edges,
     so each knocks out at most one pool vertex per forbidden color; the
     other endpoint's partner row turns each forbidden color into the
-    vertex it eliminates. Trees 1..i-1 have already been rewired this round,
-    trees i..k-1 have not, which is exactly the mix the lookups in R8/R9 need.
-    The per-rule eliminations are written to round.steps[i-1], replacing any
+    vertex it eliminates. Most rules forbid colors at r_i, so they read r_i's
+    partner row, kept in ``state.partners``, and colors at r_k, read from
+    r_k's color row; each rule is one set of vertices intersected with the
+    pool. Trees 1..i-1 have already been rewired this round, trees i..k-1
+    have not, which is exactly the mix the lookups in R8/R9 need. The
+    per-rule eliminations are written to round.steps[i-1], replacing any
     earlier attempt at this i.
     """
     col, k, rnd = state.coloring, state.k, state.round
@@ -273,52 +284,39 @@ def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
         raise ValueError(f"tree index {i} out of range for round {k}")
     if i > 1 and (len(rnd.steps) < i - 1 or rnd.steps[i - 2].w_prime < 0):
         raise ValueError(f"round {k}: step {i - 1} has not finished")
-    rk, wk, steps, roots = rnd.r_k, rnd.w_k, rnd.steps, rnd.roots
-    ri = roots[i - 1]
-    lstar = state.lstar
-    elim: dict[str, set[int]] = {rule: set() for rule in _RULES}
-    c_anchor = col.color_of(ri, rk)  # color freed at the root by detaching r_k
-
-    def forbid_at(rule: str, color: int, apex: int) -> None:
-        # the single pool vertex whose edge to `apex` carries `color`
-        u = col.partner(color, apex)
-        if u in lstar:
-            elim[rule].add(u)
-
-    for c in range(1, k):  # R2: v's edge to another root must not reuse color(r_i, r_k)
-        if c != i:
-            forbid_at("R2", c_anchor, roots[c - 1])
-    for a in range(1, i):  # R3: color(v, r_i) must avoid every earlier color(r_a, v_a)
-        forbid_at("R3", col.color_of(roots[a - 1], steps[a - 1].chosen), ri)
-    for b in range(i + 1, k):  # R4: ... and color(r_k, r_b) of trees not yet rewired
-        forbid_at("R4", col.color_of(rk, roots[b - 1]), ri)
-    forbid_at("R5", col.color_of(rk, wk), ri)  # R5: ... and color(r_k, w_k)
-    for a in range(1, i):  # R6: ... and color(r_k, w'_a)
-        forbid_at("R6", col.color_of(rk, steps[a - 1].w_prime), ri)
+    rk, wk, steps, roots, partners = rnd.r_k, rnd.w_k, rnd.steps, rnd.roots, state.partners
+    ri, at_ri, rk_row, lstar = roots[i - 1], partners[i - 1], col.color_row(rk), state.lstar
+    earlier = steps[: i - 1]
+    c_anchor = rk_row[ri]  # color freed at the root by detaching r_k
     handoff = _handoff(state, i)
-    if i >= 2:
-        # R7: ... and color(r_k, alpha) for the alpha matching w_k through the
-        # color the assembly is about to hand off
-        alpha = col.partner(handoff, wk)
-        if alpha != rk:
-            forbid_at("R7", col.color_of(rk, alpha), ri)
-    # R8 (i = 1) and R9: both endpoints of the edge carrying the hand-off
-    # color, in every tree, rewired or not
-    rule = "R8" if i == 1 else "R9"
-    for t in state.trees:
-        u, v, _ = tree_edge_of_color(t, handoff)
-        for alpha in (u, v):
-            if alpha != rk:
-                forbid_at(rule, col.color_of(rk, alpha), ri)
-    forbid_at("R10", c_anchor, wk)  # R10: v's edge to w_k must not reuse color(r_i, r_k)
-    if i == k - 1:
-        for d in range(1, k - 1):  # R11: last rewiring only: color(v, r_i) vs color(w_k, r_d)
-            forbid_at("R11", col.color_of(wk, roots[d - 1]), ri)
+    # the lookups of R8 (i = 1) and R9: both endpoints of the edge carrying
+    # the hand-off color, in every tree, rewired or not
+    ends = [(x, t.parent[x]) for t in state.trees for x in (t.child_of_color[handoff],)]
+    handoff_ends = {at_ri[rk_row[alpha]] for edge in ends for alpha in edge if alpha != rk}
+    alpha = col.partner(handoff, wk)  # R7's alpha, matching w_k through the hand-off color
+    forbidden = {
+        # R2: v's edge to another root must not reuse color(r_i, r_k)
+        "R2": {partners[c][c_anchor] for c in range(k - 1) if c != i - 1},
+        # R3: color(v, r_i) must avoid every earlier color(r_a, v_a)
+        "R3": {at_ri[col.color_of(roots[a], st.chosen)] for a, st in enumerate(earlier)},
+        # R4: ... and color(r_k, r_b) of trees not yet rewired
+        "R4": {at_ri[rk_row[rb]] for rb in roots[i : k - 1]},
+        "R5": {at_ri[rk_row[wk]]},  # R5: ... and color(r_k, w_k)
+        "R6": {at_ri[rk_row[st.w_prime]] for st in earlier},  # R6: ... and color(r_k, w'_a)
+        # R7: ... and color(r_k, alpha), once the assembly has handed a color off
+        "R7": {at_ri[rk_row[alpha]]} if i >= 2 and alpha != rk else set(),
+        "R8": handoff_ends if i == 1 else set(),
+        "R9": handoff_ends if i >= 2 else set(),
+        "R10": {col.partner(c_anchor, wk)},  # R10: v's edge to w_k must not reuse color(r_i, r_k)
+        # R11: last rewiring only: color(v, r_i) vs color(w_k, r_d)
+        "R11": {at_ri[col.color_of(wk, rd)] for rd in roots[: k - 2]} if i == k - 1 else set(),
+    }
+    elim = {rule: lstar.intersection(vs) for rule, vs in forbidden.items()}
 
     del steps[i - 1 :]
     steps.append(Step(i, {r: sorted(vs) for r, vs in elim.items()}))
     knocked_out = set().union(*elim.values())
-    # never fires: at i = k-1, R2-R11 call forbid_at 4(k-2) + 2(k-1) + 3 = 6k-7 times
+    # never fires: at i = k-1, R2-R11 name 4(k-2) + 2(k-1) + 3 = 6k-7 vertices at most
     if i == k - 1 and len(knocked_out) > 6 * k - 7:
         raise InternalInvariantError(
             f"round {k} step {i}: {len(knocked_out)} eliminations exceed the cap {6 * k - 7}"
@@ -393,23 +391,26 @@ def finalize_kth(state: ConstructionState) -> WorkingTree:
     rnd.w_k_prime = _rehang(state, k, wk)
     hung = {st.w_i: st.w_prime for st in rnd.steps}
     hung[wk] = rnd.w_k_prime
-    tree = base_star(col, rk)
-    parent, index = tree.parent, tree.child_of_color
+    parent, children = [rk] * n, [0] * n
+    parent[rk] = -1
+    children[rk] = (n - 1) - len(hung)
     for x, p in hung.items():
         parent[x] = p
+        children[p] += 1
     if not spans(parent, rk, hung):
         raise CycleDetected("assembled tree is not spanning-connected")
-    # the star's index loses the colors of the detached edges and gains those
-    # of the new ones; a color left at -1 is one the new edges did not reuse,
-    # so two edges of the tree share a color
+    # the star's color index, r_k's partner row, loses the colors of the
+    # detached edges and gains those of the new ones; a color left at -1 is
+    # one the new edges did not reuse, so two edges of the tree share a color
+    partners = col.partner_row(rk)
+    index = partners.copy()
     for x in hung:
         index[col.color_of(rk, x)] = -1
     for x, p in hung.items():
         index[col.color_of(x, p)] = x
     if -1 in index:
         raise ColorClash("assembled tree repeats a color")
-    tree.root_degree = parent.count(rk)
-    tree.root_leaves = state.assembly_leaves
+    tree = WorkingTree(col, rk, parent, children, index, state.assembly_leaves)
     if tree.root_degree != (n - 1) - k:
         raise InternalInvariantError(
             f"new root degree {tree.root_degree} differs from the guaranteed {(n - 1) - k}"
@@ -421,6 +422,7 @@ def finalize_kth(state: ConstructionState) -> WorkingTree:
             f" below the floor {(n - 1) - 2 * k}"
         )
     state.trees.append(tree)
+    state.partners.append(partners)
     return tree
 
 
@@ -446,29 +448,36 @@ def _check_structure(state: ConstructionState) -> None:
 
 
 def _close_round(state: ConstructionState) -> None:
-    """Check the incremental leaf sets against the parent arrays, then the structure.
+    """Check the incremental leaf sets against the parent arrays, then the
+    structure, in O(n + k^2): nothing here reads a whole tree.
 
     A leaf exchange changes the parent or the children of r_i, r_k, v_i,
     w_i and v'_i only, and tree k differs from the star at r_k only at r_k,
     the w_j and the w'_j. Each tree's root-leaf set is checked at these
-    vertices, against the one the previous round left; :func:`build_forest`
-    recomputes every set in full once, after the last round. The common
-    leaves lose the touched vertices (no root is one) and are checked
-    against the exact intersection of the kept sets.
+    vertices, against the parent array and the child counts. Every touched
+    vertex then has its count of trees it is no root-adjacent leaf of taken
+    again from the kept sets; an untouched one keeps its count, since tree k
+    has it among its leaves. The common leaves lose the touched vertices (no
+    touched vertex is a leaf of the tree that touched it) and are checked
+    against the vertices counted 0. :func:`build_forest` recounts every set
+    and the common leaves in full once, after the last round, so a set gone
+    wrong at an untouched vertex surfaces there.
     """
     rnd, k, rk = state.round, state.k, state.round.r_k
     touched = [(t.root, rk, st.chosen, st.w_i, st.v_prime) for t, st in zip(state.trees, rnd.steps)]
     touched.append({rk, rnd.w_k, rnd.w_k_prime}.union(*((st.w_i, st.w_prime) for st in rnd.steps)))
     for idx, (t, xs) in enumerate(zip(state.trees, touched), start=1):
-        # x is a root-adjacent leaf when its parent is the root and it is no one's parent
-        parent, root = t.parent, t.root
-        if any((x in t.root_leaves) != (parent[x] == root and x not in parent) for x in xs):
+        # x is a root-adjacent leaf when its parent is the root and it has no child
+        parent, children, root = t.parent, t.children, t.root
+        if any((x in t.root_leaves) != (parent[x] == root and not children[x]) for x in xs):
             raise InternalInvariantError(
                 f"round {k}: root-leaf bookkeeping of tree {idx} diverged from recomputation"
             )
+    outside, kept = state.outside, [t.root_leaves for t in state.trees]
+    for x in set().union(*touched):
+        outside[x] = len(kept) - sum(map(contains, kept, repeat(x)))
     incremental = state.common_leaves.difference(*touched)
-    first, *rest = sorted((t.root_leaves for t in state.trees), key=len)
-    if incremental != first.intersection(*rest):
+    if incremental != set(compress(range(len(outside)), map(not_, outside))):
         raise InternalInvariantError(
             f"round {k}: incremental common-leaf update diverged from recomputation"
         )
@@ -506,21 +515,34 @@ def build_forest(
     returns None in place of the record. Guarantee violations surface as
     InternalInvariantError or SwapError with the partial trace attached; it
     ends with the round and step in flight, whose unfixed fields hold -1.
-    After the last round every tree's root-leaf set is recounted in full,
-    and a mismatch raises with every round in the trace.
+    The round closes check the bookkeeping where the round changed it.
+    After the last round, once, every tree's root-leaf set and root degree
+    are recounted from its parent array and the common leaves from the
+    k-way intersection of those sets; a mismatch raises with every round
+    in the trace.
     """
     state = start_construction(coloring, policy)
     target = omega(coloring.m)
     try:
         while len(state.trees) < target:
             step(state)
-        # the round closes checked the root-leaf sets where they changed; once, check them whole
+        # the round closes checked the bookkeeping where it changed; once, check it whole
+        last = state.k - 1
         for idx, t in enumerate(state.trees, start=1):
             if root_leaves(t.parent, t.root) != t.root_leaves:
                 raise InternalInvariantError(
-                    f"after round {state.k - 1}: root-leaf bookkeeping of tree {idx}"
+                    f"after round {last}: root-leaf bookkeeping of tree {idx}"
                     " diverged from recomputation"
                 )
+            if t.parent.count(t.root) != t.root_degree:
+                raise InternalInvariantError(
+                    f"after round {last}: root degree of tree {idx} diverged from recomputation"
+                )
+        first, *rest = sorted((t.root_leaves for t in state.trees), key=len)
+        if state.common_leaves != first.intersection(*rest):
+            raise InternalInvariantError(
+                f"after round {last}: incremental common-leaf update diverged from recomputation"
+            )
     except (SwapError, InternalInvariantError) as exc:
         exc.trace = state.trace
         raise

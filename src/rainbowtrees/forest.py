@@ -11,6 +11,7 @@ re-hanging two root leaves, each by the color the other one frees.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
@@ -57,37 +58,45 @@ class WorkingTree:
     """A rainbow spanning tree under construction, rooted at ``root``.
 
     ``parent[x]`` is x's neighbor towards the root (-1 at the root),
-    ``root_degree`` counts the root's children,
+    ``children[x]`` counts the vertices whose parent is x,
     ``child_of_color[c]`` is the vertex whose edge to its parent has color c
     and ``root_leaves`` holds the root's children that have none. Each
     instance is a genuine rainbow spanning tree; the leaf exchange patches
-    it in place.
+    it in place, the child counts included, so whether x is a root-adjacent
+    leaf reads ``parent[x] == root and not children[x]`` in O(1).
     """
 
     coloring: EdgeColoring
     root: int
     parent: list[int]
-    root_degree: int
+    children: list[int]
     child_of_color: list[int]
     root_leaves: set[int]
 
+    @property
+    def root_degree(self) -> int:
+        """The number of the root's children."""
+        return self.children[self.root]
+
     def value(self) -> RainbowTree:
-        """This tree as a plain RainbowTree, in O(n). The root's edges, read
-        in vertex order from two slices of its color row, are already one
-        ascending run of the sorted triples; the edges of the re-hung
-        vertices, at most 2W in a forest of W trees, follow them, so the
-        sort finds the long run and merges the short one into it."""
+        """This tree as a plain RainbowTree, with no full sort. The star at
+        the root, read in one pass from the root's color row, is already
+        its n - 1 sorted triples, vertex x's at index x below the root and
+        x - 1 above it. The re-hung vertices, at most 2W in a forest of W
+        trees, lose their star triples, and their real edges are insorted."""
         r, parent = self.root, self.parent
         n = len(parent)
         row = self.coloring.color_row(r)
-        is_child = list(map(r.__eq__, parent))
-        below, above = is_child[:r], is_child[r + 1:]
-        edges = list(zip(compress(range(r), below), repeat(r), compress(row[:r], below)))
-        edges += zip(repeat(r), compress(range(r + 1, n), above), compress(row[r + 1:], above))
+        edges = list(zip(range(r), repeat(r), row))
+        edges += zip(repeat(r), range(r + 1, n), row[r + 1:])
+        rehung = list(compress(range(n), map(r.__ne__, parent)))
+        rehung.remove(r)
+        for x in reversed(rehung):
+            del edges[x if x < r else x - 1]
         color_of = self.coloring.color_of
-        rehung = compress(range(n), map(r.__ne__, parent))  # and the root
-        edges += ((*_pair(x, parent[x]), color_of(x, parent[x])) for x in rehung if x != r)
-        edges.sort()
+        for x in rehung:
+            p = parent[x]
+            insort(edges, (*_pair(x, p), color_of(x, p)))
         return RainbowTree(r, tuple(edges))
 
 
@@ -97,8 +106,11 @@ def base_star(coloring: EdgeColoring, r: int) -> WorkingTree:
     n = coloring.n
     parent = [r] * n
     parent[r] = -1
-    leaves = set(range(n)) - {r}
-    return WorkingTree(coloring, r, parent, n - 1, coloring.partner_row(r), leaves)
+    children = [0] * n
+    children[r] = n - 1
+    leaves = set(range(n))
+    leaves.discard(r)
+    return WorkingTree(coloring, r, parent, children, coloring.partner_row(r), leaves)
 
 
 def tree_edge_of_color(tree: WorkingTree, c: int) -> tuple[int, int, int]:
@@ -153,9 +165,11 @@ def apply_swap(tree: WorkingTree, y: int, v: int) -> WorkingTree:
     color(y, w) = color(r, y), forces w = r and then v' = r.
 
     The root loses the children y and v, w and v' gain one each and no
-    vertex becomes a root child, so the root-adjacent leaves are the old ones
-    minus {y, v, w, v'}; the round close re-derives them at these vertices
-    and the root, and the build re-derives them in full once at its end.
+    vertex becomes a root child: four child counts change, and the
+    root-adjacent leaves are the old ones minus {y, v, w, v'}. The round
+    close re-derives them at these vertices and the root from the parent
+    array and the child counts, and the build re-derives them in full once
+    at its end.
     """
     if y == v:
         raise NotPendant("the two detached leaves must be distinct")
@@ -168,7 +182,10 @@ def apply_swap(tree: WorkingTree, y: int, v: int) -> WorkingTree:
     tree.parent[y], tree.parent[v] = w, v_prime
     tree.child_of_color[c_v], tree.child_of_color[c_y] = y, v
     tree.root_leaves.difference_update((y, v, w, v_prime))
-    tree.root_degree -= 2
+    children = tree.children
+    children[r] -= 2
+    children[w] += 1
+    children[v_prime] += 1
     return tree
 
 

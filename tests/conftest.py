@@ -202,6 +202,23 @@ def forget_common_leaf(monkeypatch, k):
     monkeypatch.setattr(ctor, "finalize_kth", forgetful)
 
 
+def drop_common_leaf(monkeypatch, k, idx):
+    """Once tree k is built, drop from tree idx's root-adjacent leaves the
+    largest vertex that is a root-adjacent leaf of every tree. No exchange
+    of round k touched it: each touched vertex is no leaf of the tree that
+    touched it."""
+    original = ctor.finalize_kth
+
+    def dropped(state):
+        tree = original(state)
+        if state.k == k:
+            kept = set.intersection(*(set(t.root_leaves) for t in state.trees))
+            state.trees[idx - 1].root_leaves.discard(max(kept))
+        return tree
+
+    monkeypatch.setattr(ctor, "finalize_kth", dropped)
+
+
 def misreport_untouched_vertex(monkeypatch, k):
     """Once tree k is built, count among tree 1's root-adjacent leaves the
     smallest vertex that is none, that no exchange of round k touched and
@@ -255,7 +272,7 @@ def miscount_root_children(monkeypatch, k):
     def miscounted(state):
         tree = original(state)
         if state.k == k:
-            tree.root_degree += 1
+            tree.children[tree.root] += 1
         return tree
 
     monkeypatch.setattr(ctor, "finalize_kth", miscounted)

@@ -9,6 +9,7 @@ from conftest import (
     common_root_leaves,
     corrupt_assembly_step,
     corrupt_hangers,
+    drop_common_leaf,
     drop_untouched_root_leaf,
     duplicate_root,
     empty_candidate_pool,
@@ -624,6 +625,61 @@ def test_an_untouched_vertex_fault_is_caught_after_the_last_round(monkeypatch):
     # every round is in the trace, complete
     assert trace == clean
     assert [rnd.k for rnd in trace.rounds] == [2, 3]
+
+
+def test_a_kept_set_fault_at_an_untouched_common_leaf_is_caught_after_the_last_round(monkeypatch):
+    # the trade of a round close that recounts the common leaves at touched
+    # vertices only: round 3 of m=24 drops an untouched common leaf from
+    # tree 2's kept set, the count of trees it is no leaf of stays 0 and the
+    # pool keeps it, so round 4 runs on and the full recount after it, the
+    # last round, sees the fault. Round 2 cannot carry it: it leaves trees 1
+    # and 2 at their leaf floor, which one leaf fewer breaks at its close.
+    _, clean = build_forest(round_robin(24))
+    drop_common_leaf(monkeypatch, 3, 2)
+    message = "after round 4: root-leaf bookkeeping of tree 2 diverged from recomputation"
+    with pytest.raises(InternalInvariantError, match=message) as info:
+        build_forest(round_robin(24))
+    assert type(info.value) is InternalInvariantError
+    trace = info.value.trace
+    # every round is in the trace, complete
+    assert trace == clean
+    assert [rnd.k for rnd in trace.rounds] == [2, 3, 4]
+
+
+def _miscount_root_children_of_tree_1(state):
+    tree = state.trees[0]
+    tree.children[tree.root] += 1
+
+
+def _forget_the_smallest_common_leaf(state):
+    state.common_leaves.discard(min(state.common_leaves))
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_miscount_root_children_of_tree_1, "after round 3: root degree of tree 1 diverged"),
+        (_forget_the_smallest_common_leaf, "after round 3: incremental common-leaf update diverged"),
+    ],
+    ids=["root-degree", "common-leaves"],
+)
+def test_the_recount_after_the_last_round_checks_root_degrees_and_the_pool(
+    monkeypatch, fault, message
+):
+    # faults made once the last round of m=12 has closed, so that only the
+    # recount after it can see them
+    original = ctor._close_round
+
+    def faulty(state):
+        original(state)
+        if len(state.trees) == omega(12):
+            fault(state)
+
+    monkeypatch.setattr(ctor, "_close_round", faulty)
+    with pytest.raises(InternalInvariantError, match=message) as info:
+        build_forest(round_robin(12))
+    assert type(info.value) is InternalInvariantError
+    assert [rnd.k for rnd in info.value.trace.rounds] == [2, 3]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -196,6 +196,7 @@ def _copy(tree):
     return dataclasses.replace(
         tree,
         parent=tree.parent.copy(),
+        children=tree.children.copy(),
         child_of_color=tree.child_of_color.copy(),
         root_leaves=set(tree.root_leaves),
     )
@@ -346,7 +347,8 @@ def test_value_of_vertices_rehung_on_both_sides_of_the_root():
         if p >= 0:
             child_of_color[coloring.color_of(x, p)] = x
     assert sorted(child_of_color) == [0, 1, 2, 3, 5, 6, 7]
-    tree = WorkingTree(coloring, 4, parent, 3, child_of_color, set())
+    children = list(map(parent.count, range(8)))
+    tree = WorkingTree(coloring, 4, parent, children, child_of_color, set())
     value = tree.value()
     pairs = [(u, v) for u, v, _ in value.edges]
     assert pairs == [(0, 4), (0, 6), (1, 2), (2, 4), (3, 5), (4, 5), (5, 7)]
