@@ -100,7 +100,7 @@ def cmd_build(args) -> int:
         args.usage_error(str(exc))
     coloring = _read_coloring(args.input)
     try:
-        forest, trace = build_forest(coloring, policy=policy, trace_on=True)
+        forest, trace = build_forest(coloring, policy=policy)
     except (SwapError, InternalInvariantError) as exc:
         # build_forest attaches the partial trace of the rounds it recorded
         dump_path = args.trace
@@ -148,7 +148,7 @@ def cmd_bench(args) -> int:
         forest = trace = None
         for _ in range(args.reps):
             t0 = time.perf_counter()
-            forest, trace = build_forest(coloring, policy=MIN_INDEX, trace_on=True)
+            forest, trace = build_forest(coloring, policy=MIN_INDEX)
             micros = int((time.perf_counter() - t0) * 1e6)
             if best_micros is None or micros < best_micros:
                 best_micros = micros

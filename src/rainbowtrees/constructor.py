@@ -41,8 +41,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import contains, not_
+from itertools import compress
+from operator import not_
 
 from .coloring import EdgeColoring, _text, canonical_json_bytes, read_json
 from .errors import (
@@ -200,12 +200,13 @@ class ConstructionState:
     """Mutable working state of one construction run; confined to that run.
 
     Tree k under assembly is not materialized until ``finalize_kth``: the
-    state keeps only its root-adjacent leaves, which is all the O(1)
-    acyclicity checks of the star assembly need, and which become the
-    finished tree's. ``partners[j]`` is the partner row of tree j+1's root,
-    read by the filter; ``outside[x]`` counts the trees whose root-adjacent
-    leaves x is not among, so the common leaves are the vertices it counts 0
-    at.
+    state keeps only the vertices the assembly has touched, r_k, the
+    re-hung vertices and those they hang under. Every other vertex is still
+    a root-adjacent leaf of the star at r_k, which is all the O(1)
+    acyclicity checks of the assembly need. ``partners[j]`` is the partner
+    row of tree j+1's root, read by the filter; ``outside[x]`` counts the
+    trees x is no root-adjacent leaf of, so the common leaves are the
+    vertices it counts 0 at.
     """
 
     coloring: EdgeColoring
@@ -217,7 +218,7 @@ class ConstructionState:
     trace: ConstructionTrace
     k: int = 2
     round: Round | None = None
-    assembly_leaves: set[int] = field(default_factory=set)
+    assembly_touched: set[int] = field(default_factory=set)
     lstar: set[int] = field(default_factory=set)
 
 
@@ -229,9 +230,8 @@ def start_construction(
     star, trace = base_star(coloring, chooser.root(coloring.n)), ConstructionTrace(m=coloring.m)
     partners, outside = [coloring.partner_row(star.root)], [0] * coloring.n
     outside[star.root] = 1
-    return ConstructionState(
-        coloring, [star], set(star.root_leaves), chooser, partners, outside, trace
-    )
+    common = set(range(coloring.n)) - {star.root}
+    return ConstructionState(coloring, [star], common, chooser, partners, outside, trace)
 
 
 def select_anchors(state: ConstructionState) -> tuple[int, int]:
@@ -258,8 +258,7 @@ def begin_round(state: ConstructionState) -> None:
             f" below the floor {pool_floor}"
         )
     state.lstar = state.common_leaves - {rnd.r_k, rnd.w_k}
-    state.assembly_leaves = set(range(state.coloring.n))
-    state.assembly_leaves.discard(rnd.r_k)
+    state.assembly_touched = {rnd.r_k}
 
 
 def admissible_candidates(state: ConstructionState, i: int) -> set[int]:
@@ -354,14 +353,13 @@ def _rehang(state: ConstructionState, i: int, leaf: int) -> int:
     vertices, so re-hanging it under any vertex other than itself and r_k
     gives a spanning tree again: these two O(1) checks are exact.
     """
-    rk = state.round.r_k
+    rk, touched = state.round.r_k, state.assembly_touched
     w_prime = state.coloring.partner(_handoff(state, i), leaf)
-    if leaf not in state.assembly_leaves:
+    if leaf in touched:
         raise CycleDetected(f"vertex {leaf} is not a pendant neighbor of the new root {rk}")
     if w_prime in (leaf, rk):
         raise CycleDetected(f"re-hanging {leaf} under {w_prime} would not keep a tree")
-    state.assembly_leaves.discard(leaf)
-    state.assembly_leaves.discard(w_prime)
+    touched.update((leaf, w_prime))
     return w_prime
 
 
@@ -382,9 +380,8 @@ def finalize_kth(state: ConstructionState) -> WorkingTree:
 
     The result must be spanning (checked by :func:`spans` from the re-hung
     vertices), repeat no color and have root degree exactly (2m-1) - k with
-    at least (2m-1) - 2k root-adjacent leaves. Its root-adjacent leaves are
-    the assembly's; the round close checks them where the re-hangs changed
-    the star.
+    at least (2m-1) - 2k root-adjacent leaves: the vertices the assembly
+    did not touch.
     """
     col, rnd, k = state.coloring, state.round, state.k
     rk, wk, n = rnd.r_k, rnd.w_k, col.n
@@ -410,15 +407,15 @@ def finalize_kth(state: ConstructionState) -> WorkingTree:
         index[col.color_of(x, p)] = x
     if -1 in index:
         raise ColorClash("assembled tree repeats a color")
-    tree = WorkingTree(col, rk, parent, children, index, state.assembly_leaves)
+    tree = WorkingTree(col, rk, parent, children, index, n - len(state.assembly_touched))
     if tree.root_degree != (n - 1) - k:
         raise InternalInvariantError(
             f"new root degree {tree.root_degree} differs from the guaranteed {(n - 1) - k}"
         )
     # never fires: k star leaves are re-hung, each under one vertex, so at most 2k are lost
-    if len(tree.root_leaves) < (n - 1) - 2 * k:
+    if tree.leaves < (n - 1) - 2 * k:
         raise InternalInvariantError(
-            f"new root has {len(tree.root_leaves)} adjacent leaves,"
+            f"new root has {tree.leaves} adjacent leaves,"
             f" below the floor {(n - 1) - 2 * k}"
         )
     state.trees.append(tree)
@@ -440,51 +437,43 @@ def _check_structure(state: ConstructionState) -> None:
         deg = tree.root_degree
         if deg != want_deg:
             raise FValidationFailed(f"tree {idx}: root degree {deg}, expected {want_deg}")
-        if len(tree.root_leaves) < leaf_floor:
+        if tree.leaves < leaf_floor:
             raise FValidationFailed(
-                f"tree {idx}: {len(tree.root_leaves)} root-adjacent leaves,"
+                f"tree {idx}: {tree.leaves} root-adjacent leaves,"
                 f" below the floor {leaf_floor}"
             )
 
 
 def _close_round(state: ConstructionState) -> None:
-    """Check the incremental leaf sets against the parent arrays, then the
-    structure, in O(n + k^2): nothing here reads a whole tree.
+    """Recount the common leaves where the round changed the trees, then
+    check the structure, in O(n + k^2): nothing here reads a whole tree.
 
     A leaf exchange changes the parent or the children of r_i, r_k, v_i,
-    w_i and v'_i only, and tree k differs from the star at r_k only at r_k,
-    the w_j and the w'_j. Each tree's root-leaf set is checked at these
-    vertices, against the parent array and the child counts. Every touched
-    vertex then has its count of trees it is no root-adjacent leaf of taken
-    again from the kept sets; an untouched one keeps its count, since tree k
+    w_i and v'_i only, and tree k differs from the star at r_k only at the
+    vertices the assembly touched. Each touched vertex has its count of
+    trees it is no root-adjacent leaf of taken again from the parent arrays
+    and the child counts; an untouched one keeps its count, since tree k
     has it among its leaves. The common leaves lose the touched vertices (no
     touched vertex is a leaf of the tree that touched it) and are checked
-    against the vertices counted 0. :func:`build_forest` recounts every set
-    and the common leaves in full once, after the last round, so a set gone
-    wrong at an untouched vertex surfaces there.
+    against the vertices counted 0. The trees' leaf counts meet their
+    floors here, and :func:`build_forest` recounts them in full once, after
+    the last round.
     """
-    rnd, k, rk = state.round, state.k, state.round.r_k
-    touched = [(t.root, rk, st.chosen, st.w_i, st.v_prime) for t, st in zip(state.trees, rnd.steps)]
-    touched.append({rk, rnd.w_k, rnd.w_k_prime}.union(*((st.w_i, st.w_prime) for st in rnd.steps)))
-    for idx, (t, xs) in enumerate(zip(state.trees, touched), start=1):
-        # x is a root-adjacent leaf when its parent is the root and it has no child
-        parent, children, root = t.parent, t.children, t.root
-        if any((x in t.root_leaves) != (parent[x] == root and not children[x]) for x in xs):
-            raise InternalInvariantError(
-                f"round {k}: root-leaf bookkeeping of tree {idx} diverged from recomputation"
-            )
-    outside, kept = state.outside, [t.root_leaves for t in state.trees]
-    for x in set().union(*touched):
-        outside[x] = len(kept) - sum(map(contains, kept, repeat(x)))
-    incremental = state.common_leaves.difference(*touched)
+    rnd, trees = state.round, state.trees
+    touched = state.assembly_touched.union(
+        *((t.root, st.chosen, st.w_i, st.v_prime) for t, st in zip(trees, rnd.steps))
+    )
+    outside = state.outside
+    for x in touched:
+        outside[x] = sum(not t.is_root_leaf(x) for t in trees)
+    incremental = state.common_leaves - touched
     if incremental != set(compress(range(len(outside)), map(not_, outside))):
         raise InternalInvariantError(
-            f"round {k}: incremental common-leaf update diverged from recomputation"
+            f"round {state.k}: incremental common-leaf update diverged from recomputation"
         )
     state.common_leaves = incremental
     _check_structure(state)
     state.round = None
-    state.assembly_leaves = set()  # tree k now owns the old one
     state.lstar = set()
 
 
@@ -516,10 +505,10 @@ def build_forest(
     InternalInvariantError or SwapError with the partial trace attached; it
     ends with the round and step in flight, whose unfixed fields hold -1.
     The round closes check the bookkeeping where the round changed it.
-    After the last round, once, every tree's root-leaf set and root degree
-    are recounted from its parent array and the common leaves from the
-    k-way intersection of those sets; a mismatch raises with every round
-    in the trace.
+    After the last round, once, every tree's root-adjacent leaves and root
+    degree are recounted from its parent array and the common leaves from
+    the k-way intersection of those leaf sets; a mismatch raises with every
+    round in the trace.
     """
     state = start_construction(coloring, policy)
     target = omega(coloring.m)
@@ -527,9 +516,10 @@ def build_forest(
         while len(state.trees) < target:
             step(state)
         # the round closes checked the bookkeeping where it changed; once, check it whole
-        last = state.k - 1
+        last, recounted = state.k - 1, []
         for idx, t in enumerate(state.trees, start=1):
-            if root_leaves(t.parent, t.root) != t.root_leaves:
+            recounted.append(root_leaves(t.parent, t.root))
+            if len(recounted[-1]) != t.leaves:
                 raise InternalInvariantError(
                     f"after round {last}: root-leaf bookkeeping of tree {idx}"
                     " diverged from recomputation"
@@ -538,7 +528,7 @@ def build_forest(
                 raise InternalInvariantError(
                     f"after round {last}: root degree of tree {idx} diverged from recomputation"
                 )
-        first, *rest = sorted((t.root_leaves for t in state.trees), key=len)
+        first, *rest = sorted(recounted, key=len)
         if state.common_leaves != first.intersection(*rest):
             raise InternalInvariantError(
                 f"after round {last}: incremental common-leaf update diverged from recomputation"

@@ -60,10 +60,9 @@ class WorkingTree:
     ``parent[x]`` is x's neighbor towards the root (-1 at the root),
     ``children[x]`` counts the vertices whose parent is x,
     ``child_of_color[c]`` is the vertex whose edge to its parent has color c
-    and ``root_leaves`` holds the root's children that have none. Each
-    instance is a genuine rainbow spanning tree; the leaf exchange patches
-    it in place, the child counts included, so whether x is a root-adjacent
-    leaf reads ``parent[x] == root and not children[x]`` in O(1).
+    and ``leaves`` counts the root's children that have none. Each instance
+    is a genuine rainbow spanning tree; the leaf exchange patches it in
+    place, the child counts and the leaf count included.
     """
 
     coloring: EdgeColoring
@@ -71,12 +70,16 @@ class WorkingTree:
     parent: list[int]
     children: list[int]
     child_of_color: list[int]
-    root_leaves: set[int]
+    leaves: int
 
     @property
     def root_degree(self) -> int:
         """The number of the root's children."""
         return self.children[self.root]
+
+    def is_root_leaf(self, x: int) -> bool:
+        """Whether x is a root-adjacent leaf, read in O(1) from the arrays."""
+        return self.parent[x] == self.root and not self.children[x]
 
     def value(self) -> RainbowTree:
         """This tree as a plain RainbowTree, with no full sort. The star at
@@ -108,9 +111,7 @@ def base_star(coloring: EdgeColoring, r: int) -> WorkingTree:
     parent[r] = -1
     children = [0] * n
     children[r] = n - 1
-    leaves = set(range(n))
-    leaves.discard(r)
-    return WorkingTree(coloring, r, parent, children, coloring.partner_row(r), leaves)
+    return WorkingTree(coloring, r, parent, children, coloring.partner_row(r), n - 1)
 
 
 def tree_edge_of_color(tree: WorkingTree, c: int) -> tuple[int, int, int]:
@@ -166,22 +167,21 @@ def apply_swap(tree: WorkingTree, y: int, v: int) -> WorkingTree:
 
     The root loses the children y and v, w and v' gain one each and no
     vertex becomes a root child: four child counts change, and the
-    root-adjacent leaves are the old ones minus {y, v, w, v'}. The round
-    close re-derives them at these vertices and the root from the parent
-    array and the child counts, and the build re-derives them in full once
-    at its end.
+    root-adjacent leaves are the old ones minus {y, v, w, v'}. As
+    {w, v'} and {y, v} are disjoint, the leaf count falls by 2 plus the
+    number of root-adjacent leaves in {w, v'}, which may be one vertex.
     """
     if y == v:
         raise NotPendant("the two detached leaves must be distinct")
     for leaf in (y, v):
-        if leaf not in tree.root_leaves:
+        if not tree.is_root_leaf(leaf):
             raise NotPendant(f"vertex {leaf} is not a leaf adjacent to the root")
     col, r = tree.coloring, tree.root
     c_y, c_v = col.color_of(r, y), col.color_of(r, v)
     w, v_prime = col.partner(c_v, y), col.partner(c_y, v)
+    tree.leaves -= 2 + sum(map(tree.is_root_leaf, {w, v_prime}))
     tree.parent[y], tree.parent[v] = w, v_prime
     tree.child_of_color[c_v], tree.child_of_color[c_y] = y, v
-    tree.root_leaves.difference_update((y, v, w, v_prime))
     children = tree.children
     children[r] -= 2
     children[w] += 1

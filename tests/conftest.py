@@ -5,6 +5,7 @@ from array import array
 import rainbowtrees.constructor as ctor
 from rainbowtrees import Forest, RainbowTree, build_forest
 from rainbowtrees.coloring import _checked
+from rainbowtrees.forest import root_leaves
 
 
 def assert_passes_row_check(coloring):
@@ -155,36 +156,18 @@ def duplicate_root(monkeypatch, k):
     monkeypatch.setattr(ctor, "finalize_kth", duplicated)
 
 
-def misreport_root_leaves(monkeypatch, k):
-    """Once tree 1 is rewired in round k, count its root among its own
-    root-adjacent leaves."""
-    original = ctor.revise_tree
-
-    def misreported(state, i, v_i):
-        tree = original(state, i, v_i)
-        if state.k == k and i == 1:
-            tree.root_leaves = tree.root_leaves | {tree.root}
-        return tree
-
-    monkeypatch.setattr(ctor, "revise_tree", misreported)
-
-
-def drop_untouched_root_leaf(monkeypatch, k):
-    """Once tree k is built, drop from tree 1's root-adjacent leaves the
-    smallest one that tree 1's exchange did not touch and that is no
-    root-adjacent leaf of tree k, so the round close's leaf checks, which
-    look at touched vertices and at the common leaves, cannot see it."""
+def shift_leaf_count(monkeypatch, k, idx, by):
+    """Once tree k is built, add ``by`` to tree idx's count of root-adjacent
+    leaves; its parent array and child counts stay as they were."""
     original = ctor.finalize_kth
 
-    def dropped(state):
+    def shifted(state):
         tree = original(state)
         if state.k == k:
-            rnd, first, st = state.round, state.trees[0], state.round.steps[0]
-            touched = {first.root, rnd.r_k, st.chosen, st.w_i, st.v_prime}
-            first.root_leaves.discard(min(first.root_leaves - touched - tree.root_leaves))
+            state.trees[idx - 1].leaves += by
         return tree
 
-    monkeypatch.setattr(ctor, "finalize_kth", dropped)
+    monkeypatch.setattr(ctor, "finalize_kth", shifted)
 
 
 def forget_common_leaf(monkeypatch, k):
@@ -195,49 +178,31 @@ def forget_common_leaf(monkeypatch, k):
     def forgetful(state):
         tree = original(state)
         if state.k == k:
-            kept = set.intersection(*(set(t.root_leaves) for t in state.trees))
-            state.common_leaves.discard(min(kept))
+            leaves = [root_leaves(t.parent, t.root) for t in state.trees]
+            state.common_leaves.discard(min(frozenset.intersection(*leaves)))
         return tree
 
     monkeypatch.setattr(ctor, "finalize_kth", forgetful)
 
 
-def drop_common_leaf(monkeypatch, k, idx):
-    """Once tree k is built, drop from tree idx's root-adjacent leaves the
-    largest vertex that is a root-adjacent leaf of every tree. No exchange
-    of round k touched it: each touched vertex is no leaf of the tree that
-    touched it."""
+def pool_a_non_leaf(monkeypatch, k):
+    """Once tree k is built, add to the incrementally kept pool the smallest
+    vertex that the parent arrays make no common leaf and that no exchange
+    of round k touched, so the round close does not drop it with them."""
     original = ctor.finalize_kth
 
-    def dropped(state):
+    def padded(state):
         tree = original(state)
         if state.k == k:
-            kept = set.intersection(*(set(t.root_leaves) for t in state.trees))
-            state.trees[idx - 1].root_leaves.discard(max(kept))
-        return tree
-
-    monkeypatch.setattr(ctor, "finalize_kth", dropped)
-
-
-def misreport_untouched_vertex(monkeypatch, k):
-    """Once tree k is built, count among tree 1's root-adjacent leaves the
-    smallest vertex that is none, that no exchange of round k touched and
-    that some other tree does not count either, so the pool stays exact."""
-    original = ctor.finalize_kth
-
-    def misreported(state):
-        tree = original(state)
-        if state.k == k:
-            rnd, (first, *rest) = state.round, state.trees
-            touched = {first.root, rnd.r_k, rnd.w_k, rnd.w_k_prime}.union(
-                *((st.chosen, st.w_i, st.v_prime, st.w_prime) for st in rnd.steps)
+            rnd, trees = state.round, state.trees
+            touched = state.assembly_touched.union(
+                *((t.root, st.chosen, st.w_i, st.v_prime) for t, st in zip(trees, rnd.steps))
             )
-            elsewhere = set.intersection(*(set(t.root_leaves) for t in rest))
-            unseen = set(range(state.coloring.n)) - first.root_leaves - touched - elsewhere
-            first.root_leaves |= {min(unseen)}
+            common = frozenset.intersection(*(root_leaves(t.parent, t.root) for t in trees))
+            state.common_leaves.add(min(set(range(state.coloring.n)) - common - touched))
         return tree
 
-    monkeypatch.setattr(ctor, "finalize_kth", misreported)
+    monkeypatch.setattr(ctor, "finalize_kth", padded)
 
 
 def empty_candidate_pool(monkeypatch, k):

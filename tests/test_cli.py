@@ -13,8 +13,7 @@ from conftest import (
     corrupt_assembly_step,
     duplicate_root,
     forget_common_leaf,
-    misreport_root_leaves,
-    misreport_untouched_vertex,
+    shift_leaf_count,
     starve_leaf_pool,
 )
 from rainbowtrees import (
@@ -107,7 +106,7 @@ def test_build_and_verify_never_hold_the_whole_coloring_document(tmp_path):
     read, peak = _traced_peak(lambda: cli._read_coloring(str(path)))
     assert read == coloring and read.digest() == coloring.digest()
     assert peak <= 0.8 * size
-    forest, _ = build_forest(coloring, policy=MIN_INDEX, trace_on=True)
+    forest, _ = build_forest(coloring, policy=MIN_INDEX)
     out, peak = _traced_peak(lambda: forest_to_json(forest))
     assert parse_forest(out) == forest
     assert peak <= 4 * len(out)
@@ -330,7 +329,7 @@ def test_internal_invariant_exits_three_and_dumps_trace(tmp_path, monkeypatch, c
     col = tmp_path / "c.json"
     run_cli(["gen", "--m", "5", "-o", str(col)])
 
-    def boom(coloring, policy, trace_on):
+    def boom(coloring, policy):
         exc = EmptyCandidateSet("synthetic failure")
         exc.trace = ConstructionTrace(m=coloring.m)
         raise exc
@@ -620,18 +619,19 @@ def test_assembly_cycle_exits_three_with_in_flight_step(tmp_path, monkeypatch, c
         (lambda mp: starve_leaf_pool(mp, 3, keep=1), 3),
         # tree 3 repeats the first root: the dump ends with the whole of round 3
         (lambda mp: duplicate_root(mp, 3), 3),
-        # the bookkeeping faults surface when round 2 closes, after its last step
-        (lambda mp: misreport_root_leaves(mp, 2), 2),
+        # a leaf count below its floor and a forgotten common leaf surface when
+        # round 2 closes, after its last step
+        (lambda mp: shift_leaf_count(mp, 2, 1, -1), 2),
         (lambda mp: forget_common_leaf(mp, 2), 2),
-        # a vertex no exchange touched surfaces in the recount after the last round
-        (lambda mp: misreport_untouched_vertex(mp, 3), 3),
+        # a leaf count above the truth surfaces in the recount after the last round
+        (lambda mp: shift_leaf_count(mp, 3, 1, +1), 3),
     ],
     ids=[
         "leaf-set-exhausted",
         "f-validation-failed",
-        "root-leaf-bookkeeping",
+        "leaf-floor",
         "common-leaf-update",
-        "untouched-vertex",
+        "leaf-count",
     ],
 )
 def test_invariant_faults_exit_three_with_a_v3_dump(tmp_path, monkeypatch, capsys, fault, last_k):
@@ -745,11 +745,11 @@ def test_internal_invariant_without_trace_flag_dumps_to_a_temporary_file(
 ):
     col = tmp_path / "c.json"
     run_cli(["gen", "--m", "12", "-o", str(col)])
-    misreport_root_leaves(monkeypatch, 2)
+    forget_common_leaf(monkeypatch, 2)
     capsys.readouterr()
     assert run_cli(["build", "-i", str(col), "-o", str(tmp_path / "f.json")]) == 3
     first, second = capsys.readouterr().err.splitlines()
-    assert first.startswith("internal invariant violated: round 2: root-leaf bookkeeping")
+    assert first.startswith("internal invariant violated: round 2: incremental common-leaf update")
     assert second.startswith("trace dumped to ")
     dump = pathlib.Path(second.removeprefix("trace dumped to "))
     try:

@@ -4,9 +4,9 @@ bookkeeping against full recounts, on a grid of builds.
 At every step, ``admissible_candidates`` and the forbid_at form kept in
 ``tests/reference_filter.py`` must eliminate the same vertices under every
 rule and allow the same set. After every round close, each tree's child
-counts must be a count of its parent array, and each vertex's count of the
-trees it is no root-adjacent leaf of must be a recount over every tree's
-kept set.
+counts must be a count of its parent array, its leaf count the number of
+root-adjacent leaves in that array, and each vertex's count of the trees it
+is no root-adjacent leaf of a recount over every tree's parent array.
 """
 
 from collections import Counter
@@ -25,6 +25,7 @@ from rainbowtrees import (
     random_policy,
     trace_to_jsonl,
 )
+from rainbowtrees.forest import root_leaves
 
 POLICIES = [MIN_INDEX, MAX_INDEX, random_policy(1), random_policy(2), random_policy(3)]
 POLICY_IDS = ["min", "max", "random1", "random2", "random3"]
@@ -74,8 +75,9 @@ def test_round_close_bookkeeping_matches_a_recount(monkeypatch, m, seed, policy)
         for tree in state.trees:
             counts = Counter(tree.parent)
             assert tree.children == [counts[x] for x in range(n)]
-        kept = [tree.root_leaves for tree in state.trees]
-        assert state.outside == [sum(x not in leaves for leaves in kept) for x in range(n)]
+        recounted = [root_leaves(tree.parent, tree.root) for tree in state.trees]
+        assert [tree.leaves for tree in state.trees] == list(map(len, recounted))
+        assert state.outside == [sum(x not in leaves for leaves in recounted) for x in range(n)]
         closes.append(len(state.trees))
 
     monkeypatch.setattr(ctor, "_close_round", recounted)

@@ -9,15 +9,13 @@ from conftest import (
     common_root_leaves,
     corrupt_assembly_step,
     corrupt_hangers,
-    drop_common_leaf,
-    drop_untouched_root_leaf,
     duplicate_root,
     empty_candidate_pool,
     entry_pools,
     forget_common_leaf,
-    misreport_untouched_vertex,
     miscount_root_children,
-    misreport_root_leaves,
+    pool_a_non_leaf,
+    shift_leaf_count,
     starve_leaf_pool,
 )
 
@@ -97,8 +95,7 @@ def test_anchors_are_common_leaves():
     r_k, w_k = select_anchors(state)
     assert r_k != w_k
     for tree in state.trees:
-        assert r_k in tree.root_leaves
-        assert w_k in tree.root_leaves
+        assert {r_k, w_k} <= root_leaves(tree.parent, tree.root)
 
 
 def test_admissible_candidates_m5_k2_golden():
@@ -532,18 +529,18 @@ def test_slack_agrees_with_recomputation(m, policy):
 
 FAULTS = {
     # w_1 := w_k makes w'_1 = partner(color(r_k, w_k), w_k) = r_k itself
-    "rehang-under-root": (5, 2, 1, lambda rnd: rnd.w_k),
+    "rehang-under-root": (5, 2, 1, lambda rnd: rnd.w_k, "would not keep a tree"),
     # w_2 := w_1 names a vertex the first step already detached from r_k
-    "non-pendant-leaf": (12, 3, 2, lambda rnd: rnd.steps[0].w_i),
+    "non-pendant-leaf": (12, 3, 2, lambda rnd: rnd.steps[0].w_i, "not a pendant neighbor"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_assembly_fault_raises_cycle_detected_with_trace(monkeypatch, fault):
-    m, k, i, pick = FAULTS[fault]
+    m, k, i, pick, message = FAULTS[fault]
     pool = entry_pools(round_robin(m))[k - 2]  # the rounds before k run as without the fault
     corrupt_assembly_step(monkeypatch, k, i, pick)
-    with pytest.raises(CycleDetected) as info:
+    with pytest.raises(CycleDetected, match=message) as info:
         build_forest(round_robin(m))
     trace = info.value.trace
     assert trace is not None and trace.m == m
@@ -595,28 +592,31 @@ def test_duplicated_root_raises_f_validation_failed_with_trace(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "fault, message",
-    [
-        (misreport_root_leaves, "root-leaf bookkeeping of tree 1 diverged from recomputation"),
-        (forget_common_leaf, "incremental common-leaf update diverged"),
-    ],
-    ids=["root-leaf-bookkeeping", "common-leaf-update"],
+    "fault, k",
+    [(forget_common_leaf, 2), (pool_a_non_leaf, 3)],
+    ids=["common-leaf-update", "non-leaf-in-pool"],
 )
-def test_bookkeeping_faults_raise_at_the_round_close(monkeypatch, fault, message):
-    # both are caught by recomputation when round 2 of m=12 closes
-    fault(monkeypatch, 2)
+def test_bookkeeping_faults_raise_at_the_round_close(monkeypatch, fault, k):
+    # the pool forgets a vertex that the parent arrays still make a common
+    # leaf, or keeps one that round 2 made a non-leaf and round 3 did not
+    # touch: the recount of the vertices counted 0 sees either when round k
+    # of m=12 closes, before any exchange can pick the wrong vertex
+    fault(monkeypatch, k)
+    message = f"^round {k}: incremental common-leaf update diverged from recomputation"
     with pytest.raises(InternalInvariantError, match=message) as info:
         build_forest(round_robin(12))
     assert type(info.value) is InternalInvariantError
-    (closing,) = info.value.trace.rounds
-    assert closing.k == 2 and closing.w_k_prime >= 0
+    rounds = info.value.trace.rounds
+    assert [rnd.k for rnd in rounds] == list(range(2, k + 1))
+    assert rounds[-1].w_k_prime >= 0
 
 
-def test_an_untouched_vertex_fault_is_caught_after_the_last_round(monkeypatch):
-    # round 3 is the last of m=12, and the round closes check only the
-    # vertices an exchange touched: the full recount at the end sees it
+def test_a_leaf_count_fault_is_caught_after_the_last_round(monkeypatch):
+    # one leaf too many clears every floor, and no round close reads the
+    # count otherwise: the full recount after round 3, the last of m=12,
+    # sees it
     _, clean = build_forest(round_robin(12))
-    misreport_untouched_vertex(monkeypatch, 3)
+    shift_leaf_count(monkeypatch, 3, 1, +1)
     message = "after round 3: root-leaf bookkeeping of tree 1 diverged from recomputation"
     with pytest.raises(InternalInvariantError, match=message) as info:
         build_forest(round_robin(12))
@@ -625,25 +625,6 @@ def test_an_untouched_vertex_fault_is_caught_after_the_last_round(monkeypatch):
     # every round is in the trace, complete
     assert trace == clean
     assert [rnd.k for rnd in trace.rounds] == [2, 3]
-
-
-def test_a_kept_set_fault_at_an_untouched_common_leaf_is_caught_after_the_last_round(monkeypatch):
-    # the trade of a round close that recounts the common leaves at touched
-    # vertices only: round 3 of m=24 drops an untouched common leaf from
-    # tree 2's kept set, the count of trees it is no leaf of stays 0 and the
-    # pool keeps it, so round 4 runs on and the full recount after it, the
-    # last round, sees the fault. Round 2 cannot carry it: it leaves trees 1
-    # and 2 at their leaf floor, which one leaf fewer breaks at its close.
-    _, clean = build_forest(round_robin(24))
-    drop_common_leaf(monkeypatch, 3, 2)
-    message = "after round 4: root-leaf bookkeeping of tree 2 diverged from recomputation"
-    with pytest.raises(InternalInvariantError, match=message) as info:
-        build_forest(round_robin(24))
-    assert type(info.value) is InternalInvariantError
-    trace = info.value.trace
-    # every round is in the trace, complete
-    assert trace == clean
-    assert [rnd.k for rnd in trace.rounds] == [2, 3, 4]
 
 
 def _miscount_root_children_of_tree_1(state):
@@ -712,6 +693,20 @@ def _hang_twice(rnd):
     rnd.steps[1].w_i, rnd.steps[1].w_prime = rnd.steps[0].w_i, rnd.steps[0].w_prime
 
 
+def _touch_spare_vertices(monkeypatch):
+    # before w_k is re-hung in round 3, the assembly counts eight more
+    # vertices as touched, so tree 3 is built with fewer leaves than its floor
+    original = ctor.finalize_kth
+
+    def crowded(state):
+        if state.k == 3:
+            spare = set(range(state.coloring.n)) - state.assembly_touched - {state.round.w_k}
+            state.assembly_touched.update(sorted(spare)[:8])
+        return original(state)
+
+    monkeypatch.setattr(ctor, "finalize_kth", crowded)
+
+
 @pytest.mark.parametrize(
     "fault, error, message",
     [
@@ -721,8 +716,17 @@ def _hang_twice(rnd):
         (lambda mp: corrupt_hangers(mp, 3, _hang_back_at_root), ColorClash, "repeats a color"),
         (lambda mp: corrupt_hangers(mp, 3, _hang_twice), InternalInvariantError, "new root degree"),
         (lambda mp: miscount_root_children(mp, 3), FValidationFailed, "tree 3: root degree 21"),
+        (_touch_spare_vertices, InternalInvariantError, "new root has .* below the floor 17"),
     ],
-    ids=["pool-floor", "empty-candidates", "cycle", "color-clash", "root-degree", "structure"],
+    ids=[
+        "pool-floor",
+        "empty-candidates",
+        "cycle",
+        "color-clash",
+        "root-degree",
+        "structure",
+        "new-root-leaves",
+    ],
 )
 def test_guarantee_checks_fire_under_fault_injection(monkeypatch, fault, error, message):
     # m = 12 has three rounds' worth of trees; each fault hits round 3
@@ -736,7 +740,7 @@ def test_guarantee_checks_fire_under_fault_injection(monkeypatch, fault, error, 
 def test_leaf_floor_check_fires_under_fault_injection(monkeypatch):
     # round 2 at m = 12 leaves tree 1 exactly at its floor of 19 root-adjacent
     # leaves, so one leaf fewer is below it
-    drop_untouched_root_leaf(monkeypatch, 2)
+    shift_leaf_count(monkeypatch, 2, 1, -1)
     with pytest.raises(FValidationFailed) as info:
         build_forest(round_robin(12))
     assert str(info.value) == "tree 1: 18 root-adjacent leaves, below the floor 19"

@@ -28,7 +28,7 @@ from rainbowtrees import (
     tree_edge_of_color,
     verify_rainbow_spanning_tree,
 )
-from rainbowtrees.forest import spans
+from rainbowtrees.forest import root_leaves, spans
 
 
 def star_m2():
@@ -45,7 +45,8 @@ def test_base_star_shape(m):
     for r in (0, 2 * m - 1):
         t = base_star(c, r)
         assert len(t.value().edges) == 2 * m - 1
-        assert t.root_leaves == frozenset(x for x in range(2 * m) if x != r)
+        assert root_leaves(t.parent, r) == frozenset(x for x in range(2 * m) if x != r)
+        assert t.leaves == 2 * m - 1
         # all 2m-1 colors appear once, so the color index is a bijection
         assert sorted(c for _, _, c in t.value().edges) == list(range(2 * m - 1))
         assert sorted(t.child_of_color) == [x for x in range(2 * m) if x != r]
@@ -62,13 +63,23 @@ def test_apply_swap_m2_example():
     # root degree drops by exactly 2
     assert out.root_degree == star_m2().root_degree - 2
     # by the defining formula no root-adjacent leaf remains: vertex 2 now has degree 3
-    assert out.root_leaves == frozenset()
+    assert root_leaves(out.parent, out.root) == frozenset()
+    assert out.leaves == 0
+
+
+def _state(tree):
+    """Copies of what a swap writes: the three arrays and the leaf count."""
+    return (tree.parent.copy(), tree.children.copy(), tree.child_of_color.copy(), tree.leaves)
 
 
 def test_apply_swap_rejects_non_pendant():
     out = apply_swap(star_m2(), 0, 1)
+    before = _state(out)
     with pytest.raises(NotPendant):
         apply_swap(out, 0, 1)  # 0 is no longer a root-adjacent leaf
+    with pytest.raises(NotPendant, match="vertex 2 is not"):
+        apply_swap(out, 2, 0)  # 2 is a root child, but it has the children 0 and 1
+    assert _state(out) == before
     with pytest.raises(NotPendant):
         apply_swap(star_m2(), 0, 0)  # leaves must be distinct
 
@@ -84,7 +95,7 @@ def test_tree_edge_of_color():
 
 def random_swap(tree, rng):
     """One exchange of two root-adjacent leaves drawn at random."""
-    return apply_swap(tree, *rng.sample(sorted(tree.root_leaves), 2))
+    return apply_swap(tree, *rng.sample(sorted(root_leaves(tree.parent, tree.root)), 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -98,7 +109,7 @@ def test_partner_matched_swaps_preserve_everything(m, root, seed):
     tree = base_star(c, root % (2 * m))
     rng = random.Random(seed)
     for _ in range(3):
-        if len(tree.root_leaves) < 2:
+        if tree.leaves < 2:
             break
         before_deg = tree.root_degree
         before_colors = sorted(col for _, _, col in tree.value().edges)
@@ -107,9 +118,10 @@ def test_partner_matched_swaps_preserve_everything(m, root, seed):
         assert tree.root_degree == before_deg - 2
         # the exchange replaces colors one for one
         assert sorted(col for _, _, col in tree.value().edges) == before_colors
-        # incremental leaf bookkeeping equals recomputation from the edges
+        # the leaf count and the arrays agree with recomputation from the edges
         recomputed, _ = _root_profile(tree.root, {(a, b) for a, b, _ in tree.value().edges})
-        assert set(tree.root_leaves) == recomputed
+        assert root_leaves(tree.parent, tree.root) == recomputed
+        assert tree.leaves == len(recomputed)
 
 
 def test_from_edges_tolerates_corrupt_input():
@@ -198,7 +210,6 @@ def _copy(tree):
         parent=tree.parent.copy(),
         children=tree.children.copy(),
         child_of_color=tree.child_of_color.copy(),
-        root_leaves=set(tree.root_leaves),
     )
 
 
@@ -210,7 +221,7 @@ def _cases(m):
     star = base_star(permuted_round_robin(m, 7), 2 * m - 1)
     cases = [(star, {1: 0, 2: 6, 3: 20}[m])]
     if m > 1:
-        cases.append((apply_swap(_copy(star), *sorted(star.root_leaves)[:2]), 0))
+        cases.append((apply_swap(_copy(star), *sorted(root_leaves(star.parent, star.root))[:2]), 0))
     return cases
 
 
@@ -248,7 +259,7 @@ def test_apply_swap_is_exact_on_every_argument_tuple(m):
     n = 2 * m
     for tree, want_valid in _cases(m):
         r = tree.root
-        snapshot = (tree.value().edges, set(tree.root_leaves), tree.root_degree)
+        snapshot = (tree.value().edges, _state(tree))
         leaves, _ = _root_profile(r, {(a, b) for a, b, _ in tree.value().edges})
         valid = 0
         for y, v in itertools.product(range(n), repeat=2):
@@ -269,9 +280,10 @@ def test_apply_swap_is_exact_on_every_argument_tuple(m):
             assert (out.root, out.value().edges) == (r, want)
             assert (out.parent[y], out.parent[v]) == (w, v_prime)
             out_leaves, root_degree = _root_profile(r, {(a, b) for a, b, _ in want})
-            assert set(out.root_leaves) == out_leaves
+            assert root_leaves(out.parent, r) == out_leaves
+            assert out.leaves == len(out_leaves)
             assert out.root_degree == root_degree
-        assert (tree.value().edges, set(tree.root_leaves), tree.root_degree) == snapshot
+        assert (tree.value().edges, _state(tree)) == snapshot
         assert valid == want_valid
 
 
